@@ -12,6 +12,19 @@ relation checked by `check_ainfty` is
 and `check_functor` evaluates the functor equation into a DG target, where
 the right-hand side is mu_1(F_d) plus the sum of mu_2(F_{d_2}, F_{d_1}) over
 splittings.
+
+Arity support.  A category may declare `arities`, the set of d for which
+mu_d can be nonzero; `mu` and `mu_raw` return zero outside it, so the
+declaration is authoritative.  A split (d_2, k) of an arity-d relation is
+admissible when d_2 and d_1 = d - d_2 + 1 both lie in the support; the other
+terms vanish identically.  An arity with no admissible split has a zero
+relation on every tuple: `check_ainfty` does not enumerate it but counts its
+composable tuples from the hom-basis sizes and reports them per arity as
+"certified zero by support" (the cylinder, with support {2}, enumerates only
+d = 3).  A category may further declare `linked`, a necessary condition for
+the relation on one composable tuple to be nonzero; tuples it rules out are
+enumerated but not evaluated, and are reported as "certified zero by
+linkage".
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .gradedalg import Chain, Generator, sign_pow
 from .report import CheckReport, failed, passed
@@ -36,9 +49,13 @@ class AInftyCategory:
     """Objects, based hom complexes and structure maps given on basis tuples.
 
     `mu_fn` receives tuples of token-(+1) basis generators in composition
-    order and returns a Chain; absent structure (beyond `max_arity`) is zero.
-    `gen_hom_fn` resolves the hom-pair of generators not listed in the
-    enumeration basis (operations may leave a finite enumeration window).
+    order and returns a Chain.  `arities` is the support of mu: the arities
+    at which it can be nonzero (None: unrestricted); structure outside it is
+    zero and `mu_fn` is never consulted there.  `linked`, when given, returns
+    False only for composable tuples whose A-infinity relation is zero (see
+    the module docstring).  `gen_hom_fn` resolves the hom-pair of generators
+    not listed in the enumeration basis (operations may leave a finite
+    enumeration window).
     """
 
     name: str
@@ -46,11 +63,14 @@ class AInftyCategory:
     hom_basis_map: Mapping[tuple, tuple[Generator, ...]]
     mu_fn: Callable[[tuple[Generator, ...]], Chain]
     is_dg: bool = False
-    max_arity: int | None = None
+    arities: frozenset[int] | None = None
     gen_hom_fn: Callable[[Generator], tuple] | None = None
+    linked: Callable[[tuple[Generator, ...]], bool] | None = None
     _gen_hom: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
+        if self.arities is not None:
+            self.arities = frozenset(self.arities)
         for pair, basis in self.hom_basis_map.items():
             for gen in basis:
                 if gen.orientation != 1:
@@ -82,17 +102,21 @@ class AInftyCategory:
                 )
         return tuple(p[0] for p in pairs) + (pairs[-1][1],)
 
+    def supports(self, d: int) -> bool:
+        """Whether mu_d can be nonzero."""
+        return self.arities is None or d in self.arities
+
     def mu(self, gens: tuple[Generator, ...]) -> Chain:
         """Evaluate mu on a basis tuple, normalising orientation tokens and
         asserting degree 2 - d + sum of input degrees on the output."""
         self.tuple_path(gens)
+        if not self.supports(len(gens)):
+            return Chain.zero()
         token = 1
         keys = []
         for g in gens:
             token *= g.orientation
             keys.append(g.key)
-        if self.max_arity is not None and len(keys) > self.max_arity:
-            return Chain.zero()
         out = self.mu_fn(tuple(keys))
         if not out.is_zero():
             expected = 2 - len(keys) + sum(g.degree for g in keys)
@@ -107,22 +131,22 @@ class AInftyCategory:
         """mu without composability/degree validation; callers must pass
         token-(+1) generators forming a composable tuple (the checkers
         validate the enclosing tuple once and work on its slices)."""
-        if self.max_arity is not None and len(gens) > self.max_arity:
+        if not self.supports(len(gens)):
             return Chain.zero()
         return self.mu_fn(gens)
 
     def mu1_chain(self, chain: Chain) -> Chain:
-        out = Chain.zero()
+        acc: dict[Generator, int] = {}
         for gen, coeff in chain.items():
-            out = out + self.mu((gen,)).scale(coeff)
-        return out
+            _accumulate(acc, self.mu((gen,)), coeff)
+        return Chain(acc)
 
     def mu2_chain(self, chain2: Chain, chain1: Chain) -> Chain:
-        out = Chain.zero()
+        acc: dict[Generator, int] = {}
         for g1, c1 in chain1.items():
             for g2, c2 in chain2.items():
-                out = out + self.mu((g1, g2)).scale(c1 * c2)
-        return out
+                _accumulate(acc, self.mu((g1, g2)), c1 * c2)
+        return Chain(acc)
 
     def composable_tuples(self, d: int):
         """All length-d composable basis tuples, lexicographic in the object
@@ -132,6 +156,29 @@ class AInftyCategory:
             if any(not s for s in slots):
                 continue
             yield from itertools.product(*slots)
+
+    def count_composable(self, d: int) -> int:
+        """The number of tuples `composable_tuples(d)` yields, without
+        enumerating them: the sum over object paths of the product of the
+        hom-basis sizes along the path, summed one step at a time."""
+        sizes = [[len(self.hom_basis(a, b)) for b in self.objects] for a in self.objects]
+        ways = [1] * len(self.objects)
+        for _ in range(d):
+            ways = [
+                sum(w * row[j] for w, row in zip(ways, sizes))
+                for j in range(len(self.objects))
+            ]
+        return sum(ways)
+
+
+def _accumulate(acc: dict[Generator, int], chain: Chain, scale: int) -> None:
+    """acc += scale * chain, dropping coefficients that cancel to zero."""
+    for gen, coeff in chain.items():
+        new = acc.get(gen, 0) + scale * coeff
+        if new:
+            acc[gen] = new
+        else:
+            acc.pop(gen, None)
 
 
 def category_from_tables(
@@ -144,7 +191,8 @@ def category_from_tables(
     """Build a category whose mu is a sparse lookup table.
 
     Table keys are tuples of generator gids in composition order; absent
-    tuples are zero.  Non-composable table entries are rejected here.
+    tuples are zero, and the arity support is the set of arities with a
+    nonzero entry.  Non-composable table entries are rejected here.
     """
     lookup: dict[tuple, Chain] = {}
     for d, table in mu_tables.items():
@@ -152,12 +200,12 @@ def category_from_tables(
             if len(gids) != d:
                 raise ValueError(f"arity-{d} table entry with {len(gids)} inputs")
             lookup[gids] = chain
-    max_arity = max(mu_tables.keys(), default=1)
+    arities = frozenset(len(gids) for gids, chain in lookup.items() if not chain.is_zero())
 
     def mu_fn(gens: tuple[Generator, ...]) -> Chain:
         return lookup.get(tuple(g.gid for g in gens), Chain.zero())
 
-    cat = AInftyCategory(name, objects, hom_basis_map, mu_fn, is_dg, max_arity)
+    cat = AInftyCategory(name, objects, hom_basis_map, mu_fn, is_dg, arities=arities)
     for gids in lookup:
         gens = tuple(_find_gen(cat, gid) for gid in gids)
         cat.tuple_path(gens)
@@ -188,44 +236,64 @@ def mu2_shifted(
     the unshifted ones.
     """
     m0, m1, m2 = shifts
-    out = Chain.zero()
+    acc: dict[Generator, int] = {}
     for g2, c2 in s2.items():
         sgn = sign_pow((g2.degree + 1) * (m1 - m0))
-        out = out + mu2(Chain.of(g2), s1).scale(sgn * c2)
-    return out
+        _accumulate(acc, mu2(Chain.of(g2), s1), sgn * c2)
+    return Chain(acc)
 
 
 # ---------------------------------------------------------------------------
 # Relation checkers.
 # ---------------------------------------------------------------------------
 
-def ainfty_residual(cat: AInftyCategory, gens: tuple[Generator, ...]) -> Chain:
-    """The quadratic A-infinity residual on one composable tuple."""
-    d = len(gens)
-    cat.tuple_path(gens)
-    acc: dict[Generator, int] = {}
-    deg_prefix = [0]
+def admissible_splits(
+    d: int, inner: Iterable[int] | None, outer: Iterable[int] | None
+) -> tuple[tuple[int, int], ...]:
+    """The splits (d_2, k) of an arity-d relation, in the order the checkers
+    sum them, whose inner arity d_2 lies in `inner` and whose outer arity
+    d - d_2 + 1 lies in `outer` (None: any arity)."""
+    return tuple(
+        (d2, k)
+        for d2 in range(1, d + 1)
+        if (inner is None or d2 in inner) and (outer is None or d - d2 + 1 in outer)
+        for k in range(d - d2 + 1)
+    )
+
+
+def _split_terms(gens: tuple[Generator, ...], splits):
+    """(k, d_2, sign, head, tail) for each split, with the relation's sign
+    (-1)**(k + |x_1| + ... + |x_k|) on the inner operation at slot k."""
+    prefix = [0]
     for g in gens:
-        deg_prefix.append(deg_prefix[-1] + g.degree)
-    for d2 in range(1, d + 1):
-        for k in range(0, d - d2 + 1):
-            inner = cat.mu_raw(gens[k:k + d2])
-            if inner.is_zero():
-                continue
-            sgn = sign_pow(k + deg_prefix[k])
-            head, tail = gens[:k], gens[k + d2:]
-            for gen, coeff in inner.items():
-                outer = cat.mu_raw(head + (gen,) + tail)
-                if outer.is_zero():
-                    continue
-                c = sgn * coeff
-                for og, oc in outer.items():
-                    new = acc.get(og, 0) + c * oc
-                    if new:
-                        acc[og] = new
-                    else:
-                        acc.pop(og, None)
-    return Chain(acc)
+        prefix.append(prefix[-1] + g.degree)
+    for d2, k in splits:
+        yield k, d2, (-1 if (k + prefix[k]) & 1 else 1), gens[:k], gens[k + d2:]
+
+
+def _relation_terms(mu_fn, gens: tuple[Generator, ...], splits) -> dict[Generator, int]:
+    """The residual kernel: the quadratic relation on one composable tuple,
+    summed over the given splits and accumulated into one dict."""
+    acc: dict[Generator, int] = {}
+    for k, d2, sgn, head, tail in _split_terms(gens, splits):
+        for gen, coeff in mu_fn(gens[k:k + d2]).items():
+            # _accumulate, inlined: this loop runs once per mu output
+            c = sgn * coeff
+            for og, oc in mu_fn(head + (gen,) + tail).items():
+                new = acc.get(og, 0) + c * oc
+                if new:
+                    acc[og] = new
+                else:
+                    acc.pop(og, None)
+    return acc
+
+
+def ainfty_residual(cat: AInftyCategory, gens: tuple[Generator, ...]) -> Chain:
+    """The quadratic A-infinity residual on one composable tuple, validated
+    and summed over the splits admissible for the category's support."""
+    cat.tuple_path(gens)
+    splits = admissible_splits(len(gens), cat.arities, cat.arities)
+    return Chain(_relation_terms(cat.mu_fn, gens, splits))
 
 
 def check_ainfty(
@@ -234,56 +302,45 @@ def check_ainfty(
     """Verify the A-infinity relations on every composable tuple of length
     <= max_d; the witness is the first failing tuple in lexicographic order.
 
-    The loop body is an inlined version of `ainfty_residual`: enumeration
-    only yields composable tuples, so per-slice validation is skipped.
+    Only arities with an admissible split are enumerated, and only tuples
+    the category's `linked` condition admits are evaluated.  `tuples_checked`
+    counts every composable tuple covered; `per_arity` splits it into
+    `enumerated` and `certified_zero_by_support` and gives the enumerated
+    tuples `certified_zero_by_linkage`.
     """
     name = name or f"ainfty({cat.name})"
     mu_fn = cat.mu_fn
-    cap = cat.max_arity
+    linked = cat.linked
     checked = 0
+    per_arity: dict[int, dict[str, int]] = {}
     for d in range(1, max_d + 1):
+        splits = admissible_splits(d, cat.arities, cat.arities)
+        if not splits:
+            zero = cat.count_composable(d)
+            per_arity[d] = {"enumerated": 0, "certified_zero_by_support": zero,
+                            "certified_zero_by_linkage": 0}
+            checked += zero
+            continue
+        enumerated = unlinked = 0
         for gens in cat.composable_tuples(d):
-            checked += 1
-            acc = None
-            prefix = [0] * (d + 1)
-            running = 0
-            for i, gg in enumerate(gens):
-                running += gg.degree
-                prefix[i + 1] = running
-            for d2 in range(1, d + 1):
-                if cap is not None and (d2 > cap or d - d2 + 1 > cap):
-                    continue
-                for k in range(0, d - d2 + 1):
-                    inner = mu_fn(gens[k:k + d2])
-                    if inner.is_zero():
-                        continue
-                    sgn = -1 if (k + prefix[k]) & 1 else 1
-                    head, tail = gens[:k], gens[k + d2:]
-                    for gen, coeff in inner.items():
-                        outer = mu_fn(head + (gen,) + tail)
-                        if outer.is_zero():
-                            continue
-                        c = sgn * coeff
-                        if acc is None:
-                            acc = {}
-                        for og, oc in outer.items():
-                            new = acc.get(og, 0) + c * oc
-                            if new:
-                                acc[og] = new
-                            else:
-                                acc.pop(og, None)
+            enumerated += 1
+            if linked is not None and not linked(gens):
+                unlinked += 1
+                continue
+            acc = _relation_terms(mu_fn, gens, splits)
             if acc:
-                residual = ainfty_residual(cat, gens)
-                if not residual.is_zero():
-                    return failed(
-                        name,
-                        {
-                            "tuple": [g.gid for g in gens],
-                            "d": d,
-                            "residual": repr(residual),
-                        },
-                    )
-    return passed(name, tuples_checked=checked, max_d=max_d)
+                return failed(
+                    name,
+                    {
+                        "tuple": [g.gid for g in gens],
+                        "d": d,
+                        "residual": repr(Chain(acc)),
+                    },
+                )
+        per_arity[d] = {"enumerated": enumerated, "certified_zero_by_support": 0,
+                        "certified_zero_by_linkage": unlinked}
+        checked += enumerated
+    return passed(name, tuples_checked=checked, max_d=max_d, per_arity=per_arity)
 
 
 @dataclass
@@ -307,33 +364,30 @@ class AInftyFunctor:
     def apply_multilinear(
         self, head: tuple[Generator, ...], inner: Chain, tail: tuple[Generator, ...]
     ) -> Chain:
-        out = Chain.zero()
+        acc: dict[Generator, int] = {}
         for gen, coeff in inner.items():
-            out = out + self.apply(head + (gen,) + tail).scale(coeff)
-        return out
+            _accumulate(acc, self.apply(head + (gen,) + tail), coeff)
+        return Chain(acc)
 
 
 def functor_residual(F: AInftyFunctor, gens: tuple[Generator, ...]) -> Chain:
-    """LHS minus RHS of the functor equation on one source tuple."""
-    d = len(gens)
+    """LHS minus RHS of the functor equation on one source tuple; the LHS
+    runs over the splits whose inner arity lies in the source's support."""
     src, tgt = F.source, F.target
-    deg_prefix = [0]
-    for g in gens:
-        deg_prefix.append(deg_prefix[-1] + g.degree)
+    acc: dict[Generator, int] = {}
+    splits = admissible_splits(len(gens), src.arities, None)
+    for k, d2, sgn, head, tail in _split_terms(gens, splits):
+        for gen, coeff in src.mu(gens[k:k + d2]).items():
+            _accumulate(acc, F.apply(head + (gen,) + tail), sgn * coeff)
 
-    lhs = Chain.zero()
-    for d2 in range(1, d + 1):
-        for k in range(0, d - d2 + 1):
-            inner = src.mu(gens[k:k + d2])
-            if inner.is_zero():
-                continue
-            sgn = sign_pow(k + deg_prefix[k])
-            lhs = lhs + F.apply_multilinear(gens[:k], inner, gens[k + d2:]).scale(sgn)
-
-    rhs = tgt.mu1_chain(F.apply(gens))
-    for r in range(1, d):
-        rhs = rhs + tgt.mu2_chain(F.apply(gens[r:]), F.apply(gens[:r]))
-    return lhs - rhs
+    for gen, coeff in F.apply(gens).items():
+        _accumulate(acc, tgt.mu((gen,)), -coeff)
+    for r in range(1, len(gens)):
+        left, right = F.apply(gens[r:]), F.apply(gens[:r])
+        for g2, c2 in left.items():
+            for g1, c1 in right.items():
+                _accumulate(acc, tgt.mu((g1, g2)), -c1 * c2)
+    return Chain(acc)
 
 
 def check_functor(

@@ -77,7 +77,7 @@ class RunConfig:
             raise CylinderConfigError("winding_bound must be >= 1")
         if not 2 <= self.max_d <= 4:
             raise CylinderConfigError("max_d must lie in 2..4")
-        if self.twist not in TWISTS:
+        if not isinstance(self.twist, str) or self.twist not in TWISTS:
             raise CylinderConfigError(f"unknown twist {self.twist!r}")
         if self.mutate is not None and self.mutate not in MUTATIONS:
             raise CylinderConfigError(f"unknown mutation {self.mutate!r}")
@@ -134,8 +134,39 @@ def _jsonable(obj):
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise CylinderConfigError(f"bad rational {text!r}: {exc}") from exc
+
+
+def _parse_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise CylinderConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _geometry_doc(path: str) -> dict:
+    """The geometry_config document at `path` (or inside the export bundle
+    there), checked for kind, schema version and required keys."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict) and doc.get("kind") == "export_bundle":
+        doc = doc.get("config")
+    if not isinstance(doc, dict) or doc.get("kind") != "geometry_config":
+        raise CylinderConfigError("config file is not a geometry_config document")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise CylinderConfigError(
+            f"unsupported schema_version {doc.get('schema_version')!r}"
+        )
+    missing = [k for k in ("c", "fibers", "winding_bound", "max_d") if k not in doc]
+    if missing:
+        raise CylinderConfigError(f"geometry_config lacks {', '.join(missing)}")
+    if not isinstance(doc["fibers"], list):
+        raise CylinderConfigError("fibers must be a list of rationals")
+    return doc
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -145,16 +176,11 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     max_d = 4
     twist = "none"
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("kind") == "export_bundle":
-            doc = doc["config"]
-        if doc.get("kind") != "geometry_config":
-            raise CylinderConfigError("config file is not a geometry_config document")
+        doc = _geometry_doc(args.config)
         c = _parse_fraction(doc["c"])
         fibers = tuple(_parse_fraction(f) for f in doc["fibers"])
-        winding = int(doc["winding_bound"])
-        max_d = int(doc["max_d"])
+        winding = _parse_int(doc, "winding_bound")
+        max_d = _parse_int(doc, "max_d")
         twist = doc.get("twist", "none")
     if args.winding is not None:
         winding = args.winding
@@ -290,7 +316,7 @@ def cmd_check_all(args: argparse.Namespace) -> int:
             }
             imported = AInftyCategory(
                 "imported", full_cat.objects, hom_basis_map, full_cat.mu_fn,
-                is_dg=False, max_arity=cfg.max_d,
+                is_dg=False, arities=full_cat.arities,
                 gen_hom_fn=lambda gen: (gen.gid[1], gen.gid[2]),
             )
     reports = _build_reports(cfg, imported_category=imported)

@@ -533,7 +533,13 @@ def cylinder_category(
 ) -> AInftyCategory:
     """The wrapped category on the marked fibres: hom bases are chords with
     |winding| <= bound; operations are evaluated exactly and are defined on
-    all chords (enumeration windows never truncate products)."""
+    all chords (enumeration windows never truncate products).
+
+    The arity support is {2}: mu_1 vanishes because every chord has degree
+    0, and for d >= 3 no output chord has the degree 2 - d that mu_d needs
+    (`rigid_census` certifies the geometric enumeration is empty as well).
+    `max_d` is validated here and bounds what callers check; it does not
+    change mu."""
     if winding_bound < 1:
         raise CylinderConfigError("winding_bound must be >= 1")
     if not 2 <= max_d <= 4:
@@ -550,12 +556,7 @@ def cylinder_category(
     memo: dict[tuple, Chain] = {}
 
     def mu_fn(gens: tuple[Generator, ...]) -> Chain:
-        d = len(gens)
-        if d == 1 or d > max_d:
-            return Chain.zero()
-        if d >= 3:
-            # no output chord has degree 2 - d; rigid_census certifies the
-            # geometric enumeration is empty as well
+        if len(gens) != 2:
             return Chain.zero()
         key = (gens[0].gid, gens[1].gid, mutate_mu2)
         hit = memo.get(key)
@@ -580,7 +581,7 @@ def cylinder_category(
         hom_basis_map,
         mu_fn,
         is_dg=False,
-        max_arity=max_d,
+        arities={2},
         gen_hom_fn=gen_hom_fn,
     )
 

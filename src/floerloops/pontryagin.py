@@ -385,7 +385,7 @@ def path_model_category(model: PathModel, window: int = 2, name: str = "P"):
 
     return AInftyCategory(
         name, tuple(range(n)), hom_basis_map, mu_fn,
-        is_dg=True, max_arity=2, gen_hom_fn=gen_hom_fn,
+        is_dg=True, arities={1, 2}, gen_hom_fn=gen_hom_fn,
     )
 
 

@@ -216,9 +216,22 @@ def tw_category(
     the elementary matrices over a windowed basis of the underlying model.
 
     Adapter generators have gid ("m", name1, i1, name2, i2, base_gid) and
-    shifted degree; mu_1 and mu_2 are the twisted operations, mu_{>=3} = 0.
-    The operation paths are specialised to elementary inputs and memoised;
-    they agree with `tw_mu1`/`tw_mu2` on the corresponding matrices.
+    shifted degree; mu_1 and mu_2 are the twisted operations, so the arity
+    support is {1, 2}.  The operation paths are specialised to elementary
+    inputs and memoised; they agree with `tw_mu1`/`tw_mu2` on the
+    corresponding matrices.
+
+    Summand linkage.  Take g1 at summands (i1, i2) of Hom(Ta, Tb) and g2 at
+    (j1, j2) of Hom(Tb, Tc).  The d = 2 relation on (g1, g2) is a signed sum
+    of mu_1 mu_2(g2, g1), mu_2(g2, mu_1 g1) and mu_2(mu_1 g2, g1).  An
+    elementary product is nonzero only if the inner summands agree, so the
+    first term needs i2 == j1.  mu_1 g1 has entries at (i1, i2), at (k, i2)
+    for (k, i1) in Ta.D, and at (i1, k) for (i2, k) in Tb.D, so the second
+    term needs i2 == j1 or (i2, j1) in Tb.D.  Symmetrically mu_1 g2 has
+    entries starting at j1 or at k with (k, j1) in Tb.D, so the third term
+    needs j1 == i2 or (i2, j1) in Tb.D.  The relation on a pair failing
+    "i2 == j1 or (i2, j1) in Tb.D" is therefore zero, and `linked` lets the
+    checker skip it.  Tuples of other lengths are always linked.
     """
     cxs = list(complexes)
     names = [T.name for T in cxs]
@@ -335,9 +348,18 @@ def tw_category(
         _, n1, _, n2, _, _ = gen.gid
         return (n1, n2)
 
+    connected = {T.name: frozenset(T.D) for T in cxs}
+
+    def linked(gens: tuple[Generator, ...]) -> bool:
+        if len(gens) != 2:
+            return True
+        _, _, _, middle, i2, _ = gens[0].gid
+        j1 = gens[1].gid[2]
+        return i2 == j1 or (i2, j1) in connected[middle]
+
     return AInftyCategory(
         name, tuple(names), hom_basis_map, mu_fn,
-        is_dg=True, max_arity=2, gen_hom_fn=gen_hom_fn,
+        is_dg=True, arities={1, 2}, gen_hom_fn=gen_hom_fn, linked=linked,
     )
 
 

@@ -54,7 +54,7 @@ def test_criterion_1_ainfty_relations():
     elapsed = time.perf_counter() - t0
     ok = rep.ok and rep.details["tuples_checked"] > 0
     report("criterion 1: A-infinity relations (c=1, 3 fibres, w<=3, d<=4)",
-           ok, elapsed, 30)
+           ok, elapsed, 10)
 
 
 def test_criterion_2_circle_equivalence():

@@ -160,7 +160,7 @@ def test_identity_functor_of_dga_passes():
 def test_functor_requires_dg_target():
     cat = witness_category()
     not_dg = AInftyCategory(
-        "n", cat.objects, cat.hom_basis_map, cat.mu_fn, is_dg=False, max_arity=2,
+        "n", cat.objects, cat.hom_basis_map, cat.mu_fn, is_dg=False, arities={1, 2},
         gen_hom_fn=cat.gen_hom_fn,
     )
     F = AInftyFunctor(cat, not_dg, {0: 0}, lambda d, g: Chain.zero())

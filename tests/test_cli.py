@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -91,6 +92,35 @@ def test_empty_fibers_exits_2(tmp_path):
     cfg = write_config(tmp_path, fibers=[])
     proc = run_cli("export", "--config", cfg)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "overrides,drop,message",
+    [
+        ({}, "fibers", "lacks fibers"),
+        ({"winding_bound": "x"}, None, "winding_bound must be an integer"),
+        ({"schema_version": 99}, None, "unsupported schema_version 99"),
+    ],
+)
+def test_malformed_geometry_config_exits_2(tmp_path, overrides, drop, message):
+    path = pathlib.Path(write_config(tmp_path, **overrides))
+    if drop:
+        doc = json.loads(path.read_text())
+        del doc[drop]
+        path.write_text(json.dumps(doc))
+    proc = run_cli("check-all", "--config", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_json_array_config_exits_2(tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([{"kind": "geometry_config", "schema_version": 1}]))
+    proc = run_cli("check-all", "--config", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "not a geometry_config document" in proc.stderr
 
 
 @pytest.mark.parametrize(
