@@ -22,9 +22,16 @@ relation on every tuple: `check_ainfty` does not enumerate it but counts its
 composable tuples from the hom-basis sizes and reports them per arity as
 "certified zero by support" (the cylinder, with support {2}, enumerates only
 d = 3).  A category may further declare `linked`, a necessary condition for
-the relation on one composable tuple to be nonzero; tuples it rules out are
-enumerated but not evaluated, and are reported as "certified zero by
-linkage".
+the relation on one composable tuple to be nonzero; the tuples it admits are
+the only ones visited, and the rest are reported as "certified zero by
+linkage", counted as the composable tuples minus the visited ones.
+
+Keys.  The checker runs one residual kernel, `_relation_terms`, on keys: a
+keyed mu (a key tuple to its (key, coeff) terms) and a degree lookup.  A
+category given on Generators uses them as their own keys.  A category with
+interned tables (`KeyedOps`, as the twisted-complex category builds) hands
+the kernel integer keys and enumerates the linked tuples itself, e.g. by
+summand, so the tuples it rules out are never visited.
 """
 
 from __future__ import annotations
@@ -32,9 +39,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from operator import attrgetter
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
-from .gradedalg import Chain, Generator, sign_pow
+from .gradedalg import Chain, Generator, accumulate, sign_pow
 from .report import CheckReport, failed, passed
 
 SCHEMA_VERSION = 1
@@ -42,6 +50,35 @@ SCHEMA_VERSION = 1
 
 class CompositionError(ValueError):
     """Raised when an operation is evaluated on a non-composable tuple."""
+
+
+@dataclass(frozen=True)
+class KeyedOps:
+    """A category's structure maps on keys, as the residual kernel runs them.
+
+    `mu(keys)` gives the (key, coeff) terms of mu on a composable key tuple
+    in composition order (empty when zero); `degree(key)` is a key's degree;
+    `linked_tuples(d)` yields the composable length-d key tuples that are
+    not certified zero by linkage, in `composable_tuples` order;
+    `decode(key)` is the basis generator a key stands for.
+    """
+
+    mu: Callable[[tuple], Iterable[tuple[Hashable, int]]]
+    degree: Callable[[Hashable], int]
+    linked_tuples: Callable[[int], Iterable[tuple]]
+    decode: Callable[[Hashable], Generator]
+
+
+_gen_degree = attrgetter("degree")
+
+
+def _chain_terms(mu_fn: Callable[[tuple[Generator, ...]], Chain]):
+    """A Generator-level mu_fn as a keyed mu: generators are their own keys."""
+    return lambda gens: mu_fn(gens).items()
+
+
+def _same(gen: Generator) -> Generator:
+    return gen
 
 
 @dataclass
@@ -55,7 +92,9 @@ class AInftyCategory:
     False only for composable tuples whose A-infinity relation is zero (see
     the module docstring).  `gen_hom_fn` resolves the hom-pair of generators
     not listed in the enumeration basis (operations may leave a finite
-    enumeration window).
+    enumeration window).  `keyed`, when given, is the same structure on
+    interned keys, which `check_ainfty` runs instead of `mu_fn`,
+    `composable_tuples` and `linked`; those must then decode it.
     """
 
     name: str
@@ -66,6 +105,7 @@ class AInftyCategory:
     arities: frozenset[int] | None = None
     gen_hom_fn: Callable[[Generator], tuple] | None = None
     linked: Callable[[tuple[Generator, ...]], bool] | None = None
+    keyed: KeyedOps | None = None
     _gen_hom: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
@@ -138,24 +178,33 @@ class AInftyCategory:
     def mu1_chain(self, chain: Chain) -> Chain:
         acc: dict[Generator, int] = {}
         for gen, coeff in chain.items():
-            _accumulate(acc, self.mu((gen,)), coeff)
-        return Chain(acc)
+            accumulate(acc, self.mu((gen,)).items(), coeff)
+        return Chain.from_sums(acc)
 
     def mu2_chain(self, chain2: Chain, chain1: Chain) -> Chain:
         acc: dict[Generator, int] = {}
         for g1, c1 in chain1.items():
             for g2, c2 in chain2.items():
-                _accumulate(acc, self.mu((g1, g2)), c1 * c2)
-        return Chain(acc)
+                accumulate(acc, self.mu((g1, g2)).items(), c1 * c2)
+        return Chain.from_sums(acc)
 
     def composable_tuples(self, d: int):
         """All length-d composable basis tuples, lexicographic in the object
         path then in the per-slot basis order."""
-        for path in itertools.product(self.objects, repeat=d + 1):
-            slots = [self.hom_basis(path[i], path[i + 1]) for i in range(d)]
-            if any(not s for s in slots):
-                continue
-            yield from itertools.product(*slots)
+        return composable_paths(self.objects, self.hom_basis_map, d)
+
+    def kernel_ops(self) -> KeyedOps:
+        """The keyed structure the checker runs: `keyed` when given, else
+        `mu_fn`, `composable_tuples` and `linked` with generators as keys."""
+        if self.keyed is not None:
+            return self.keyed
+        linked = self.linked
+
+        def linked_tuples(d: int):
+            tuples = self.composable_tuples(d)
+            return tuples if linked is None else filter(linked, tuples)
+
+        return KeyedOps(_chain_terms(self.mu_fn), _gen_degree, linked_tuples, _same)
 
     def count_composable(self, d: int) -> int:
         """The number of tuples `composable_tuples(d)` yields, without
@@ -171,14 +220,14 @@ class AInftyCategory:
         return sum(ways)
 
 
-def _accumulate(acc: dict[Generator, int], chain: Chain, scale: int) -> None:
-    """acc += scale * chain, dropping coefficients that cancel to zero."""
-    for gen, coeff in chain.items():
-        new = acc.get(gen, 0) + scale * coeff
-        if new:
-            acc[gen] = new
-        else:
-            acc.pop(gen, None)
+def composable_paths(objects: tuple, hom: Mapping[tuple, tuple], d: int) -> Iterator[tuple]:
+    """The length-d tuples of entries of `hom` (an object pair to a sequence)
+    along every object path, lexicographic in the path then per slot."""
+    for path in itertools.product(objects, repeat=d + 1):
+        slots = [hom.get((path[i], path[i + 1]), ()) for i in range(d)]
+        if any(not s for s in slots):
+            continue
+        yield from itertools.product(*slots)
 
 
 def category_from_tables(
@@ -239,8 +288,8 @@ def mu2_shifted(
     acc: dict[Generator, int] = {}
     for g2, c2 in s2.items():
         sgn = sign_pow((g2.degree + 1) * (m1 - m0))
-        _accumulate(acc, mu2(Chain.of(g2), s1), sgn * c2)
-    return Chain(acc)
+        accumulate(acc, mu2(Chain.of(g2), s1).items(), sgn * c2)
+    return Chain.from_sums(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -261,30 +310,35 @@ def admissible_splits(
     )
 
 
-def _split_terms(gens: tuple[Generator, ...], splits):
-    """(k, d_2, sign, head, tail) for each split, with the relation's sign
-    (-1)**(k + |x_1| + ... + |x_k|) on the inner operation at slot k."""
-    prefix = [0]
-    for g in gens:
-        prefix.append(prefix[-1] + g.degree)
+def _prefix_parities(keys: tuple, degree: Callable[[Hashable], int]) -> list[int]:
+    """The parity of the relation's sign (-1)**(k + |x_1| + ... + |x_k|) on
+    an inner operation at slot k, for k < len(keys), the only slots a split
+    can insert at."""
+    out = [0]
+    for key in keys[:-1]:
+        out.append((out[-1] + 1 + degree(key)) & 1)
+    return out
+
+
+def _relation_terms(mu, degree, keys: tuple, splits) -> dict:
+    """The residual kernel: the quadratic relation on one composable key
+    tuple, summed over the given splits and accumulated into one dict.
+    `mu` maps a key tuple to its (key, coeff) terms; `degree` is the degree
+    of a key."""
+    acc: dict = {}
+    parity = _prefix_parities(keys, degree)
     for d2, k in splits:
-        yield k, d2, (-1 if (k + prefix[k]) & 1 else 1), gens[:k], gens[k + d2:]
-
-
-def _relation_terms(mu_fn, gens: tuple[Generator, ...], splits) -> dict[Generator, int]:
-    """The residual kernel: the quadratic relation on one composable tuple,
-    summed over the given splits and accumulated into one dict."""
-    acc: dict[Generator, int] = {}
-    for k, d2, sgn, head, tail in _split_terms(gens, splits):
-        for gen, coeff in mu_fn(gens[k:k + d2]).items():
-            # _accumulate, inlined: this loop runs once per mu output
+        sgn = -1 if parity[k] else 1
+        head, tail = keys[:k], keys[k + d2:]
+        for key, coeff in mu(keys[k:k + d2]):
+            # accumulate, inlined: this loop runs once per mu output
             c = sgn * coeff
-            for og, oc in mu_fn(head + (gen,) + tail).items():
-                new = acc.get(og, 0) + c * oc
+            for ok, oc in mu(head + (key,) + tail):
+                new = acc.get(ok, 0) + c * oc
                 if new:
-                    acc[og] = new
+                    acc[ok] = new
                 else:
-                    acc.pop(og, None)
+                    acc.pop(ok, None)
     return acc
 
 
@@ -293,7 +347,7 @@ def ainfty_residual(cat: AInftyCategory, gens: tuple[Generator, ...]) -> Chain:
     and summed over the splits admissible for the category's support."""
     cat.tuple_path(gens)
     splits = admissible_splits(len(gens), cat.arities, cat.arities)
-    return Chain(_relation_terms(cat.mu_fn, gens, splits))
+    return Chain(_relation_terms(_chain_terms(cat.mu_fn), _gen_degree, gens, splits))
 
 
 def check_ainfty(
@@ -302,44 +356,41 @@ def check_ainfty(
     """Verify the A-infinity relations on every composable tuple of length
     <= max_d; the witness is the first failing tuple in lexicographic order.
 
-    Only arities with an admissible split are enumerated, and only tuples
-    the category's `linked` condition admits are evaluated.  `tuples_checked`
+    Only arities with an admissible split are enumerated, and there only the
+    tuples `kernel_ops().linked_tuples` yields are visited.  `tuples_checked`
     counts every composable tuple covered; `per_arity` splits it into
-    `enumerated` and `certified_zero_by_support` and gives the enumerated
-    tuples `certified_zero_by_linkage`.
+    `enumerated` and `certified_zero_by_support`, and gives as
+    `certified_zero_by_linkage` the enumerated tuples that were not visited.
     """
     name = name or f"ainfty({cat.name})"
-    mu_fn = cat.mu_fn
-    linked = cat.linked
+    ops = cat.kernel_ops()
+    mu, degree = ops.mu, ops.degree
     checked = 0
     per_arity: dict[int, dict[str, int]] = {}
     for d in range(1, max_d + 1):
+        composable = cat.count_composable(d)
+        checked += composable
         splits = admissible_splits(d, cat.arities, cat.arities)
         if not splits:
-            zero = cat.count_composable(d)
-            per_arity[d] = {"enumerated": 0, "certified_zero_by_support": zero,
+            per_arity[d] = {"enumerated": 0, "certified_zero_by_support": composable,
                             "certified_zero_by_linkage": 0}
-            checked += zero
             continue
-        enumerated = unlinked = 0
-        for gens in cat.composable_tuples(d):
-            enumerated += 1
-            if linked is not None and not linked(gens):
-                unlinked += 1
-                continue
-            acc = _relation_terms(mu_fn, gens, splits)
+        visited = 0
+        for keys in ops.linked_tuples(d):
+            visited += 1
+            acc = _relation_terms(mu, degree, keys, splits)
             if acc:
+                decode = ops.decode
                 return failed(
                     name,
                     {
-                        "tuple": [g.gid for g in gens],
+                        "tuple": [decode(key).gid for key in keys],
                         "d": d,
-                        "residual": repr(Chain(acc)),
+                        "residual": repr(Chain({decode(k): c for k, c in acc.items()})),
                     },
                 )
-        per_arity[d] = {"enumerated": enumerated, "certified_zero_by_support": 0,
-                        "certified_zero_by_linkage": unlinked}
-        checked += enumerated
+        per_arity[d] = {"enumerated": composable, "certified_zero_by_support": 0,
+                        "certified_zero_by_linkage": composable - visited}
     return passed(name, tuples_checked=checked, max_d=max_d, per_arity=per_arity)
 
 
@@ -366,8 +417,8 @@ class AInftyFunctor:
     ) -> Chain:
         acc: dict[Generator, int] = {}
         for gen, coeff in inner.items():
-            _accumulate(acc, self.apply(head + (gen,) + tail), coeff)
-        return Chain(acc)
+            accumulate(acc, self.apply(head + (gen,) + tail).items(), coeff)
+        return Chain.from_sums(acc)
 
 
 def functor_residual(F: AInftyFunctor, gens: tuple[Generator, ...]) -> Chain:
@@ -376,18 +427,21 @@ def functor_residual(F: AInftyFunctor, gens: tuple[Generator, ...]) -> Chain:
     src, tgt = F.source, F.target
     acc: dict[Generator, int] = {}
     splits = admissible_splits(len(gens), src.arities, None)
-    for k, d2, sgn, head, tail in _split_terms(gens, splits):
+    parity = _prefix_parities(gens, _gen_degree)
+    for d2, k in splits:
+        sgn = -1 if parity[k] else 1
+        head, tail = gens[:k], gens[k + d2:]
         for gen, coeff in src.mu(gens[k:k + d2]).items():
-            _accumulate(acc, F.apply(head + (gen,) + tail), sgn * coeff)
+            accumulate(acc, F.apply(head + (gen,) + tail).items(), sgn * coeff)
 
     for gen, coeff in F.apply(gens).items():
-        _accumulate(acc, tgt.mu((gen,)), -coeff)
+        accumulate(acc, tgt.mu((gen,)).items(), -coeff)
     for r in range(1, len(gens)):
         left, right = F.apply(gens[r:]), F.apply(gens[:r])
         for g2, c2 in left.items():
             for g1, c1 in right.items():
-                _accumulate(acc, tgt.mu((g1, g2)), -c1 * c2)
-    return Chain(acc)
+                accumulate(acc, tgt.mu((g1, g2)).items(), -c1 * c2)
+    return Chain.from_sums(acc)
 
 
 def check_functor(

@@ -16,7 +16,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ainfty import category_from_json, category_to_json, check_ainfty, check_functor
+from .ainfty import (
+    AInftyCategory,
+    category_from_json,
+    category_to_json,
+    check_ainfty,
+    check_functor,
+)
 from .cylinder import (
     CylinderConfigError,
     CylinderGeometry,
@@ -169,6 +175,62 @@ def _geometry_doc(path: str) -> dict:
     return doc
 
 
+def _is_gid(obj) -> bool:
+    """A JSON generator id: a string, an integer or a list of ids."""
+    if isinstance(obj, list):
+        return all(_is_gid(x) for x in obj)
+    return isinstance(obj, str) or _is_int(obj)
+
+
+def _is_int(obj) -> bool:
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _is_list(obj) -> bool:
+    return isinstance(obj, list)
+
+
+def _rows(parent: dict, key: str, fields: dict) -> list[dict]:
+    """parent[key], checked to be a list of objects whose `fields` (name ->
+    predicate) are present and valid."""
+    rows = parent.get(key)
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise CylinderConfigError(f"bundle category {key} must be a list of objects")
+    for row in rows:
+        for name, ok in fields.items():
+            if name not in row:
+                raise CylinderConfigError(f"bundle category {key} row lacks {name}")
+            if not ok(row[name]):
+                raise CylinderConfigError(f"bundle category {key} row has bad {name} {row[name]!r}")
+    return rows
+
+
+def _bundle_category(bundle: dict) -> AInftyCategory:
+    """The table-backed category of an export bundle; its `category` document
+    is checked first for every key and type `category_from_json` reads."""
+    doc = bundle.get("category")
+    if not isinstance(doc, dict):
+        raise CylinderConfigError("export_bundle lacks a category object")
+    objects = doc.get("objects")
+    if not isinstance(objects, list) or not all(_is_gid(o) for o in objects):
+        raise CylinderConfigError("bundle category objects must be a list of ids")
+    if not isinstance(doc.get("name"), str):
+        raise CylinderConfigError("bundle category name must be a string")
+    for row in _rows(doc, "basis", {"source": _is_int, "target": _is_int,
+                                    "generators": _is_list}):
+        if not (0 <= row["source"] < len(objects) and 0 <= row["target"] < len(objects)):
+            raise CylinderConfigError("bundle category basis row names an unknown object")
+        _rows(row, "generators", {"id": _is_gid, "degree": _is_int})
+    for row in _rows(doc, "mu", {"d": _is_int, "inputs": _is_list, "output": _is_list}):
+        if not all(_is_gid(g) for g in row["inputs"]):
+            raise CylinderConfigError(f"bundle category mu row has bad inputs {row['inputs']!r}")
+        _rows(row, "output", {"gen": _is_gid, "degree": _is_int, "coeff": _is_int})
+    try:
+        return category_from_json(doc)[0]
+    except ValueError as exc:  # kind, schema version, arity or composability
+        raise CylinderConfigError(f"bad bundle category: {exc}") from exc
+
+
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     c = Fraction(1)
     fibers: tuple[Fraction, ...] = (Fraction(0),)
@@ -303,9 +365,7 @@ def cmd_check_all(args: argparse.Namespace) -> int:
         if doc.get("kind") == "export_bundle":
             # the bundle's tables cover every lookup of the A-infinity check
             # at the recorded enumeration bound; re-check over that basis
-            from .ainfty import AInftyCategory
-
-            full_cat, _tables = category_from_json(doc["category"])
+            full_cat = _bundle_category(doc)
             g = cfg.geometry()
             n = g.nfibers()
             hom_basis_map = {

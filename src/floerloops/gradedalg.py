@@ -97,6 +97,15 @@ class Chain:
     def of(cls, gen: Generator, coeff: int = 1) -> "Chain":
         return cls({gen: coeff})
 
+    @classmethod
+    def from_sums(cls, acc: dict[Generator, int]) -> "Chain":
+        """The chain of a dict that `accumulate` summed from chains' items:
+        its keys are token-(+1) and its coefficients nonzero, so it is
+        adopted as it is, without canonicalising it again."""
+        res = cls.__new__(cls)
+        res._terms = acc
+        return res
+
     @property
     def terms(self) -> dict[Generator, int]:
         return dict(self._terms)
@@ -168,10 +177,10 @@ class Chain:
         return degs.pop()
 
     def map_generators(self, fn: Callable[[Generator], "Chain"]) -> "Chain":
-        out = _ZERO
+        acc: dict[Generator, int] = {}
         for gen, coeff in self._terms.items():
-            out = out + fn(gen).scale(coeff)
-        return out
+            accumulate(acc, fn(gen).items(), coeff)
+        return Chain.from_sums(acc)
 
     def sorted_items(self) -> list[tuple[Generator, int]]:
         return sorted(self._terms.items(), key=lambda kv: repr(kv[0].gid))
@@ -184,6 +193,20 @@ class Chain:
 
 
 _ZERO = Chain()
+
+
+def accumulate(acc: dict, terms: Iterable[tuple[Hashable, int]], scale: int) -> None:
+    """acc += scale * terms, dropping coefficients that cancel to zero.
+
+    `terms` are (key, coeff) pairs: a Chain's `items()`, or terms on
+    interned keys.  Summing many chains into one dict and building a Chain
+    once at the end avoids the copy that each `Chain + Chain` makes."""
+    for key, coeff in terms:
+        new = acc.get(key, 0) + scale * coeff
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +353,10 @@ class GradedComplex:
 
     def d(self, chain: Chain) -> Chain:
         table = self.d_table
-        out = Chain.zero()
+        acc: dict[Generator, int] = {}
         for gen, coeff in chain.items():
-            out = out + table.get(gen, Chain.zero()).scale(coeff)
-        return out
+            accumulate(acc, table.get(gen, _ZERO).items(), coeff)
+        return Chain.from_sums(acc)
 
     def d_gen(self, gen: Generator) -> Chain:
         return self.d_table.get(gen.key, Chain.zero()).scale(gen.orientation)

@@ -180,12 +180,13 @@ def _cell_chain_gen(factors: tuple[tuple[Hashable, int], ...]) -> Generator:
 
 
 def _cross(a: Chain, b: Chain) -> Chain:
-    out = Chain.zero()
+    acc: dict[Generator, int] = {}
     for ga, ca in a.items():
         fa = ga.gid[1]
         for gb, cb in b.items():
-            out = out + Chain.of(_cell_chain_gen(fa + gb.gid[1]), ca * cb)
-    return out
+            gen = _cell_chain_gen(fa + gb.gid[1])
+            acc[gen] = acc.get(gen, 0) + ca * cb
+    return Chain(acc)
 
 
 def _splice(factors, i, sub_factors) -> tuple:
@@ -195,7 +196,7 @@ def _splice(factors, i, sub_factors) -> tuple:
 def _formal_boundary(chain: Chain, rhs: Mapping[Hashable, Chain]) -> Chain:
     """Leibniz boundary of a formal product chain, expanding each factor's
     boundary through the already-recorded right-hand sides."""
-    out = Chain.zero()
+    acc: dict[Generator, int] = {}
     for gen, coeff in chain.items():
         factors = gen.gid[1]
         offset = 0
@@ -204,10 +205,10 @@ def _formal_boundary(chain: Chain, rhs: Mapping[Hashable, Chain]) -> Chain:
             if not dcell.is_zero():
                 sgn = sign_pow(offset)
                 for sub, subc in dcell.items():
-                    spliced = _splice(factors, i, sub.gid[1])
-                    out = out + Chain.of(_cell_chain_gen(spliced), sgn * coeff * subc)
+                    spliced = _cell_chain_gen(_splice(factors, i, sub.gid[1]))
+                    acc[spliced] = acc.get(spliced, 0) + sgn * coeff * subc
             offset += dim
-    return out
+    return Chain(acc)
 
 
 def _augmentation(chain: Chain) -> int:

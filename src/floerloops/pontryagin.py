@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
-from .gradedalg import Chain, Generator, GradedComplex, sign_pow
+from .gradedalg import Chain, Generator, GradedComplex, accumulate, sign_pow
 from .report import CheckReport, failed, passed
 
 SCHEMA_VERSION = 1
@@ -55,26 +55,26 @@ class PathModel:
         return Chain.of(self.unit_gen(i))
 
     def concat(self, chain1: Chain, chain2: Chain) -> Chain:
-        out = Chain.zero()
+        acc: dict[Generator, int] = {}
         for g1, c1 in chain1.items():
             for g2, c2 in chain2.items():
-                out = out + self.concat_gens(g1, g2).scale(c1 * c2)
-        return out
+                accumulate(acc, self.concat_gens(g1, g2).items(), c1 * c2)
+        return Chain.from_sums(acc)
 
     def mu1(self, chain: Chain) -> Chain:
-        out = Chain.zero()
+        acc: dict[Generator, int] = {}
         for gen, coeff in chain.items():
-            out = out + self.d_gen(gen).scale(coeff)
-        return out
+            accumulate(acc, self.d_gen(gen).items(), coeff)
+        return Chain.from_sums(acc)
 
     def mu2(self, chain2: Chain, chain1: Chain) -> Chain:
         """mu_2(s2, s1) = (-1)**deg(s1) s1.s2, extended bilinearly."""
-        out = Chain.zero()
+        acc: dict[Generator, int] = {}
         for g1, c1 in chain1.items():
             s = sign_pow(g1.degree)
             for g2, c2 in chain2.items():
-                out = out + self.concat_gens(g1, g2).scale(s * c1 * c2)
-        return out
+                accumulate(acc, self.concat_gens(g1, g2).items(), s * c1 * c2)
+        return Chain.from_sums(acc)
 
     def hom_complex(self, i: int, j: int, window: int) -> GradedComplex:
         basis = self.hom_basis(i, j, window)

@@ -11,17 +11,20 @@ is (-1)**((deg s2 + 1)(m_1 - m_0)) on the unshifted degree of s2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .ainfty import (
     AInftyCategory,
+    KeyedOps,
     chain_from_json,
     chain_to_json,
     check_ainfty,
+    composable_paths,
     mu2_shifted,
 )
-from .gradedalg import Chain, Generator, sign_pow
+from .gradedalg import Chain, Generator, accumulate
 from .pontryagin import PathModel
 from .report import CheckReport, failed, passed
 
@@ -103,15 +106,15 @@ def validate_twisted(T: TwistedComplex, name: str | None = None) -> CheckReport:
     n = T.nsummands()
     for i in range(n):
         for j in range(i + 1, n):
-            residual = model.mu1(T.d_entry(i, j))
+            acc: dict[Generator, int] = {}
+            accumulate(acc, model.mu1(T.d_entry(i, j)).items(), 1)
             for k in range(i + 1, j):
                 mi, mk, mj = T.shift_of(i), T.shift_of(k), T.shift_of(j)
-                residual = residual + mu2_shifted(
-                    model.mu2, T.d_entry(k, j), T.d_entry(i, k), (mi, mk, mj)
-                )
-            if not residual.is_zero():
+                term = mu2_shifted(model.mu2, T.d_entry(k, j), T.d_entry(i, k), (mi, mk, mj))
+                accumulate(acc, term.items(), 1)
+            if acc:
                 return failed(
-                    name, {"entry": (i, j), "residual": repr(residual)}
+                    name, {"entry": (i, j), "residual": repr(Chain.from_sums(acc))}
                 )
     return passed(name, summands=n)
 
@@ -147,14 +150,12 @@ MorphismMatrix = dict[tuple[int, int], Chain]
 
 
 def matrix_add(A: MorphismMatrix, B: MorphismMatrix) -> MorphismMatrix:
-    out = dict(A)
-    for key, chain in B.items():
-        total = out.get(key, Chain.zero()) + chain
-        if total.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = total
-    return out
+    """The entrywise sum, without zero entries."""
+    acc: dict[tuple[int, int], dict[Generator, int]] = {}
+    for M in (A, B):
+        for key, chain in M.items():
+            accumulate(acc.setdefault(key, {}), chain.items(), 1)
+    return {key: Chain.from_sums(terms) for key, terms in acc.items() if terms}
 
 
 def matrix_is_zero(S: MorphismMatrix) -> bool:
@@ -172,34 +173,22 @@ def tw_mu2(
     """Matrix product with shifted-composition entries:
     (S2 S1)[i,k] = sum_j mu2_shifted(S2[j,k], S1[i,j])."""
     model = T1.model
-    out: MorphismMatrix = {}
+    acc: dict[tuple[int, int], dict[Generator, int]] = {}
     for (i, j), s1 in S1.items():
         for (j2, k), s2 in S2.items():
             if j2 != j:
                 continue
             shifts = (T1.shift_of(i), T2.shift_of(j), T3.shift_of(k))
             term = mu2_shifted(model.mu2, s2, s1, shifts)
-            if term.is_zero():
-                continue
-            total = out.get((i, k), Chain.zero()) + term
-            if total.is_zero():
-                out.pop((i, k), None)
-            else:
-                out[(i, k)] = total
-    return out
+            accumulate(acc.setdefault((i, k), {}), term.items(), 1)
+    return {key: Chain.from_sums(terms) for key, terms in acc.items() if terms}
 
 
 def tw_mu1(T1: TwistedComplex, T2: TwistedComplex, S: MorphismMatrix) -> MorphismMatrix:
     """mu_1 S + mu_2(S, D^1) + mu_2(D^2, S) on a morphism matrix from T1 to T2."""
-    model = T1.model
-    out: MorphismMatrix = {}
-    for key, chain in S.items():
-        d = model.mu1(chain)
-        if not d.is_zero():
-            out[key] = d
+    out = {key: T1.model.mu1(chain) for key, chain in S.items()}
     out = matrix_add(out, tw_mu2(T1, T1, T2, S, dict(T1.D)))
-    out = matrix_add(out, tw_mu2(T1, T2, T2, dict(T2.D), S))
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return matrix_add(out, tw_mu2(T1, T2, T2, dict(T2.D), S))
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +204,25 @@ def tw_category(
     """The category with objects the given twisted complexes and morphisms
     the elementary matrices over a windowed basis of the underlying model.
 
-    Adapter generators have gid ("m", name1, i1, name2, i2, base_gid) and
-    shifted degree; mu_1 and mu_2 are the twisted operations, so the arity
-    support is {1, 2}.  The operation paths are specialised to elementary
-    inputs and memoised; they agree with `tw_mu1`/`tw_mu2` on the
-    corresponding matrices.
+    mu_1 and mu_2 are the twisted operations, so the arity support is
+    {1, 2}; on elementary matrices they agree with `tw_mu1`/`tw_mu2`.
+
+    Interned tables.  Everything is built once on integers.  A model
+    generator gets a base index the first time it is seen: in
+    `model.hom_basis`, in a connection entry or in a product output.  Every
+    summand of every complex gets a global summand index, and the block of
+    the summand pair (Ta, i1, Tb, i2) packs the two indices (s1, s2) into
+    one int.  The elementary matrix with base generator b at block (s1, s2)
+    is the key packing (b, s1, s2); its degree is the base degree plus the
+    block shift m_s2 - m_s1.  Blocks (s1, s2) and (s2', s3) compose only
+    when s2 == s2', to block (s1, s3) with the shift parity of
+    `mu2_shifted`, m_s2 - m_s1 mod 2: block composition is arithmetic on
+    the keys.  Base products are cached per (base1, base2, parity) and mu_1
+    rows per key, as tuples of (key, coeff); mu_1 of a key is mu_1 of its
+    base plus mu_2 against the connection entries of Ta ending at i1 and of
+    Tb starting at i2.  `check_ainfty` runs on these keys (`keyed`);
+    `mu_fn`, `linked` and `composable_tuples` decode them to generators
+    with gid ("m", name1, i1, name2, i2, base_gid).
 
     Summand linkage.  Take g1 at summands (i1, i2) of Hom(Ta, Tb) and g2 at
     (j1, j2) of Hom(Tb, Tc).  The d = 2 relation on (g1, g2) is a signed sum
@@ -230,160 +233,186 @@ def tw_category(
     term needs i2 == j1 or (i2, j1) in Tb.D.  Symmetrically mu_1 g2 has
     entries starting at j1 or at k with (k, j1) in Tb.D, so the third term
     needs j1 == i2 or (i2, j1) in Tb.D.  The relation on a pair failing
-    "i2 == j1 or (i2, j1) in Tb.D" is therefore zero, and `linked` lets the
-    checker skip it.  Tuples of other lengths are always linked.
+    "i2 == j1 or (i2, j1) in Tb.D" is therefore zero.  The keyed d = 2
+    enumeration visits only the other pairs: for g1 at (i1, i2) it walks
+    the slices of Hom(Tb, Tc) whose first summand j1 is linked to i2, in
+    increasing j1, which keeps the `composable_tuples` order.  Tuples of
+    other lengths are always linked.
     """
     cxs = list(complexes)
-    names = [T.name for T in cxs]
+    names = tuple(T.name for T in cxs)
     if len(set(names)) != len(names):
         raise ValueError("twisted complexes need distinct names")
-    by_name = {T.name: T for T in cxs}
 
-    hom_basis_map: dict[tuple, tuple[Generator, ...]] = {}
-    for Ta in cxs:
-        for Tb in cxs:
-            gens = []
-            for i1 in range(Ta.nsummands()):
-                for i2 in range(Tb.nsummands()):
-                    base = model.hom_basis(Ta.point_of(i1), Tb.point_of(i2), window)
-                    for g in base:
-                        deg = matrix_entry_degree(Ta, Tb, i1, i2, g.degree)
-                        gens.append(
-                            Generator(("m", Ta.name, i1, Tb.name, i2, g.gid), deg)
-                        )
-            hom_basis_map[(Ta.name, Tb.name)] = tuple(gens)
+    base_index: dict[Generator, int] = {}
+    bases: list[Generator] = []
 
-    gen_cache: dict = {}
+    def intern(gen: Generator) -> int:
+        idx = base_index.get(gen)
+        if idx is None:
+            idx = base_index[gen] = len(bases)
+            bases.append(gen)
+        return idx
 
-    def wrapped_gen(n1, i1, n2, i2, base_gid, degree) -> Generator:
-        key = (n1, i1, n2, i2, base_gid, degree)
-        gen = gen_cache.get(key)
+    # key = (base << 2 * sbits) | (s1 << sbits) | s2 for summand indices s1, s2
+    summands = [(T, i) for T in cxs for i in range(T.nsummands())]
+    summand_of = {(T.name, i): s for s, (T, i) in enumerate(summands)}
+    shifts = [T.shift_of(i) for T, i in summands]
+    sbits = len(summands).bit_length()
+    bbits = 2 * sbits
+    smask = (1 << sbits) - 1
+    first_mask = smask << sbits
+    bmask = (1 << bbits) - 1
+
+    def block(n1, i1, n2, i2) -> int:
+        return (summand_of[(n1, i1)] << sbits) | summand_of[(n2, i2)]
+
+    def keyed_terms(chain: Chain, blk: int) -> list[tuple[int, int]]:
+        return [((intern(g) << bbits) | blk, c) for g, c in chain.items()]
+
+    # cells[(Ta, Tb)][i1][i2]: the keys of Hom(Ta, Tb) at summands (i1, i2)
+    cells = {
+        (Ta.name, Tb.name): [
+            [
+                tuple((intern(g) << bbits) | block(Ta.name, i1, Tb.name, i2)
+                      for g in model.hom_basis(Ta.point_of(i1), Tb.point_of(i2), window))
+                for i2 in range(Tb.nsummands())
+            ]
+            for i1 in range(Ta.nsummands())
+        ]
+        for Ta in cxs for Tb in cxs
+    }
+    hom_keys = {
+        pair: tuple(key for row in rows for cell in row for key in cell)
+        for pair, rows in cells.items()
+    }
+    links = {
+        (T.name, i): tuple(j for j in range(T.nsummands()) if j == i or (i, j) in T.D)
+        for T in cxs for i in range(T.nsummands())
+    }
+    # follow[(Tb, Tc)][i2]: the keys of Hom(Tb, Tc) whose first summand is
+    # linked to i2, in basis order
+    follow = {
+        (Tb.name, Tc.name): [
+            tuple(key for j1 in links[(Tb.name, i2)]
+                  for cell in cells[(Tb.name, Tc.name)][j1] for key in cell)
+            for i2 in range(Tb.nsummands())
+        ]
+        for Tb in cxs for Tc in cxs
+    }
+    connection = {
+        T.name: [
+            (i, j, keyed_terms(entry, block(T.name, i, T.name, j)))
+            for (i, j), entry in T.D.items()
+        ]
+        for T in cxs
+    }
+
+    # (base1, base2, parity) -> terms (base << bbits, coeff)
+    products: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
+    rows1: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def mu(keys: tuple) -> Iterable[tuple[int, int]]:
+        if len(keys) == 2:
+            k1, k2 = keys
+            middle = k1 & smask
+            if middle != (k2 >> sbits) & smask:
+                return ()
+            parity = (shifts[middle] - shifts[(k1 >> sbits) & smask]) & 1
+            pkey = (k1 >> bbits, k2 >> bbits, parity)
+            terms = products.get(pkey)
+            if terms is None:
+                terms = products[pkey] = base_product(*pkey)
+            out = (k1 & first_mask) | (k2 & smask)
+            res = []  # a loop: cheaper than a list comprehension here
+            for b, c in terms:
+                res.append((b | out, c))
+            return res
+        if len(keys) == 1:
+            row = rows1.get(keys[0])
+            if row is None:
+                row = rows1[keys[0]] = mu1_row(keys[0])
+            return row
+        return ()
+
+    def base_product(b1: int, b2: int, parity: int) -> tuple[tuple[int, int], ...]:
+        prod = mu2_shifted(
+            model.mu2, Chain.of(bases[b2]), Chain.of(bases[b1]), (0, parity, parity + 1)
+        )
+        return tuple((intern(g) << bbits, c) for g, c in prod.items())
+
+    def mu1_row(key: int) -> tuple[tuple[int, int], ...]:
+        Ta, i1 = summands[(key >> sbits) & smask]
+        Tb, i2 = summands[key & smask]
+        acc: dict[int, int] = {}
+        under = model.mu1(Chain.of(bases[key >> bbits]))
+        accumulate(acc, keyed_terms(under, key & bmask), 1)
+        for _, j, entry in connection[Ta.name]:
+            if j == i1:
+                for e, c in entry:
+                    accumulate(acc, mu((e, key)), c)
+        for j, _, entry in connection[Tb.name]:
+            if j == i2:
+                for e, c in entry:
+                    accumulate(acc, mu((key, e)), c)
+        return tuple(acc.items())
+
+    def degree(key: int) -> int:
+        return bases[key >> bbits].degree + shifts[key & smask] - shifts[(key >> sbits) & smask]
+
+    def linked_tuples(d: int):
+        if d != 2:
+            yield from composable_paths(names, hom_keys, d)
+            return
+        for a, b, c in itertools.product(names, repeat=3):
+            after = follow[(b, c)]
+            for row in cells[(a, b)]:
+                for i2, cell in enumerate(row):
+                    yield from itertools.product(cell, after[i2])
+
+    decoded: dict[int, Generator] = {}
+    encoded: dict[Generator, int] = {}
+
+    def decode(key: int) -> Generator:
+        gen = decoded.get(key)
         if gen is None:
-            gen = Generator(("m", n1, i1, n2, i2, base_gid), degree)
-            gen_cache[key] = gen
+            Ta, i1 = summands[(key >> sbits) & smask]
+            Tb, i2 = summands[key & smask]
+            under = bases[key >> bbits]
+            gen = decoded[key] = Generator(
+                ("m", Ta.name, i1, Tb.name, i2, under.gid), degree(key)
+            )
+            encoded[gen] = key
         return gen
 
-    def wrap(Ta, i1, Tb, i2, chain: Chain) -> dict:
-        shift = Tb.shift_of(i2) - Ta.shift_of(i1)
-        return {
-            wrapped_gen(Ta.name, i1, Tb.name, i2, g.gid, g.degree + shift): c
-            for g, c in chain.items()
-        }
-
-    memo1: dict = {}
-    prod_cache: dict = {}
-
-    def shifted_product(base1, base2, m0: int, m1: int) -> tuple:
-        """Underlying chain of mu2_shifted on two basis generators, as a
-        tuple of (gid, degree, coeff); keyed on the shift parity only."""
-        key = (base1, base2, (m1 - m0) & 1)
-        hit = prod_cache.get(key)
-        if hit is None:
-            u1 = _underlying(model, base1)
-            u2 = _underlying(model, base2)
-            term = mu2_shifted(
-                model.mu2, Chain.of(u2), Chain.of(u1), (m0, m1, m1 + 1)
-            )
-            hit = tuple((g.gid, g.degree, c) for g, c in term.items())
-            prod_cache[key] = hit
-        return hit
-
-    def mu1_elem(gid) -> Chain:
-        hit = memo1.get(gid)
-        if hit is not None:
-            return hit
-        _, n1, i1, n2, i2, base_gid = gid
-        Ta, Tb = by_name[n1], by_name[n2]
-        under = _underlying(model, base_gid)
-        acc: dict = {}
-        top = model.mu1(Chain.of(under))
-        if not top.is_zero():
-            acc.update(wrap(Ta, i1, Tb, i2, top))
-        s1 = Chain.of(under)
-        for (k, j), entry in Ta.D.items():
-            if j != i1:
-                continue
-            shifts = (Ta.shift_of(k), Ta.shift_of(i1), Tb.shift_of(i2))
-            term = mu2_shifted(model.mu2, s1, entry, shifts)
-            for g, c in wrap(Ta, k, Tb, i2, term).items():
-                acc[g] = acc.get(g, 0) + c
-        for (j, k), entry in Tb.D.items():
-            if j != i2:
-                continue
-            shifts = (Ta.shift_of(i1), Tb.shift_of(i2), Tb.shift_of(k))
-            term = mu2_shifted(model.mu2, entry, s1, shifts)
-            for g, c in wrap(Ta, i1, Tb, k, term).items():
-                acc[g] = acc.get(g, 0) + c
-        out = Chain(acc)
-        memo1[gid] = out
-        return out
-
-    def mu2_elem(gid1, gid2) -> Chain:
-        _, n1, i1, n2, i2, base1 = gid1
-        _, m1, j1, m2, j2, base2 = gid2
-        if n2 != m1 or i2 != j1:
-            return Chain.zero()
-        Ta, Tb, Tc = by_name[n1], by_name[n2], by_name[m2]
-        ma, mb, mc = Ta.shift_of(i1), Tb.shift_of(i2), Tc.shift_of(j2)
-        shift_out = mc - ma
-        terms = shifted_product(base1, base2, ma, mb)
-        if not terms:
-            return Chain.zero()
-        acc = {
-            wrapped_gen(n1, i1, m2, j2, bgid, bdeg + shift_out): c
-            for bgid, bdeg, c in terms
-        }
-        out = Chain.__new__(Chain)
-        out._terms = acc
-        return out
+    def encode(gen: Generator) -> int:
+        key = encoded.get(gen)
+        if key is None:
+            _, n1, i1, n2, i2, base_gid = gen.gid
+            shift = shifts[summand_of[(n2, i2)]] - shifts[summand_of[(n1, i1)]]
+            base = intern(Generator(base_gid, gen.degree - shift))
+            key = encoded[gen] = (base << bbits) | block(n1, i1, n2, i2)
+        return key
 
     def mu_fn(gens: tuple[Generator, ...]) -> Chain:
-        if len(gens) == 1:
-            return mu1_elem(gens[0].gid)
-        if len(gens) == 2:
-            return mu2_elem(gens[0].gid, gens[1].gid)
-        return Chain.zero()
+        return Chain({decode(k): c for k, c in mu(tuple(map(encode, gens)))})
 
     def gen_hom_fn(gen: Generator) -> tuple:
         _, n1, _, n2, _, _ = gen.gid
         return (n1, n2)
 
-    connected = {T.name: frozenset(T.D) for T in cxs}
-
     def linked(gens: tuple[Generator, ...]) -> bool:
         if len(gens) != 2:
             return True
         _, _, _, middle, i2, _ = gens[0].gid
-        j1 = gens[1].gid[2]
-        return i2 == j1 or (i2, j1) in connected[middle]
+        return gens[1].gid[2] in links[(middle, i2)]
 
+    hom_basis_map = {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()}
     return AInftyCategory(
-        name, tuple(names), hom_basis_map, mu_fn,
+        name, names, hom_basis_map, mu_fn,
         is_dg=True, arities={1, 2}, gen_hom_fn=gen_hom_fn, linked=linked,
+        keyed=KeyedOps(mu, degree, linked_tuples, decode),
     )
-
-
-def _underlying(model: PathModel, base_gid) -> Generator:
-    """The model generator for a base gid, with its own (unshifted) degree."""
-    gen = getattr(model, "_gid_cache", None)
-    if gen is None:
-        model._gid_cache = {}
-    hit = model._gid_cache.get(base_gid)
-    if hit is None:
-        hit = _find_model_gen(model, base_gid)
-        model._gid_cache[base_gid] = hit
-    return hit
-
-
-def _find_model_gen(model: PathModel, base_gid) -> Generator:
-    if isinstance(base_gid, tuple) and base_gid and base_gid[0] == "p":
-        return model.gen(base_gid[1], base_gid[2], base_gid[3])
-    for i in range(model.npoints()):
-        for j in range(model.npoints()):
-            for g in model.hom_basis(i, j, 0):
-                if g.gid == base_gid:
-                    return g
-    raise KeyError(f"unknown model generator {base_gid}")
 
 
 def check_tw_dg(

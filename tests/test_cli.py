@@ -114,6 +114,50 @@ def test_malformed_geometry_config_exits_2(tmp_path, overrides, drop, message):
     assert message in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle") / "bundle.json"
+    proc = run_cli("export", "--winding", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
+def _drop_category(doc):
+    del doc["category"]
+
+
+def _drop_mu_inputs(doc):
+    del doc["category"]["mu"][0]["inputs"]
+
+
+def _string_basis_source(doc):
+    doc["category"]["basis"][0]["source"] = "0"
+
+
+def _unknown_mu_input(doc):
+    doc["category"]["mu"][0]["inputs"][0] = "nowhere"
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_drop_category, "export_bundle lacks a category object"),
+        (_drop_mu_inputs, "bundle category mu row lacks inputs"),
+        (_string_basis_source, "bundle category basis row has bad source"),
+        (_unknown_mu_input, "bad bundle category: gid nowhere not in any hom basis"),
+    ],
+)
+def test_malformed_bundle_category_exits_2(tmp_path, small_bundle, corrupt, message):
+    doc = json.loads(json.dumps(small_bundle))
+    corrupt(doc)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("check-all", "--config", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
 def test_json_array_config_exits_2(tmp_path):
     path = tmp_path / "array.json"
     path.write_text(json.dumps([{"kind": "geometry_config", "schema_version": 1}]))

@@ -6,18 +6,35 @@ summand linkage, so it also checks that those declarations are true.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from floerloops.ainfty import (
     AInftyCategory,
     category_from_tables,
     check_ainfty,
 )
-from floerloops.cylinder import TWISTS, CylinderGeometry, cylinder_category
+from floerloops.cylinder import (
+    TWISTS,
+    CylinderGeometry,
+    build_F_object,
+    cylinder_category,
+    pontryagin_target,
+)
 from floerloops.gradedalg import Chain, Generator, sign_pow
-from floerloops.pontryagin import circle_model
-from floerloops.twisted import synthetic_twisted_complexes, tw_category
+from floerloops.pontryagin import MutatedPathModel, circle_model
+from floerloops.twisted import (
+    TwistedComplex,
+    check_tw_dg,
+    matrix_entry_degree,
+    synthetic_twisted_complexes,
+    tw_category,
+    tw_mu1,
+    tw_mu2,
+    validate_twisted,
+)
 
 
 def exhaustive_residual(cat, gens):
@@ -127,3 +144,113 @@ def test_declared_support_is_authoritative():
     assert cat.mu((a,)).is_zero() and cat.mu_raw((a,)).is_zero()
     tables = {1: {("a",): Chain.of(b)}, 2: {("a", "a"): Chain.zero()}}
     assert category_from_tables("t", ("O",), hom, tables).arities == {1}
+
+
+def assert_linked_enumeration(model, cxs, window):
+    """The keyed d=2 enumeration is the linked part of the composable
+    product, decoded, in the same order; linked means i2 == j1 or (i2, j1)
+    in the middle complex's connection."""
+    cat = tw_category(model, cxs, window=window)
+    by_name = {T.name: T for T in cxs}
+
+    def summand_linked(gens):
+        _, _, _, middle, i2, _ = gens[0].gid
+        j1 = gens[1].gid[2]
+        return i2 == j1 or (i2, j1) in by_name[middle].D
+
+    keyed = (tuple(map(cat.keyed.decode, t)) for t in cat.keyed.linked_tuples(2))
+    linked = (t for t in cat.composable_tuples(2) if cat.linked(t))
+    visited = 0
+    for got, want in zip_longest(keyed, linked):
+        assert got == want and summand_linked(want)
+        visited += 1
+    assert visited == sum(1 for t in cat.composable_tuples(2) if summand_linked(t))
+    per_arity = check_ainfty(cat, 2).details["per_arity"][2]
+    assert per_arity["enumerated"] - per_arity["certified_zero_by_linkage"] == visited
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_summand_enumeration_is_the_linked_product(n):
+    cm = circle_model(n)
+    assert_linked_enumeration(cm, synthetic_twisted_complexes(cm, f"e{n}"), 1)
+
+
+def test_summand_enumeration_on_acceptance_objects():
+    g = CylinderGeometry(Fraction(1), (Fraction(0), Fraction(1, 3), Fraction(3, 4)))
+    model = pontryagin_target(g)
+    assert_linked_enumeration(model, [build_F_object(g, L, model) for L in range(3)], 2)
+
+
+def flipped_battery(n, picks, flip):
+    """The picked synthetic complexes over the circle model with the
+    composition of one pair of path classes negated.  No two connection
+    entries of the battery compose, so Maurer-Cartan never sees the flip."""
+    base = circle_model(n)
+    i, j, l, w1, w2 = flip
+    model = MutatedPathModel(base, (("p", i % n, j % n, w1), ("p", j % n, l % n, w2)))
+    battery = synthetic_twisted_complexes(base, "flip")
+    picked = {p % len(battery) for p in picks}
+    cxs = [TwistedComplex(model, T.summands, T.D, name=T.name)
+           for idx, T in enumerate(battery) if idx in picked]
+    assert all(validate_twisted(T).ok for T in cxs)
+    return model, cxs
+
+
+def matrix_category(model, cxs, window):
+    """The twisted category with mu computed by `tw_mu1`/`tw_mu2` on
+    one-entry matrices, independent of the interned tables."""
+    cat = tw_category(model, cxs, window=window)
+    by_name = {T.name: T for T in cxs}
+
+    def parse(gen):
+        _, n1, i1, n2, i2, base_gid = gen.gid
+        Ta, Tb = by_name[n1], by_name[n2]
+        base = Generator(base_gid, gen.degree - matrix_entry_degree(Ta, Tb, i1, i2, 0))
+        return Ta, Tb, {(i1, i2): Chain.of(base)}
+
+    def to_chain(Ta, Tb, matrix):
+        return Chain({
+            Generator(("m", Ta.name, i1, Tb.name, i2, g.gid),
+                      matrix_entry_degree(Ta, Tb, i1, i2, g.degree)): c
+            for (i1, i2), chain in matrix.items() for g, c in chain.items()
+        })
+
+    def mu_fn(gens):
+        if len(gens) == 1:
+            Ta, Tb, S = parse(gens[0])
+            return to_chain(Ta, Tb, tw_mu1(Ta, Tb, S))
+        if len(gens) == 2:
+            (Ta, Tb, S1), (Tb2, Tc, S2) = parse(gens[0]), parse(gens[1])
+            if Tb is not Tb2:
+                return Chain.zero()
+            return to_chain(Ta, Tc, tw_mu2(Ta, Tb, Tc, S2, S1))
+        return Chain.zero()
+
+    return AInftyCategory("matrix", cat.objects, cat.hom_basis_map, mu_fn, is_dg=True,
+                          gen_hom_fn=cat.gen_hom_fn)
+
+
+FLIPS = st.tuples(*[st.integers(0, 2)] * 3, *[st.integers(-2, 2)] * 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 2), picks=st.sets(st.integers(0, 8), min_size=1, max_size=2),
+       flip=FLIPS)
+@example(n=2, picks={8}, flip=(0, 1, 1, 2, 0))
+def test_tw_witness_matches_exhaustive_reference_under_flips(n, picks, flip):
+    model, cxs = flipped_battery(n, picks, flip)
+    rep = check_tw_dg(model, cxs, window=1)
+    witness, count = exhaustive_check(matrix_category(model, cxs, window=1), 2)
+    assert rep.witness == witness
+    if rep.ok:
+        assert rep.details["tuples_checked"] == count
+
+
+def test_flipped_composition_fails_at_a_tw_relation():
+    model, cxs = flipped_battery(2, {8}, (0, 1, 1, 2, 0))
+    rep = check_tw_dg(model, cxs, window=1)
+    assert not rep.ok and rep.witness["d"] == 2
+    assert rep.witness["tuple"] == [
+        ("m", "flip-quad-sparse", 1, "flip-quad-sparse", 2, ("p", 0, 1, 1)),
+        ("m", "flip-quad-sparse", 2, "flip-quad-sparse", 2, ("p", 1, 1, 0)),
+    ]
