@@ -26,12 +26,13 @@ from .ainfty import (
 from .cylinder import (
     CylinderConfigError,
     CylinderGeometry,
+    chord,
+    chord_pairs,
     cylinder_category,
     enumerate_chords,
     f1_sign_table,
     functor_F,
     half_disc_d2_family,
-    chord,
     maslov_cross_check,
     mu_d,
     pontryagin_target,
@@ -264,21 +265,12 @@ def _timed(fn, *args, **kwargs) -> Report:
     return Report.from_check(check, time.perf_counter() - t0)
 
 
-def _moduli_pipeline(cfg: RunConfig) -> CheckReport:
+def _moduli_pipeline(cfg: RunConfig, g: CylinderGeometry) -> CheckReport:
     """Choose and verify fundamental chains on the synthetic battery and on
     the cylinder's two-input half-disc families."""
-    g = cfg.geometry()
     datasets = synthetic_dataset_battery()
-    bound = min(cfg.winding_bound, 2)
-    for a in range(g.nfibers()):
-        for b in range(g.nfibers()):
-            for c_idx in range(g.nfibers()):
-                for w1 in range(-bound, bound + 1):
-                    for w2 in range(-bound, bound + 1):
-                        ds, _ev = half_disc_d2_family(
-                            g, chord(g, a, b, w1), chord(g, b, c_idx, w2)
-                        )
-                        datasets.append(ds)
+    for x1, x2 in chord_pairs(g, min(cfg.winding_bound, 2)):
+        datasets.append(half_disc_d2_family(g, x1, x2)[0])
     if cfg.mutate == "flat-sign":
         datasets[0] = synthetic_dataset_battery()[0].mutated(0)
     for ds in datasets:
@@ -332,7 +324,7 @@ def _build_reports(cfg: RunConfig, imported_category=None) -> list[Report]:
     else:
         reports.append(_timed(check_tw_dg, target_model, samples, 1, "tw-dg"))
 
-    reports.append(_timed(_moduli_pipeline, cfg))
+    reports.append(_timed(_moduli_pipeline, cfg, g))
     reports.append(_timed(check_functor, F, 2, "functor"))
     return reports
 
@@ -432,7 +424,6 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
     """mu_2 tables wide enough that the A-infinity check at the recorded
     enumeration bound is closed under every lookup it performs."""
     closure = (max_d - 1) * winding_bound
-    pair_bound = 2 * winding_bound
     n = g.nfibers()
     hom_basis_map = {
         (a, b): tuple(x.generator() for x in enumerate_chords(g, a, b, closure))
@@ -440,19 +431,14 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
     }
     twist_fn = TWISTS[twist]
     table: dict[tuple, Chain] = {}
-    for a in range(n):
-        for b in range(n):
-            for c_idx in range(n):
-                for w1 in range(-pair_bound, pair_bound + 1):
-                    for w2 in range(-pair_bound, pair_bound + 1):
-                        if abs(w1 + w2) > closure:
-                            continue
-                        if min(abs(w1), abs(w2)) > winding_bound:
-                            continue
-                        x1, x2 = chord(g, a, b, w1), chord(g, b, c_idx, w2)
-                        val = mu_d(g, (x1, x2), twist=twist_fn)
-                        if not val.is_zero():
-                            table[(x1.gid, x2.gid)] = val
+    for x1, x2 in chord_pairs(g, 2 * winding_bound):
+        if abs(x1.winding + x2.winding) > closure:
+            continue
+        if min(abs(x1.winding), abs(x2.winding)) > winding_bound:
+            continue
+        val = mu_d(g, (x1, x2), twist=twist_fn)
+        if not val.is_zero():
+            table[(x1.gid, x2.gid)] = val
     return hom_basis_map, {2: table}
 
 

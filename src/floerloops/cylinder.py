@@ -18,6 +18,26 @@ bounds a rigid convex polygon.  Outputs are identified with unrescaled
 chords through the Liouville rescaling isomorphism (winding is preserved;
 momenta scale).
 
+Lattice.  A geometry fixes one integer lattice at construction: D is the
+lcm of the fibre denominators and N_i = D f_i.  The chord (a, b, w) is the
+integer delta = N_b - N_a + w D; its momentum is delta / (2cD) and its action
+-delta^2 / (4cD^2).  q is measured in units of 1/D and p in units of
+1/(4cD), so the boundary line k of a d-input configuration is
+2Q = 2A_k + (d - k)P with an integer offset A_k, every mu_2 corner is a
+lattice point and the cross product of two lattice vectors counts cells of
+area 1/(4cD^2).  Areas, energies and actions are compared in half cells,
+1/(8cD^2), where all of them are integers: a chord's action is -2 delta^2.
+c enters only through these units, so `rescaled` leaves the lattice, and
+with it the mu_2 table, unchanged.
+
+Tables.  Each geometry instance builds two tables once, on integer keys:
+the chord table (a chord's key packs (a, b, w); its `Fraction` momentum and
+action are derived once from delta) and the mu_2 table, from a pair of chord
+keys to the (output key, polygon sign) terms that `mu_polygons` finds on the
+lattice.  The categories, the functor and the oracles built on one
+geometry share them; each category applies its own twist and orientation
+tokens on top.
+
 Signs of individual polygons come from the orientation-token bookkeeping
 and the closed sign formulas; there is no independent geometric sign.
 """
@@ -26,14 +46,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import _kernels
-from .ainfty import AInftyCategory, AInftyFunctor, CompositionError
-from .gradedalg import Chain, Generator, sign_pow
+from .ainfty import AInftyCategory, AInftyFunctor, CompositionError, KeyedOps, composable_paths
+from .gradedalg import Chain, Generator, accumulate, sign_pow
 from .moduli import (
     StratifiedModuli,
     ModuliCell,
@@ -56,11 +76,18 @@ class CylinderGeometry:
     """H = c p^2 on T*S^1 with marked cotangent fibres.
 
     Fibre positions are rationals in [0, 1); rational data keeps every chord
-    momentum exact and every configuration decision integral.
+    momentum exact and every configuration decision integral.  `denominator`
+    (D) and `lattice` (the N_i) fix the integer lattice; the chord and mu_2
+    tables are filled on first use and shared by everything built on this
+    instance (see the module docstring).
     """
 
     c: Fraction
     fibers: tuple[Fraction, ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    lattice: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _chords: dict = field(init=False, repr=False, compare=False)
+    _mu2: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.c, Fraction):
@@ -74,6 +101,13 @@ class CylinderGeometry:
             raise CylinderConfigError("fibres must be pairwise distinct")
         if any(f < 0 or f >= 1 for f in self.fibers):
             raise CylinderConfigError("fibre positions must lie in [0, 1)")
+        D = math.lcm(*(f.denominator for f in self.fibers))
+        object.__setattr__(self, "denominator", D)
+        object.__setattr__(
+            self, "lattice", tuple(f.numerator * (D // f.denominator) for f in self.fibers)
+        )
+        object.__setattr__(self, "_chords", {})
+        object.__setattr__(self, "_mu2", {})
 
     def nfibers(self) -> int:
         return len(self.fibers)
@@ -86,6 +120,48 @@ class CylinderGeometry:
         if rho <= 0:
             raise CylinderConfigError("rescaling factor must be positive")
         return CylinderGeometry(self.c / rho, self.fibers)
+
+    def key(self, a: int, b: int, winding: int) -> int:
+        """The chord table key of the chord (a, b, winding)."""
+        n = len(self.fibers)
+        if not (0 <= a < n and 0 <= b < n):
+            raise IndexError(f"no fibre pair ({a}, {b}) among {n} fibres")
+        return (winding * n + a) * n + b
+
+    def delta(self, x: "Chord") -> int:
+        """The chord's lattice value N_b - N_a + w D."""
+        return self.lattice[x.target] - self.lattice[x.source] + x.winding * self.denominator
+
+    def half_cells(self, n: int) -> Fraction:
+        """An area of n half cells, n / (8cD^2)."""
+        return Fraction(n * self.c.denominator, 8 * self.c.numerator * self.denominator ** 2)
+
+    def chord_at(self, key: int) -> "Chord":
+        """The chord of a key, built once per geometry."""
+        x = self._chords.get(key)
+        if x is None:
+            n = len(self.fibers)
+            rest, b = divmod(key, n)
+            winding, a = divmod(rest, n)
+            delta = self.lattice[b] - self.lattice[a] + winding * self.denominator
+            x = self._chords[key] = Chord(
+                a, b, winding,
+                Fraction(delta * self.c.denominator, 2 * self.c.numerator * self.denominator),
+                0,
+                self.half_cells(-2 * delta * delta),
+            )
+        return x
+
+    def mu2_terms(self, k1: int, k2: int) -> tuple[tuple[int, int], ...]:
+        """The (output key, polygon sign) terms of mu_2 on two chord keys in
+        composition order, from `mu_polygons` the first time."""
+        terms = self._mu2.get((k1, k2))
+        if terms is None:
+            polys = mu_polygons(self, (self.chord_at(k1), self.chord_at(k2)))
+            terms = self._mu2[(k1, k2)] = tuple(
+                (self.key(*poly.output[1:]), poly.sign) for poly in polys
+            )
+        return terms
 
 
 @dataclass(frozen=True)
@@ -108,15 +184,22 @@ class Chord:
 
 
 def chord(g: CylinderGeometry, a: int, b: int, winding: int) -> Chord:
-    p = (g.fibers[b] - g.fibers[a] + winding) / (2 * g.c)
-    return Chord(a, b, winding, p, 0, -g.c * p * p)
+    return g.chord_at(g.key(a, b, winding))
 
 
-def chord_from_gid(g: CylinderGeometry, gid: tuple) -> Chord:
+def _key(g: CylinderGeometry, x: Chord) -> int:
+    return g.key(x.source, x.target, x.winding)
+
+
+def _gid_key(g: CylinderGeometry, gid: tuple) -> int:
     tag, a, b, w = gid
     if tag != "x":
         raise ValueError(f"not a chord gid: {gid}")
-    return chord(g, a, b, w)
+    return g.key(a, b, w)
+
+
+def chord_from_gid(g: CylinderGeometry, gid: tuple) -> Chord:
+    return g.chord_at(_gid_key(g, gid))
 
 
 def enumerate_chords(
@@ -127,10 +210,23 @@ def enumerate_chords(
     if winding_bound < 0:
         raise CylinderConfigError("winding_bound must be >= 0")
     out = [chord(g, a, b, w) for w in range(-winding_bound, winding_bound + 1)]
-    momenta = {x.momentum for x in out}
-    if len(momenta) != len(out):
+    if len({g.delta(x) for x in out}) != len(out):
         raise CylinderConfigError("degenerate chord detected: colliding momenta")
-    return sorted(out, key=lambda x: (x.action, x.winding))
+    # the action -delta^2 / (4cD^2) orders as -delta^2
+    return sorted(out, key=lambda x: (-g.delta(x) ** 2, x.winding))
+
+
+def chord_pairs(g: CylinderGeometry, bound: int) -> Iterator[tuple[Chord, Chord]]:
+    """Every composable chord pair (x1, x2) with both windings in
+    [-bound, bound], from the chord table: by fibre path (a, b, c), then by
+    w1, then by w2."""
+    n = g.nfibers()
+    windings = range(-bound, bound + 1)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        for w1 in windings:
+            x1 = chord(g, a, b, w1)
+            for w2 in windings:
+                yield x1, chord(g, b, c, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +294,13 @@ def count_strips(g: CylinderGeometry, x0: Chord, x1: Chord) -> int:
 @dataclass(frozen=True)
 class LatticePolygon:
     """A rigid configuration contributing to an operation: corner chords,
-    vertices in the cover, boundary labels and the sign inputs."""
+    vertices as lattice points (Q, P) of the geometry, the output chord, the
+    sign and the area."""
 
-    vertices: tuple[tuple[Fraction, Fraction], ...]
+    vertices: tuple[tuple[int, int], ...]
     corner_chords: tuple[tuple, ...]
     output: tuple
     sign: int
-    boundary_word: tuple
-    winding_profile: tuple
     degenerate: bool
     area: Fraction
 
@@ -218,17 +313,31 @@ def _check_composable(chords: tuple[Chord, ...]) -> None:
             )
 
 
-def _mu_lines(g: CylinderGeometry, chords: tuple[Chord, ...]):
-    """The d+1 forced boundary lines q = A_k + 2c(d-k) p and the corner
-    momenta of a d-input configuration."""
-    d = len(chords)
-    offsets = [g.fibers[chords[0].source]]
-    lift = 0
-    for x in chords:
-        lift += x.winding
-        offsets.append(g.fibers[x.target] + lift)
-    slopes = [2 * g.c * (d - k) for k in range(d + 1)]
-    return offsets, slopes
+def _mu2_corners(g: CylinderGeometry, x1: Chord, x2: Chord):
+    """The corners (P0, P1, P2) of the mu_2 configuration on (x1, x2) as
+    lattice points: P0 on the boundary lines 0 and 2, P1 on lines 0 and 1,
+    P2 on lines 1 and 2.  Line k is 2Q = 2A_k + (2 - k)P, with A_0 the lift of
+    the first fibre and A_k that of the k-th chord's target after the
+    windings so far."""
+    N, D = g.lattice, g.denominator
+    offsets = (
+        N[x1.source],
+        N[x1.target] + x1.winding * D,
+        N[x2.target] + (x1.winding + x2.winding) * D,
+    )
+
+    def meet(k: int, m: int) -> tuple[int, int]:
+        p, r = divmod(2 * (offsets[m] - offsets[k]), m - k)
+        q, s = divmod(2 * offsets[m] + (2 - m) * p, 2)
+        if r or s:
+            raise AssertionError("boundary lines meet off the lattice")
+        return (q, p)
+
+    return meet(0, 2), meet(0, 1), meet(1, 2)
+
+
+def _cross(P0: tuple[int, int], P1: tuple[int, int], P2: tuple[int, int]) -> int:
+    return (P1[0] - P0[0]) * (P2[1] - P0[1]) - (P1[1] - P0[1]) * (P2[0] - P0[0])
 
 
 def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[LatticePolygon]:
@@ -240,6 +349,9 @@ def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[LatticeP
     candidate sits in a (d-2)-parameter family of conformal structures and
     is never rigid; with all chords in degree 0 the index also forbids an
     output, so the rigid count is empty.
+
+    Every decision is an integer identity on the lattice: areas, energies
+    and actions are in half cells, where a chord's action is -2 delta^2.
     """
     d = len(chords)
     if d < 2:
@@ -250,32 +362,31 @@ def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[LatticeP
         return []
 
     x1, x2 = chords
-    offsets, _ = _mu_lines(g, chords)
-    p1, p2 = x1.momentum, x2.momentum
-    pw = p1 + p2
+    d1, d2 = g.delta(x1), g.delta(x2)
     out = chord(g, x1.source, x2.target, x1.winding + x2.winding)
-    if out.momentum != pw:
+    if g.delta(out) != d1 + d2:
         raise AssertionError("output corner does not close up")
-    c = g.c
-    # corner points: P1 on lines 0,1; P2 on lines 1,2; P0 on lines 0,2
-    P1 = (offsets[1] + 2 * c * p1, p1)
-    P2 = (offsets[2], p2)
-    P0 = (offsets[2], pw / 2)
+    P0, P1, P2 = _mu2_corners(g, x1, x2)
 
-    cross = (P1[0] - P0[0]) * (P2[1] - P0[1]) - (P1[1] - P0[1]) * (P2[0] - P0[0])
-    if cross != -c * (p1 - p2) ** 2:
+    # the cross product, in cells, is -(delta_1 - delta_2)^2 only when the
+    # intersected corners sit at the chords' momenta 2 delta_1 and 2 delta_2
+    cross = _cross(P0, P1, P2)
+    if cross != -(d1 - d2) ** 2:
         raise AssertionError("corner orientation does not match the model")
-    degenerate = p1 == p2
+    degenerate = d1 == d2
     if degenerate and not (P1 == P2 == P0):
         raise AssertionError("degenerate configuration with distinct corners")
     if not degenerate and cross >= 0:
         raise AssertionError("triangle corners in counterclockwise order; invalid count")
 
-    area = abs(cross) / 2
-    energy = -c * pw * pw / 2 - (x1.action + x2.action)
+    # in half cells: the output's action weighted by 1/2, and the inputs'
+    area = abs(cross)
+    weighted = -(d1 + d2) ** 2
+    inputs = -2 * (d1 * d1 + d2 * d2)
+    energy = weighted - inputs
     if area != energy:
         raise AssertionError(f"energy identity violated: area {area} != {energy}")
-    if -c * pw * pw / 2 < x1.action + x2.action:
+    if weighted < inputs:
         raise AssertionError("weighted output action below input action sum")
 
     poly = LatticePolygon(
@@ -283,30 +394,26 @@ def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[LatticeP
         corner_chords=(x1.gid, x2.gid),
         output=out.gid,
         sign=1,
-        boundary_word=(
-            ("L", x1.source, 2), ("L", x1.target, 1), ("L", x2.target, 0),
-        ),
-        winding_profile=(),
         degenerate=degenerate,
-        area=area,
+        area=g.half_cells(area),
     )
     return [poly]
 
 
-TwistFn = Callable[[LatticePolygon], int]
+TwistFn = Callable[[int], int]
+"""N_b of a polygon or half-disc, from the winding of its output."""
 
 
-def twist_none(_poly: LatticePolygon) -> int:
+def twist_none(_winding: int) -> int:
     return 0
 
 
-def twist_constant(_poly: LatticePolygon) -> int:
+def twist_constant(_winding: int) -> int:
     return 1
 
 
-def twist_winding_parity(poly: LatticePolygon) -> int:
-    tag, _a, _b, w = poly.output
-    return w % 2 if tag == "x" else 0
+def twist_winding_parity(winding: int) -> int:
+    return winding % 2
 
 
 TWISTS: dict[str, TwistFn] = {
@@ -318,14 +425,25 @@ TWISTS: dict[str, TwistFn] = {
 
 def background_twist(polygons: Iterable[LatticePolygon], n_b: TwistFn) -> list[LatticePolygon]:
     """Multiply every polygon's sign by (-1)**N_b(u)."""
+    return [replace(poly, sign=poly.sign * sign_pow(n_b(poly.output[3]))) for poly in polygons]
+
+
+def _signed_mu2(
+    g: CylinderGeometry, k1: int, k2: int, twist: TwistFn, tokens: Mapping[tuple, int] | None
+) -> tuple[tuple[int, int], ...]:
+    """mu_2 on two chord keys as (output key, coeff) terms: the geometry's
+    table with the dagger sign, the background twist and the orientation
+    tokens applied on top."""
+    x1, x2 = g.chord_at(k1), g.chord_at(k2)
+    dagger = sign_pow(x1.degree + 2 * x2.degree)
     out = []
-    for poly in polygons:
-        s = poly.sign * sign_pow(n_b(poly))
-        out.append(LatticePolygon(
-            poly.vertices, poly.corner_chords, poly.output, s,
-            poly.boundary_word, poly.winding_profile, poly.degenerate, poly.area,
-        ))
-    return out
+    for key, sign in g.mu2_terms(k1, k2):
+        y = g.chord_at(key)
+        coeff = dagger * sign * sign_pow(twist(y.winding))
+        if tokens:
+            coeff *= tokens.get(x1.gid, 1) * tokens.get(x2.gid, 1) * tokens.get(y.gid, 1)
+        out.append((key, coeff))
+    return tuple(out)
 
 
 def mu_d(
@@ -337,20 +455,13 @@ def mu_d(
     """The d-input product on chords: signed rigid polygon count, with the
     dagger sign sum_k k |x_k| and orientation tokens, as a chain on the
     unrescaled output chord."""
-    polys = background_twist(mu_polygons(g, chords), twist)
-    if not polys:
+    if len(chords) != 2:
+        mu_polygons(g, chords)  # raises below d = 2; no rigid polygon above
         return Chain.zero()
-    dagger = sum(k * x.degree for k, x in enumerate(chords, start=1))
-    total = Chain.zero()
-    for poly in polys:
-        coeff = sign_pow(dagger) * poly.sign
-        if tokens:
-            for cg in poly.corner_chords:
-                coeff *= tokens.get(cg, 1)
-            coeff *= tokens.get(poly.output, 1)
-        out = chord_from_gid(g, poly.output)
-        total = total + Chain.of(out.generator(), coeff)
-    return total
+    acc: dict[Generator, int] = {}
+    for key, coeff in _signed_mu2(g, _key(g, chords[0]), _key(g, chords[1]), twist, tokens):
+        accumulate(acc, ((g.chord_at(key).generator(), coeff),), 1)
+    return Chain.from_sums(acc)
 
 
 def rigid_census(g: CylinderGeometry, winding_bound: int, d: int) -> dict:
@@ -425,9 +536,10 @@ def build_F_object(
 
 @dataclass(frozen=True)
 class HalfDisc:
-    """A rigid combinatorial half-disc with its boundary evaluation."""
+    """A rigid combinatorial half-disc with its boundary evaluation; its
+    vertices are lattice points (Q, P) of the geometry."""
 
-    vertices: tuple[tuple[Fraction, Fraction], ...]
+    vertices: tuple[tuple[int, int], ...]
     chords: tuple[tuple, ...]
     winding: int
     displacement: Fraction
@@ -437,21 +549,22 @@ class HalfDisc:
 def half_disc_d1(g: CylinderGeometry, x: Chord) -> HalfDisc:
     """The unique half-disc with one chord input: in the cover it is the
     region bounded by the two fibre lifts, the chord and the zero section.
-    The outgoing boundary arc has displacement (b + w) - a."""
-    a = g.fibers[x.source]
-    b_lift = g.fibers[x.target] + x.winding
-    corner = (b_lift, x.momentum)
-    v0 = (a, Fraction(0))
-    v1 = (b_lift, Fraction(0))
-    area = abs(b_lift - a) * abs(x.momentum) / 2
-    if area != -x.action:
+    The outgoing boundary arc has displacement (b + w) - a, which is delta in
+    units of 1/D, and the corner sits at momentum 2 delta in units of
+    1/(4cD)."""
+    a = g.lattice[x.source]
+    delta = g.delta(x)
+    v0, v1, corner = (a, 0), (a + delta, 0), (a + delta, 2 * delta)
+    # the area in half cells is |cross|; the action is -2 delta^2
+    area = abs(_cross(v0, v1, corner))
+    if area != 2 * delta * delta:
         raise AssertionError("half-disc energy identity violated")
     return HalfDisc(
         vertices=(v0, v1, corner),
         chords=(x.gid,),
         winding=x.winding,
-        displacement=b_lift - a,
-        area=area,
+        displacement=Fraction(delta, g.denominator),
+        area=g.half_cells(area),
     )
 
 
@@ -471,8 +584,8 @@ def half_disc_d2_family(
     right = half_disc_d1(g, x2)
     y = chord(g, x1.source, x2.target, x1.winding + x2.winding)
     whole = half_disc_d1(g, y)
-    triangles = mu_polygons(g, (x1, x2))
-    if left.displacement + right.displacement != whole.displacement:
+    ((_, triangle_sign),) = g.mu2_terms(_key(g, x1), _key(g, x2))
+    if g.delta(x1) + g.delta(x2) != g.delta(y):
         raise AssertionError("half-disc family evaluation is not constant")
 
     name = f"hdfam-{x1.gid}-{x2.gid}"
@@ -480,7 +593,7 @@ def half_disc_d2_family(
         "Hleft": ModuliCell("Hleft", 0, 1),
         "Hright": ModuliCell("Hright", 0, 1),
         "Hy": ModuliCell("Hy", 0, 1),
-        "R2": ModuliCell("R2", 0, triangles[0].sign),
+        "R2": ModuliCell("R2", 0, triangle_sign),
         "fam": ModuliCell("fam", 1),
     }
     boundary = {
@@ -539,7 +652,12 @@ def cylinder_category(
     0, and for d >= 3 no output chord has the degree 2 - d that mu_d needs
     (`rigid_census` certifies the geometric enumeration is empty as well).
     `max_d` is validated here and bounds what callers check; it does not
-    change mu."""
+    change mu.
+
+    The checker runs on chord keys (`keyed`): mu_2 of a key pair is the
+    geometry's shared table with this category's twist, tokens and
+    `mutate_mu2` applied, kept per pair as (key, coeff) terms.  `mu_fn`
+    encodes and decodes generators through the same terms."""
     if winding_bound < 1:
         raise CylinderConfigError("winding_bound must be >= 1")
     if not 2 <= max_d <= 4:
@@ -549,25 +667,42 @@ def cylinder_category(
         raise CylinderConfigError(f"unknown twist {twist!r}")
 
     n = g.nfibers()
-    hom_basis_map = {
-        (a, b): tuple(x.generator() for x in enumerate_chords(g, a, b, winding_bound))
-        for a in range(n) for b in range(n)
+    objects = tuple(range(n))
+    hom_keys = {
+        (a, b): tuple(_key(g, x) for x in enumerate_chords(g, a, b, winding_bound))
+        for a in objects for b in objects
     }
-    memo: dict[tuple, Chain] = {}
+    mutated = g.key(0, 0, 1) if mutate_mu2 else None
+    terms: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+    def mu(keys: tuple) -> tuple[tuple[int, int], ...]:
+        if len(keys) != 2:
+            return ()
+        out = terms.get(keys)
+        if out is None:
+            out = _signed_mu2(g, keys[0], keys[1], twist_fn, tokens)
+            if keys[0] == keys[1] == mutated:
+                out = tuple((key, -coeff) for key, coeff in out)
+            terms[keys] = out
+        return out
+
+    def degree(key: int) -> int:
+        return 0  # every chord has degree 0
+
+    def linked_tuples(d: int):
+        return composable_paths(objects, hom_keys, d)
+
+    decoded: dict[int, Generator] = {}
+
+    def decode(key: int) -> Generator:
+        gen = decoded.get(key)
+        if gen is None:
+            gen = decoded[key] = g.chord_at(key).generator()
+        return gen
 
     def mu_fn(gens: tuple[Generator, ...]) -> Chain:
-        if len(gens) != 2:
-            return Chain.zero()
-        key = (gens[0].gid, gens[1].gid, mutate_mu2)
-        hit = memo.get(key)
-        if hit is None:
-            x1 = chord_from_gid(g, gens[0].gid)
-            x2 = chord_from_gid(g, gens[1].gid)
-            hit = mu_d(g, (x1, x2), tokens=tokens, twist=twist_fn)
-            if mutate_mu2 and gens[0].gid == ("x", 0, 0, 1) and gens[1].gid == ("x", 0, 0, 1):
-                hit = -hit
-            memo[key] = hit
-        return hit
+        keys = tuple(_gid_key(g, gen.gid) for gen in gens)
+        return Chain({decode(key): coeff for key, coeff in mu(keys)})
 
     def gen_hom_fn(gen: Generator) -> tuple:
         tag, a, b, _w = gen.gid
@@ -577,12 +712,13 @@ def cylinder_category(
 
     return AInftyCategory(
         f"CW(c={g.c},fibres={len(g.fibers)},w<={winding_bound})",
-        tuple(range(n)),
-        hom_basis_map,
+        objects,
+        {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()},
         mu_fn,
         is_dg=False,
         arities={2},
         gen_hom_fn=gen_hom_fn,
+        keyed=KeyedOps(mu, degree, linked_tuples, decode),
     )
 
 
@@ -592,18 +728,12 @@ def structure_constants(
     """All mu_2 structure constants within the winding bound, keyed by input
     gids; used by the rescaling-invariance and twist comparisons."""
     twist_fn = TWISTS[twist]
-    out: dict[tuple, dict[tuple, int]] = {}
-    n = g.nfibers()
-    for a, b, c_idx in itertools.product(range(n), repeat=3):
-        for w1 in range(-winding_bound, winding_bound + 1):
-            for w2 in range(-winding_bound, winding_bound + 1):
-                x1 = chord(g, a, b, w1)
-                x2 = chord(g, b, c_idx, w2)
-                val = mu_d(g, (x1, x2), twist=twist_fn)
-                out[(x1.gid, x2.gid)] = {
-                    gen.gid: coeff for gen, coeff in val.sorted_items()
-                }
-    return out
+    return {
+        (x1.gid, x2.gid): {
+            gen.gid: coeff for gen, coeff in mu_d(g, (x1, x2), twist=twist_fn).sorted_items()
+        }
+        for x1, x2 in chord_pairs(g, winding_bound)
+    }
 
 
 def pontryagin_target(g: CylinderGeometry) -> CirclePathModel:
@@ -626,7 +756,8 @@ def functor_F(
     sign (-1)**(|x| + (|q_0|+1)(|x| + |q_1|)); F^2 is the evaluation of the
     1-dimensional half-disc family, which is constant and hence degenerate,
     so F^2 = 0 (computed per tuple, not assumed); F^d for d > 2 lands in
-    negative degrees of a degree-0 target, hence vanishes.
+    negative degrees of a degree-0 target, hence vanishes.  F^1 is evaluated
+    once per chord and kept; each F^2 family is built where it is used.
     """
     if not 1 <= max_d <= 4:
         raise CylinderConfigError("functor max_d must lie in 1..4")
@@ -639,28 +770,28 @@ def functor_F(
                                tokens=tokens)
     target = tw_category(model, f_objs, window=winding_bound, name="TwP")
     object_map = {L: f_objs[L].name for L in objects}
+    twist_fn = TWISTS[twist]
+    f1_values: dict[tuple, Chain] = {}
 
-    def f1_chain(gen: Generator) -> Chain:
-        x = chord_from_gid(g, gen.gid)
-        if mutate_f1_zero is not None and gen.gid == mutate_f1_zero:
-            return Chain.zero()
+    def f1_value(x: Chord) -> Chain:
         disc = half_disc_d1(g, x)
         deg_q0 = deg_q1 = 0
         coeff = sign_pow(x.degree + (deg_q0 + 1) * (x.degree + deg_q1))
-        coeff *= sign_pow(twist_fn_halfdisc(disc))
+        coeff *= sign_pow(twist_fn(disc.winding))
         if tokens:
-            coeff *= tokens.get(gen.gid, 1)
+            coeff *= tokens.get(x.gid, 1)
         path_gid = ("p", x.source, x.target, disc.winding)
         tname_a, tname_b = object_map[x.source], object_map[x.target]
         out_gen = Generator(("m", tname_a, 0, tname_b, 0, path_gid), 0)
-        return Chain.of(out_gen, coeff * gen.orientation)
+        return Chain.of(out_gen, coeff)
 
-    def twist_fn_halfdisc(disc: HalfDisc) -> int:
-        if twist == "parity":
-            return disc.winding % 2
-        if twist == "constant":
-            return 1
-        return 0
+    def f1_chain(gen: Generator) -> Chain:
+        if gen.gid == mutate_f1_zero:
+            return Chain.zero()
+        val = f1_values.get(gen.gid)
+        if val is None:
+            val = f1_values[gen.gid] = f1_value(chord_from_gid(g, gen.gid))
+        return val if gen.orientation == 1 else -val
 
     def components(d: int, gens: tuple[Generator, ...]) -> Chain:
         if d == 1:
@@ -752,7 +883,7 @@ def ring_isomorphism_report(
 # ---------------------------------------------------------------------------
 
 def mu2_exact_count(g: CylinderGeometry, x1: Chord, x2: Chord) -> int:
-    return len(mu_polygons(g, (x1, x2)))
+    return len(g.mu2_terms(_key(g, x1), _key(g, x2)))
 
 
 def mu2_raster_count(
@@ -767,14 +898,11 @@ def mu2_raster_count(
     constant configuration (coincident corners, empty interior), else 0.
     """
     _check_composable((x1, x2))
-    offsets, _ = _mu_lines(g, (x1, x2))
-    c = g.c
-    p1, p2 = x1.momentum, x2.momentum
-    P1 = (offsets[1] + 2 * c * p1, p1)
-    P2 = (offsets[2], p2)
-    P0 = (offsets[2], (p1 + p2) / 2)
-    pts = [P0, P1, P2]
-    fpts = [(float(x), float(y)) for x, y in pts]
+    P0, P1, P2 = _mu2_corners(g, x1, x2)
+    # the float of each corner's rationals q = Q/D, p = P/(4cD), correctly
+    # rounded by integer true division
+    D, c = g.denominator, g.c
+    fpts = [(Q / D, P * c.denominator / (4 * c.numerator * D)) for Q, P in (P0, P1, P2)]
 
     if P0 == P1 == P2:
         count = _kernels.triangle_grid_count(
@@ -783,9 +911,7 @@ def mu2_raster_count(
         )
         return 1 if count == 0 else 0
 
-    area = abs(
-        (P1[0] - P0[0]) * (P2[1] - P0[1]) - (P1[1] - P0[1]) * (P2[0] - P0[0])
-    ) / 2
+    area = abs(_cross(P0, P1, P2)) * c.denominator / (8 * c.numerator * D * D)
     xmin = min(p[0] for p in fpts)
     xmax = max(p[0] for p in fpts)
     ymin = min(p[1] for p in fpts)
@@ -796,7 +922,7 @@ def mu2_raster_count(
     for (u, v) in ((0, 1), (1, 2), (2, 0)):
         sides.append(math.hypot(fpts[u][0] - fpts[v][0], fpts[u][1] - fpts[v][1]))
     perimeter = sum(sides)
-    inradius = 2 * float(area) / perimeter
+    inradius = 2 * area / perimeter
     if math.hypot(dx, dy) >= inradius:
         raise CylinderConfigError(
             f"raster resolution {resolution} insufficient for inradius {inradius}"
@@ -809,7 +935,7 @@ def mu2_raster_count(
         return 0
     cell_area = dx * dy
     tolerance = 3.0 * perimeter * math.hypot(dx, dy) + 4.0 * cell_area
-    if abs(count * cell_area - float(area)) > tolerance:
+    if abs(count * cell_area - area) > tolerance:
         return 0
     return 1
 
@@ -820,27 +946,22 @@ def raster_cross_check(
     """Compare |mu_2| with the rasterised count for every composable chord
     pair within the bound, at two resolutions."""
     name = "mu2-raster-oracle"
-    n = g.nfibers()
     pairs = 0
-    for a, b, c_idx in itertools.product(range(n), repeat=3):
-        for w1 in range(-winding_bound, winding_bound + 1):
-            for w2 in range(-winding_bound, winding_bound + 1):
-                x1 = chord(g, a, b, w1)
-                x2 = chord(g, b, c_idx, w2)
-                exact = mu2_exact_count(g, x1, x2)
-                for res in resolutions:
-                    raster = mu2_raster_count(g, x1, x2, res)
-                    if raster != exact:
-                        return failed(
-                            name,
-                            {
-                                "pair": (x1.gid, x2.gid),
-                                "resolution": res,
-                                "exact": exact,
-                                "raster": raster,
-                            },
-                        )
-                pairs += 1
+    for x1, x2 in chord_pairs(g, winding_bound):
+        exact = mu2_exact_count(g, x1, x2)
+        for res in resolutions:
+            raster = mu2_raster_count(g, x1, x2, res)
+            if raster != exact:
+                return failed(
+                    name,
+                    {
+                        "pair": (x1.gid, x2.gid),
+                        "resolution": res,
+                        "exact": exact,
+                        "raster": raster,
+                    },
+                )
+        pairs += 1
     return passed(name, pairs=pairs, resolutions=list(resolutions),
                   backend=_kernels.backend_name())
 

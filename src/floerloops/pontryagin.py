@@ -339,7 +339,7 @@ def path_model_to_json(model: FinitePathModel) -> dict:
 
 
 def path_model_from_json(data: dict) -> FinitePathModel:
-    if data.get("kind") != "path_model":
+    if not isinstance(data, dict) or data.get("kind") != "path_model":
         raise ValueError("not a path_model document")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {data.get('schema_version')}")

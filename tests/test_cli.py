@@ -292,6 +292,15 @@ def test_import_model_garbage_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_import_model_json_array_exits_2(tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[1,2]")
+    proc = run_cli("import-model", "--model", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == "error: cannot load model: not a path_model document"
+
+
 def test_timings_flag_breaks_byte_identity_only_in_timing(tmp_path):
     out = tmp_path / "t.json"
     proc = run_cli("check-all", "--winding", "1", "--timings", "--out", str(out))

@@ -1,0 +1,117 @@
+"""The integer lattice of a cylinder geometry against the Fraction geometry
+it replaces, and the work the shared chord and mu_2 tables save."""
+
+import collections
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from floerloops import cylinder
+from floerloops.ainfty import check_ainfty, check_functor
+from floerloops.cylinder import (
+    CylinderGeometry,
+    chord,
+    chord_pairs,
+    cylinder_category,
+    functor_F,
+    half_disc_d1,
+    mu_polygons,
+)
+
+BOUND = 3
+
+
+def momentum(g, a, b, w):
+    return (g.fibers[b] - g.fibers[a] + w) / (2 * g.c)
+
+
+def check_against_fractions(g):
+    """Chords, mu_2 triangles and half-discs of g against the Fraction
+    formulas; returns the mu_2 table over every pair within the bound."""
+    n = g.nfibers()
+    for a, b in itertools.product(range(n), repeat=2):
+        for w in range(-BOUND, BOUND + 1):
+            x = chord(g, a, b, w)
+            p = momentum(g, a, b, w)
+            assert x.momentum == p
+            assert x.action == -g.c * p * p
+            assert half_disc_d1(g, x).area == g.c * p * p
+    table = {}
+    for x1, x2 in chord_pairs(g, BOUND):
+        p1 = momentum(g, x1.source, x1.target, x1.winding)
+        p2 = momentum(g, x2.source, x2.target, x2.winding)
+        (poly,) = mu_polygons(g, (x1, x2))
+        assert poly.area == -g.c * (p1 + p2) ** 2 / 2 - (-g.c * p1 * p1 - g.c * p2 * p2)
+        pair = (g.key(x1.source, x1.target, x1.winding), g.key(x2.source, x2.target, x2.winding))
+        table[pair] = g.mu2_terms(*pair)
+    return table
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    c=st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=12),
+    fibers=st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda f: f < 1),
+        min_size=1, max_size=3, unique=True,
+    ),
+)
+def test_lattice_matches_fraction_geometry(c, fibers):
+    g = CylinderGeometry(c, tuple(fibers))
+    assert all(Fraction(n, g.denominator) == f for n, f in zip(g.lattice, g.fibers))
+    table = check_against_fractions(g)
+    for rho in (2, 4):
+        h = g.rescaled(rho)
+        assert (h.denominator, h.lattice) == (g.denominator, g.lattice)
+        assert check_against_fractions(h) == table
+
+
+ACCEPTANCE_GEOMETRY = (Fraction(1), (Fraction(0), Fraction(1, 3), Fraction(3, 4)))
+
+
+def test_tables_build_each_chord_and_f1_once(monkeypatch):
+    built = collections.Counter()
+    f1_evaluations = collections.Counter()
+    polygons = collections.Counter()
+    in_family = []
+    chord_class = cylinder.Chord
+    half_disc = cylinder.half_disc_d1
+    family = cylinder.half_disc_d2_family
+    polygons_of = cylinder.mu_polygons
+
+    def counted_chord(a, b, w, *rest):
+        built[(a, b, w)] += 1
+        return chord_class(a, b, w, *rest)
+
+    def counted_half_disc(g, x):
+        if not in_family:
+            f1_evaluations[x.gid] += 1
+        return half_disc(g, x)
+
+    def counted_family(g, x1, x2):
+        in_family.append(True)
+        try:
+            return family(g, x1, x2)
+        finally:
+            in_family.pop()
+
+    def counted_polygons(g, chords):
+        polygons[tuple(x.gid for x in chords)] += 1
+        return polygons_of(g, chords)
+
+    monkeypatch.setattr(cylinder, "Chord", counted_chord)
+    monkeypatch.setattr(cylinder, "half_disc_d1", counted_half_disc)
+    monkeypatch.setattr(cylinder, "half_disc_d2_family", counted_family)
+    monkeypatch.setattr(cylinder, "mu_polygons", counted_polygons)
+
+    g = CylinderGeometry(*ACCEPTANCE_GEOMETRY)
+    assert check_ainfty(cylinder_category(g, BOUND, 4), 4).ok
+    F, _model, _objs = functor_F(g, BOUND, max_d=2)
+    assert check_functor(F, 2).ok
+    # d = 3 relations reach outputs of winding up to 9: 9 fibre pairs x 19
+    assert len(built) == 171 and set(built.values()) == {1}
+    # the basis (|w| <= 3) and the mu_2 outputs the functor equation meets
+    # (|w| <= 6): 9 fibre pairs x 13
+    assert len(f1_evaluations) == 117 and set(f1_evaluations.values()) == {1}
+    # 27 fibre paths x 133 winding pairs with one winding in the basis
+    assert len(polygons) == 3591 and set(polygons.values()) == {1}
