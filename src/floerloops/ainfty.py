@@ -29,9 +29,12 @@ linkage", counted as the composable tuples minus the visited ones.
 Keys.  The checker runs one residual kernel, `_relation_terms`, on keys: a
 keyed mu (a key tuple to its (key, coeff) terms) and a degree lookup.  A
 category given on Generators uses them as their own keys.  A category with
-interned tables (`KeyedOps`, as the twisted-complex category builds) hands
-the kernel integer keys and enumerates the linked tuples itself, e.g. by
-summand, so the tuples it rules out are never visited.
+interned tables (`KeyedOps`) hands the kernel integer keys and enumerates
+the linked tuples itself, e.g. by summand, so the tuples it rules out are
+never visited.  Tuples come in groups: a prefix of d - 1 keys and the last
+keys completing it.  Per group the kernel computes the split sign parities
+and the signed inner mu outputs of the splits inside the prefix once; per
+last key it evaluates only the outer mu and the splits touching that key.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .gradedalg import Chain, Generator, accumulate, sign_pow
 from .report import CheckReport, failed, passed
@@ -58,14 +61,16 @@ class KeyedOps:
 
     `mu(keys)` gives the (key, coeff) terms of mu on a composable key tuple
     in composition order (empty when zero); `degree(key)` is a key's degree;
-    `linked_tuples(d)` yields the composable length-d key tuples that are
-    not certified zero by linkage, in `composable_tuples` order;
-    `decode(key)` is the basis generator a key stands for.
+    `linked_groups(d)` yields (prefix, lasts) pairs, a tuple of d - 1 keys
+    and a sequence of last keys, whose tuples prefix + (last,) are the
+    composable length-d key tuples not certified zero by linkage, flattened
+    in `composable_tuples` order; `decode(key)` is the basis generator a
+    key stands for.
     """
 
     mu: Callable[[tuple], Iterable[tuple[Hashable, int]]]
     degree: Callable[[Hashable], int]
-    linked_tuples: Callable[[int], Iterable[tuple]]
+    linked_groups: Callable[[int], Iterable[tuple[tuple, Sequence]]]
     decode: Callable[[Hashable], Generator]
 
 
@@ -175,12 +180,6 @@ class AInftyCategory:
             return Chain.zero()
         return self.mu_fn(gens)
 
-    def mu1_chain(self, chain: Chain) -> Chain:
-        acc: dict[Generator, int] = {}
-        for gen, coeff in chain.items():
-            accumulate(acc, self.mu((gen,)).items(), coeff)
-        return Chain.from_sums(acc)
-
     def mu2_chain(self, chain2: Chain, chain1: Chain) -> Chain:
         acc: dict[Generator, int] = {}
         for g1, c1 in chain1.items():
@@ -188,23 +187,28 @@ class AInftyCategory:
                 accumulate(acc, self.mu((g1, g2)).items(), c1 * c2)
         return Chain.from_sums(acc)
 
-    def composable_tuples(self, d: int):
+    def composable_tuples(self, d: int) -> Iterator[tuple]:
         """All length-d composable basis tuples, lexicographic in the object
         path then in the per-slot basis order."""
-        return composable_paths(self.objects, self.hom_basis_map, d)
+        for prefix, lasts in composable_paths(self.objects, self.hom_basis_map, d):
+            for last in lasts:
+                yield prefix + (last,)
 
     def kernel_ops(self) -> KeyedOps:
         """The keyed structure the checker runs: `keyed` when given, else
-        `mu_fn`, `composable_tuples` and `linked` with generators as keys."""
+        `mu_fn`, the grouped `composable_tuples` and `linked` with
+        generators as keys."""
         if self.keyed is not None:
             return self.keyed
         linked = self.linked
 
-        def linked_tuples(d: int):
-            tuples = self.composable_tuples(d)
-            return tuples if linked is None else filter(linked, tuples)
+        def linked_groups(d: int):
+            groups = composable_paths(self.objects, self.hom_basis_map, d)
+            if linked is None:
+                return groups
+            return ((p, [x for x in lasts if linked(p + (x,))]) for p, lasts in groups)
 
-        return KeyedOps(_chain_terms(self.mu_fn), _gen_degree, linked_tuples, _same)
+        return KeyedOps(_chain_terms(self.mu_fn), _gen_degree, linked_groups, _same)
 
     def count_composable(self, d: int) -> int:
         """The number of tuples `composable_tuples(d)` yields, without
@@ -222,12 +226,14 @@ class AInftyCategory:
 
 def composable_paths(objects: tuple, hom: Mapping[tuple, tuple], d: int) -> Iterator[tuple]:
     """The length-d tuples of entries of `hom` (an object pair to a sequence)
-    along every object path, lexicographic in the path then per slot."""
+    along every object path, lexicographic in the path then per slot, in
+    groups: each prefix of d - 1 entries with the last slot completing it."""
     for path in itertools.product(objects, repeat=d + 1):
         slots = [hom.get((path[i], path[i + 1]), ()) for i in range(d)]
         if any(not s for s in slots):
             continue
-        yield from itertools.product(*slots)
+        for prefix in itertools.product(*slots[:-1]):
+            yield prefix, slots[-1]
 
 
 def category_from_tables(
@@ -310,36 +316,55 @@ def admissible_splits(
     )
 
 
-def _prefix_parities(keys: tuple, degree: Callable[[Hashable], int]) -> list[int]:
+def _prefix_parities(prefix: tuple, degree: Callable[[Hashable], int]) -> list[int]:
     """The parity of the relation's sign (-1)**(k + |x_1| + ... + |x_k|) on
-    an inner operation at slot k, for k < len(keys), the only slots a split
-    can insert at."""
+    an inner operation at slot k, for k <= len(prefix): every slot a split
+    of prefix + (last,) can insert at."""
     out = [0]
-    for key in keys[:-1]:
+    for key in prefix:
         out.append((out[-1] + 1 + degree(key)) & 1)
     return out
 
 
-def _relation_terms(mu, degree, keys: tuple, splits) -> dict:
-    """The residual kernel: the quadratic relation on one composable key
-    tuple, summed over the given splits and accumulated into one dict.
-    `mu` maps a key tuple to its (key, coeff) terms; `degree` is the degree
-    of a key."""
-    acc: dict = {}
-    parity = _prefix_parities(keys, degree)
+def _relation_terms(mu, degree, prefix: tuple, lasts: Iterable, splits):
+    """The residual kernel: the quadratic relation on each composable key
+    tuple prefix + (last,), summed over the given splits; returns the first
+    (last, residual dict) that is nonzero, else None.  `mu` maps a key tuple
+    to its (key, coeff) terms; `degree` is the degree of a key."""
+    n = len(prefix)
+    parity = _prefix_parities(prefix, degree)
+    inside = []  # (signed coeff, outer keys but the last) per inner output
+    touching = []  # (sign, inner keys but the last, outer head)
     for d2, k in splits:
         sgn = -1 if parity[k] else 1
-        head, tail = keys[:k], keys[k + d2:]
-        for key, coeff in mu(keys[k:k + d2]):
-            # accumulate, inlined: this loop runs once per mu output
-            c = sgn * coeff
-            for ok, oc in mu(head + (key,) + tail):
+        if k + d2 <= n:
+            head, tail = prefix[:k], prefix[k + d2:]
+            for key, coeff in mu(prefix[k:k + d2]):
+                inside.append((sgn * coeff, head + (key,) + tail))
+        else:
+            touching.append((sgn, prefix[k:], prefix[:k]))
+    for last in lasts:
+        acc: dict = {}
+        for c, keys in inside:
+            for ok, oc in mu(keys + (last,)):
+                # accumulate, inlined: these loops run once per mu output
                 new = acc.get(ok, 0) + c * oc
                 if new:
                     acc[ok] = new
                 else:
                     acc.pop(ok, None)
-    return acc
+        for sgn, inner, head in touching:
+            for key, coeff in mu(inner + (last,)):
+                c = sgn * coeff
+                for ok, oc in mu(head + (key,)):
+                    new = acc.get(ok, 0) + c * oc
+                    if new:
+                        acc[ok] = new
+                    else:
+                        acc.pop(ok, None)
+        if acc:
+            return last, acc
+    return None
 
 
 def ainfty_residual(cat: AInftyCategory, gens: tuple[Generator, ...]) -> Chain:
@@ -347,7 +372,8 @@ def ainfty_residual(cat: AInftyCategory, gens: tuple[Generator, ...]) -> Chain:
     and summed over the splits admissible for the category's support."""
     cat.tuple_path(gens)
     splits = admissible_splits(len(gens), cat.arities, cat.arities)
-    return Chain(_relation_terms(_chain_terms(cat.mu_fn), _gen_degree, gens, splits))
+    found = _relation_terms(_chain_terms(cat.mu_fn), _gen_degree, gens[:-1], gens[-1:], splits)
+    return Chain(found[1] if found else None)
 
 
 def check_ainfty(
@@ -357,10 +383,11 @@ def check_ainfty(
     <= max_d; the witness is the first failing tuple in lexicographic order.
 
     Only arities with an admissible split are enumerated, and there only the
-    tuples `kernel_ops().linked_tuples` yields are visited.  `tuples_checked`
-    counts every composable tuple covered; `per_arity` splits it into
-    `enumerated` and `certified_zero_by_support`, and gives as
-    `certified_zero_by_linkage` the enumerated tuples that were not visited.
+    tuples of the groups `kernel_ops().linked_groups` yields are visited,
+    one kernel call per group.  `tuples_checked` counts every composable
+    tuple covered; `per_arity` splits it into `enumerated` and
+    `certified_zero_by_support`, and gives as `certified_zero_by_linkage`
+    the enumerated tuples that were not visited.
     """
     name = name or f"ainfty({cat.name})"
     ops = cat.kernel_ops()
@@ -376,19 +403,21 @@ def check_ainfty(
                             "certified_zero_by_linkage": 0}
             continue
         visited = 0
-        for keys in ops.linked_tuples(d):
-            visited += 1
-            acc = _relation_terms(mu, degree, keys, splits)
-            if acc:
-                decode = ops.decode
-                return failed(
-                    name,
-                    {
-                        "tuple": [decode(key).gid for key in keys],
-                        "d": d,
-                        "residual": repr(Chain({decode(k): c for k, c in acc.items()})),
-                    },
-                )
+        for prefix, lasts in ops.linked_groups(d):
+            found = _relation_terms(mu, degree, prefix, lasts, splits)
+            if found is None:
+                visited += len(lasts)
+                continue
+            last, acc = found
+            decode = ops.decode
+            return failed(
+                name,
+                {
+                    "tuple": [decode(key).gid for key in prefix + (last,)],
+                    "d": d,
+                    "residual": repr(Chain({decode(k): c for k, c in acc.items()})),
+                },
+            )
         per_arity[d] = {"enumerated": composable, "certified_zero_by_support": 0,
                         "certified_zero_by_linkage": composable - visited}
     return passed(name, tuples_checked=checked, max_d=max_d, per_arity=per_arity)
@@ -427,7 +456,7 @@ def functor_residual(F: AInftyFunctor, gens: tuple[Generator, ...]) -> Chain:
     src, tgt = F.source, F.target
     acc: dict[Generator, int] = {}
     splits = admissible_splits(len(gens), src.arities, None)
-    parity = _prefix_parities(gens, _gen_degree)
+    parity = _prefix_parities(gens[:-1], _gen_degree)
     for d2, k in splits:
         sgn = -1 if parity[k] else 1
         head, tail = gens[:k], gens[k + d2:]

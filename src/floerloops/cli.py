@@ -138,10 +138,14 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str | int) -> Fraction:
+    """A rational from a string such as "1/3" or from an integer; a JSON
+    float is refused rather than read as its binary expansion."""
+    if not isinstance(text, (str, int)) or isinstance(text, bool):
+        raise CylinderConfigError(f"bad rational {text!r}: give a string or an integer")
     try:
         return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CylinderConfigError(f"bad rational {text!r}: {exc}") from exc
 
 

@@ -46,10 +46,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from . import _kernels
 from .ainfty import AInftyCategory, AInftyFunctor, CompositionError, KeyedOps, composable_paths
@@ -269,25 +269,6 @@ def maslov_degree_oracle(g: CylinderGeometry, x: Chord, steps: int = 512) -> int
 
 
 # ---------------------------------------------------------------------------
-# Strips (the differential).
-# ---------------------------------------------------------------------------
-
-def count_strips(g: CylinderGeometry, x0: Chord, x1: Chord) -> int:
-    """Signed count of rigid strips from x1 down to x0.
-
-    Both boundary arcs of a strip lie on straight lines in the cover; two
-    transverse lines bound no compact bigon, and the only coincident
-    configuration is the constant strip, which is not rigid.  The index
-    condition |x0| = |x1| + 1 is also unsatisfiable with all degrees 0.
-    """
-    if (x0.source, x0.target) != (x1.source, x1.target):
-        raise CylinderConfigError("strips require chords with the same fibre pair")
-    if x0.degree != x1.degree + 1:
-        return 0
-    return 0  # pragma: no cover - unreachable with degree-0 chords
-
-
-# ---------------------------------------------------------------------------
 # Polygons for the higher products.
 # ---------------------------------------------------------------------------
 
@@ -421,11 +402,6 @@ TWISTS: dict[str, TwistFn] = {
     "constant": twist_constant,
     "parity": twist_winding_parity,
 }
-
-
-def background_twist(polygons: Iterable[LatticePolygon], n_b: TwistFn) -> list[LatticePolygon]:
-    """Multiply every polygon's sign by (-1)**N_b(u)."""
-    return [replace(poly, sign=poly.sign * sign_pow(n_b(poly.output[3]))) for poly in polygons]
 
 
 def _signed_mu2(
@@ -648,9 +624,13 @@ def cylinder_category(
     |winding| <= bound; operations are evaluated exactly and are defined on
     all chords (enumeration windows never truncate products).
 
-    The arity support is {2}: mu_1 vanishes because every chord has degree
-    0, and for d >= 3 no output chord has the degree 2 - d that mu_d needs
-    (`rigid_census` certifies the geometric enumeration is empty as well).
+    The arity support is {2}.  mu_1 counts no rigid strip: both boundary
+    arcs of a strip lie on straight lines in the cover, two transverse lines
+    bound no compact bigon, the only coincident configuration is the
+    constant strip, which is not rigid, and the index condition
+    |x_0| = |x_1| + 1 fails since every chord has degree 0.  For d >= 3 no
+    output chord has the degree 2 - d that mu_d needs (`rigid_census`
+    certifies the geometric enumeration is empty as well).
     `max_d` is validated here and bounds what callers check; it does not
     change mu.
 
@@ -689,7 +669,7 @@ def cylinder_category(
     def degree(key: int) -> int:
         return 0  # every chord has degree 0
 
-    def linked_tuples(d: int):
+    def linked_groups(d: int):
         return composable_paths(objects, hom_keys, d)
 
     decoded: dict[int, Generator] = {}
@@ -718,7 +698,7 @@ def cylinder_category(
         is_dg=False,
         arities={2},
         gen_hom_fn=gen_hom_fn,
-        keyed=KeyedOps(mu, degree, linked_tuples, decode),
+        keyed=KeyedOps(mu, degree, linked_groups, decode),
     )
 
 

@@ -234,10 +234,11 @@ def tw_category(
     entries starting at j1 or at k with (k, j1) in Tb.D, so the third term
     needs j1 == i2 or (i2, j1) in Tb.D.  The relation on a pair failing
     "i2 == j1 or (i2, j1) in Tb.D" is therefore zero.  The keyed d = 2
-    enumeration visits only the other pairs: for g1 at (i1, i2) it walks
-    the slices of Hom(Tb, Tc) whose first summand j1 is linked to i2, in
-    increasing j1, which keeps the `composable_tuples` order.  Tuples of
-    other lengths are always linked.
+    enumeration visits only the other pairs: for g1 at (i1, i2) and each Tc
+    it yields g1 once with the slice of Hom(Tb, Tc) whose first summand j1
+    is linked to i2, in increasing j1, which keeps the `composable_tuples`
+    order, so the kernel evaluates mu_1 g1 once per slice.  Tuples of other
+    lengths are always linked.
     """
     cxs = list(complexes)
     names = tuple(T.name for T in cxs)
@@ -360,7 +361,7 @@ def tw_category(
     def degree(key: int) -> int:
         return bases[key >> bbits].degree + shifts[key & smask] - shifts[(key >> sbits) & smask]
 
-    def linked_tuples(d: int):
+    def linked_groups(d: int):
         if d != 2:
             yield from composable_paths(names, hom_keys, d)
             return
@@ -368,7 +369,8 @@ def tw_category(
             after = follow[(b, c)]
             for row in cells[(a, b)]:
                 for i2, cell in enumerate(row):
-                    yield from itertools.product(cell, after[i2])
+                    for g1 in cell:
+                        yield (g1,), after[i2]
 
     decoded: dict[int, Generator] = {}
     encoded: dict[Generator, int] = {}
@@ -411,7 +413,7 @@ def tw_category(
     return AInftyCategory(
         name, names, hom_basis_map, mu_fn,
         is_dg=True, arities={1, 2}, gen_hom_fn=gen_hom_fn, linked=linked,
-        keyed=KeyedOps(mu, degree, linked_tuples, decode),
+        keyed=KeyedOps(mu, degree, linked_groups, decode),
     )
 
 

@@ -100,6 +100,8 @@ def test_empty_fibers_exits_2(tmp_path):
         ({}, "fibers", "lacks fibers"),
         ({"winding_bound": "x"}, None, "winding_bound must be an integer"),
         ({"schema_version": 99}, None, "unsupported schema_version 99"),
+        ({"fibers": ["0", 0.1]}, None, "bad rational 0.1"),
+        ({"c": 0.1}, None, "bad rational 0.1"),
     ],
 )
 def test_malformed_geometry_config_exits_2(tmp_path, overrides, drop, message):
@@ -112,6 +114,7 @@ def test_malformed_geometry_config_exits_2(tmp_path, overrides, drop, message):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,9 @@ from floerloops.cylinder import (
     Chord,
     CylinderConfigError,
     CylinderGeometry,
-    background_twist,
     build_F_object,
     chord,
     connection_from_strips,
-    count_strips,
     cylinder_category,
     enumerate_chords,
     f1_sign_table,
@@ -101,16 +99,6 @@ def test_maslov_cross_check(three_fibers):
     assert maslov_cross_check(three_fibers, 3).ok
 
 
-def test_count_strips(one_fiber):
-    x1 = chord(one_fiber, 0, 0, 1)
-    x2 = chord(one_fiber, 0, 0, 2)
-    assert count_strips(one_fiber, x2, x1) == 0
-    assert count_strips(one_fiber, x1, x1) == 0
-    g2 = CylinderGeometry(Fraction(1), (Fraction(0), Fraction(1, 2)))
-    with pytest.raises(CylinderConfigError):
-        count_strips(g2, chord(g2, 0, 1, 0), chord(g2, 0, 0, 0))
-
-
 def test_mu2_same_fiber_single_triangle(one_fiber):
     for i in range(-2, 3):
         for j in range(-2, 3):
@@ -187,8 +175,6 @@ def test_background_twists(one_fiber):
     assert mu_d(one_fiber, (x1, x2), twist=twist_constant) == -plain
     parity = mu_d(one_fiber, (x1, x2), twist=twist_winding_parity)
     assert parity == -plain  # total winding 3 is odd
-    polys = mu_polygons(one_fiber, (x1, x2))
-    assert background_twist(polys, twist_none)[0].sign == polys[0].sign
 
 
 def test_constant_twist_preserves_ainfty(one_fiber):

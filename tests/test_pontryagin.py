@@ -78,7 +78,8 @@ def test_validate_catches_flipped_composition():
     model = MutatedPathModel(circle_model(1), (("p", 0, 0, 1), ("p", 0, 0, 2)))
     rep = validate_path_model(model, window=2)
     assert not rep.ok
-    assert rep.witness["check"] == "associativity"
+    assert rep.witness["d"] == 3
+    assert rep.witness["tuple"] == [("p", 0, 0, -2), ("p", 0, 0, 1), ("p", 0, 0, 2)]
 
 
 def test_quasi_isomorphic_objects():

@@ -5,14 +5,16 @@ the category's raw `mu_fn`, ignoring the declared arity support and the
 summand linkage, so it also checks that those declarations are true.
 """
 
+import dataclasses
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from floerloops.ainfty import (
     AInftyCategory,
+    ainfty_residual,
     category_from_tables,
     check_ainfty,
 )
@@ -21,10 +23,17 @@ from floerloops.cylinder import (
     CylinderGeometry,
     build_F_object,
     cylinder_category,
+    functor_F,
     pontryagin_target,
 )
 from floerloops.gradedalg import Chain, Generator, sign_pow
-from floerloops.pontryagin import MutatedPathModel, circle_model
+from floerloops.pontryagin import (
+    MutatedPathModel,
+    circle_model,
+    leibniz_witness_model,
+    path_model_category,
+    validate_path_model,
+)
 from floerloops.twisted import (
     TwistedComplex,
     check_tw_dg,
@@ -146,6 +155,34 @@ def test_declared_support_is_authoritative():
     assert category_from_tables("t", ("O",), hom, tables).arities == {1}
 
 
+@st.composite
+def random_table_categories(draw):
+    """One object, a generator in each degree -1..2, and random sparse mu_1,
+    mu_2 and mu_3 tables of the right degrees; the relations generally fail,
+    and every split of an arity <= 4 relation is admissible somewhere."""
+    gens = tuple(Generator(f"g{deg}", deg) for deg in (-1, 0, 1, 2))
+    by_degree = {g.degree: g for g in gens}
+    tables: dict = {}
+    for d in (1, 2, 3):
+        for inputs in product(gens, repeat=d):
+            out = by_degree.get(2 - d + sum(g.degree for g in inputs))
+            coeff = draw(st.sampled_from((0, 0, 1, -1)))
+            if out is not None and coeff:
+                tables.setdefault(d, {})[tuple(g.gid for g in inputs)] = Chain.of(out, coeff)
+    return category_from_tables("R", ("O",), {("O", "O"): gens}, tables)
+
+
+@settings(max_examples=15, deadline=None)
+@given(cat=random_table_categories())
+def test_kernel_matches_exhaustive_residual_on_random_tables(cat):
+    # every tuple through the kernel with a one-key group, then the grouped
+    # checker's first witness
+    for d in (1, 2, 3, 4):
+        for gens in cat.composable_tuples(d):
+            assert ainfty_residual(cat, gens) == exhaustive_residual(cat, gens)
+    assert_agrees(cat, 4)
+
+
 def assert_linked_enumeration(model, cxs, window):
     """The keyed d=2 enumeration is the linked part of the composable
     product, decoded, in the same order; linked means i2 == j1 or (i2, j1)
@@ -158,7 +195,8 @@ def assert_linked_enumeration(model, cxs, window):
         j1 = gens[1].gid[2]
         return i2 == j1 or (i2, j1) in by_name[middle].D
 
-    keyed = (tuple(map(cat.keyed.decode, t)) for t in cat.keyed.linked_tuples(2))
+    keyed = (tuple(map(cat.keyed.decode, prefix + (last,)))
+             for prefix, lasts in cat.keyed.linked_groups(2) for last in lasts)
     linked = (t for t in cat.composable_tuples(2) if cat.linked(t))
     visited = 0
     for got, want in zip_longest(keyed, linked):
@@ -254,3 +292,97 @@ def test_flipped_composition_fails_at_a_tw_relation():
         ("m", "flip-quad-sparse", 1, "flip-quad-sparse", 2, ("p", 0, 1, 1)),
         ("m", "flip-quad-sparse", 2, "flip-quad-sparse", 2, ("p", 1, 1, 0)),
     ]
+
+
+def flattened_groups(cat, d):
+    ops = cat.kernel_ops()
+    return [tuple(map(ops.decode, prefix + (last,)))
+            for prefix, lasts in ops.linked_groups(d) for last in lasts]
+
+
+def linked_composable(cat, d):
+    return [t for t in cat.composable_tuples(d) if cat.linked is None or cat.linked(t)]
+
+
+def two_object_table_category():
+    a0, a1, f, g, b0 = (Generator(gid, 0) for gid in ("a0", "a1", "f", "g", "b0"))
+    hom = {("A", "A"): (a0, a1), ("A", "B"): (f,), ("B", "A"): (g,), ("B", "B"): (b0,)}
+    tables = {2: {("a0", "f"): Chain.of(f), ("f", "g"): Chain.of(a1)}}
+    return category_from_tables("T", ("A", "B"), hom, tables)
+
+
+def test_grouped_enumeration_flattens_to_composable_order(three_fibers):
+    cases = [
+        (cylinder_category(three_fibers, 3, 4), (3,)),
+        (path_model_category(circle_model(3), 2), (1, 2, 3)),
+        (two_object_table_category(), (1, 2, 3)),
+    ]
+    for cat, arities in cases:
+        for d in arities:
+            assert flattened_groups(cat, d) == linked_composable(cat, d)
+    cat = two_object_table_category()
+    cat.linked = lambda gens: gens[0].gid != "a1"
+    for d in (1, 2, 3):
+        kept = flattened_groups(cat, d)
+        assert kept == linked_composable(cat, d)
+        assert len(kept) < cat.count_composable(d)
+
+
+def counted_visits(cat, max_d):
+    """(keyed mu calls, visited tuples) of one passing `check_ainfty` run."""
+    ops = cat.kernel_ops()
+    calls = 0
+
+    def counting_mu(keys):
+        nonlocal calls
+        calls += 1
+        return ops.mu(keys)
+
+    cat.keyed = dataclasses.replace(ops, mu=counting_mu)
+    rep = check_ainfty(cat, max_d)
+    assert rep.ok
+    per_arity = rep.details["per_arity"].values()
+    return calls, sum(c["enumerated"] - c["certified_zero_by_linkage"] for c in per_arity)
+
+
+def test_grouped_kernel_work_on_acceptance_objects(three_fibers):
+    # the tw-dg and ainfty rows of an acceptance check-all; a kernel that
+    # recomputed the per-prefix work per tuple made 6.05 and 4.0 calls
+    _F, model, objs = functor_F(three_fibers, 3, max_d=2)
+    cxs = list(objs) + synthetic_twisted_complexes(model, tag="syn")
+    calls, visited = counted_visits(tw_category(model, cxs, window=1), 2)
+    assert visited == 221052 and calls <= 5.2 * visited
+    calls, visited = counted_visits(cylinder_category(three_fibers, 3, 4), 4)
+    assert visited == 27783 and calls <= 3.2 * visited
+
+
+WITNESS_GIDS = ("u", "a", "b", "c", "ab")
+
+
+@st.composite
+def flipped_path_models(draw):
+    """A path model with the composition of one generator pair negated, and
+    the winding window to check it on."""
+    if draw(st.booleans()):
+        pair = (draw(st.sampled_from(WITNESS_GIDS)), draw(st.sampled_from(WITNESS_GIDS)))
+        return MutatedPathModel(leibniz_witness_model(), pair), 0
+    n = draw(st.integers(1, 2))
+    i, j, l = (draw(st.integers(0, n - 1)) for _ in range(3))
+    w1, w2 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    pair = (("p", i, j, w1), ("p", j, l, w2))
+    return MutatedPathModel(circle_model(n), pair), draw(st.integers(1, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=flipped_path_models())
+@example(case=(MutatedPathModel(circle_model(1), (("p", 0, 0, 1), ("p", 0, 0, 2))), 2))
+@example(case=(MutatedPathModel(leibniz_witness_model(), ("a", "b")), 0))
+def test_path_model_witness_matches_exhaustive_reference(case):
+    model, window = case
+    rep = validate_path_model(model, window)
+    witness, _count = exhaustive_check(path_model_category(model, window), 3)
+    if witness is None:
+        assert rep.ok or rep.witness["check"] in ("left-unit", "right-unit")
+    else:
+        assert (rep.witness["tuple"], rep.witness["d"]) == (witness["tuple"], witness["d"])
+        assert rep.witness["residual"] == witness["residual"]
