@@ -1,120 +1,61 @@
-"""Hot numeric kernel for the brute-force rasterised polygon-search oracle.
+"""Exact interior-point count for the polygon oracle.
 
-The only heavy numeric inner loop in the package: counting grid points
-strictly inside a triangle, over the triangle's own bounding box.  A numba
-@njit kernel is used when available; a pure-numpy fallback implements the
-identical computation.  Selection is controlled by FLOERLOOPS_BACKEND:
-
-    auto   (default)  numba if importable, else numpy
-    numba             require numba, fail otherwise
-    numpy             force the numpy path
-
-Everything exact-arithmetic in this package stays away from this module;
-callers convert rational corner data to float64 and own all tolerances.
+`triangle_grid_count` counts the points of a refined integer lattice
+strictly inside a lattice triangle.  It sweeps the columns between the
+triangle's leftmost and rightmost corners: each column holds the integers
+strictly between its lower and upper edge, and the sum of the floors (or
+ceilings) of one edge over a run of columns is a `_floor_sum`, computed
+in O(log) of the coordinates.  Everything is integer arithmetic; there is
+no grid of floats and no tolerance.
 """
 
 from __future__ import annotations
 
-import os
 
-import numpy as np
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a i + b) / m) for i in range(n)), for m > 0 and any
+    integers a and b, by the Euclid-like reduction."""
+    total = 0
+    while n > 0:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
 
-_ENV_VAR = "FLOERLOOPS_BACKEND"
 
-
-def _requested_backend() -> str:
-    value = os.environ.get(_ENV_VAR, "auto").lower()
-    if value not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV_VAR} must be auto, numba or numpy, got {value!r}")
-    return value
-
-
-def numpy_triangle_grid_count(
-    ax: float, ay: float, bx: float, by: float, cx: float, cy: float,
-    nx: int, ny: int,
-) -> int:
-    """Count cell-centre grid points strictly inside triangle ABC.
-
-    The grid has nx * ny cell centres spread over the triangle's bounding
-    box.  Degenerate triangles contain no interior points.
-    """
-    orient = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if orient == 0.0:
+def _column_sum(a, b, start: int, stop: int, ceil: bool) -> int:
+    """Sum over the columns start <= x < stop of floor(y), or of ceil(y),
+    where y is the height at x of the edge from a to b, a[0] < b[0]."""
+    if stop <= start:
         return 0
-    xmin, xmax = min(ax, bx, cx), max(ax, bx, cx)
-    ymin, ymax = min(ay, by, cy), max(ay, by, cy)
-    # cell centres with the same operation order as the numba kernel, so
-    # both backends agree bit-for-bit on boundary-grazing points
-    dx = (xmax - xmin) / nx
-    dy = (ymax - ymin) / ny
-    xs = xmin + (np.arange(nx) + 0.5) * dx
-    ys = ymin + (np.arange(ny) + 0.5) * dy
-    px = xs[:, None]
-    py = ys[None, :]
-    s1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    s2 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
-    s3 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-    if orient > 0.0:
-        inside = (s1 > 0.0) & (s2 > 0.0) & (s3 > 0.0)
-    else:
-        inside = (s1 < 0.0) & (s2 < 0.0) & (s3 < 0.0)
-    return int(np.count_nonzero(inside))
-
-
-_numba_triangle_grid_count = None
-try:  # pragma: no cover - import guard
-    if _requested_backend() in ("auto", "numba"):
-        from numba import njit
-
-        @njit(cache=True)
-        def _numba_impl(ax, ay, bx, by, cx, cy, nx, ny):
-            orient = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if orient == 0.0:
-                return 0
-            xmin = min(ax, bx, cx)
-            xmax = max(ax, bx, cx)
-            ymin = min(ay, by, cy)
-            ymax = max(ay, by, cy)
-            dx = (xmax - xmin) / nx
-            dy = (ymax - ymin) / ny
-            count = 0
-            for i in range(nx):
-                px = xmin + (i + 0.5) * dx
-                for j in range(ny):
-                    py = ymin + (j + 0.5) * dy
-                    s1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-                    s2 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
-                    s3 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-                    if orient > 0.0:
-                        if s1 > 0.0 and s2 > 0.0 and s3 > 0.0:
-                            count += 1
-                    else:
-                        if s1 < 0.0 and s2 < 0.0 and s3 < 0.0:
-                            count += 1
-            return count
-
-        _numba_triangle_grid_count = _numba_impl
-except ImportError:  # pragma: no cover
-    _numba_triangle_grid_count = None
-
-if _requested_backend() == "numba" and _numba_triangle_grid_count is None:
-    raise ImportError("FLOERLOOPS_BACKEND=numba but numba is not importable")
-
-
-def backend_name() -> str:
-    if _requested_backend() == "numpy" or _numba_triangle_grid_count is None:
-        return "numpy"
-    return "numba"
+    (xa, ya), (xb, yb) = a, b
+    m, rise = xb - xa, yb - ya
+    offset = ya * m + rise * (start - xa)
+    if ceil:
+        return -_floor_sum(stop - start, m, -rise, -offset)
+    return _floor_sum(stop - start, m, rise, offset)
 
 
 def triangle_grid_count(ax, ay, bx, by, cx, cy, nx, ny) -> int:
-    """Backend-selected grid count; see `numpy_triangle_grid_count`."""
-    if backend_name() == "numba":
-        return int(_numba_triangle_grid_count(
-            float(ax), float(ay), float(bx), float(by), float(cx), float(cy),
-            int(nx), int(ny),
-        ))
-    return numpy_triangle_grid_count(
-        float(ax), float(ay), float(bx), float(by), float(cx), float(cy),
-        int(nx), int(ny),
-    )
+    """The number of points of the lattice (Z/nx) x (Z/ny) strictly inside
+    the integer triangle ABC: with the corners scaled by nx and ny, the
+    integer points strictly inside.  A degenerate triangle has none."""
+    p0, p1, p2 = sorted(((ax * nx, ay * ny), (bx * nx, by * ny), (cx * nx, cy * ny)))
+    cross = (p2[0] - p0[0]) * (p1[1] - p0[1]) - (p2[1] - p0[1]) * (p1[0] - p0[0])
+    if cross == 0:
+        return 0
+    # the columns strictly between x0 and x2 hold the interior; the edge
+    # p0 p2 spans them all, the chain through p1 switches edges after x1
+    x0, x1, x2 = p0[0], p1[0], p2[0]
+    upper = cross > 0  # p1 lies above the edge p0 p2
+    chain = (_column_sum(p0, p1, x0 + 1, min(x1 + 1, x2), upper)
+             + _column_sum(p1, p2, x1 + 1, x2, upper))
+    long = _column_sum(p0, p2, x0 + 1, x2, not upper)
+    top, bottom = (chain, long) if upper else (long, chain)
+    return top - bottom - (x2 - x0 - 1)

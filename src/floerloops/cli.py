@@ -33,10 +33,8 @@ from .cylinder import (
     f1_sign_table,
     functor_F,
     half_disc_d2_family,
-    maslov_cross_check,
     mu_d,
     pontryagin_target,
-    raster_cross_check,
     ring_isomorphism_report,
     TWISTS,
 )

@@ -38,6 +38,12 @@ lattice.  The categories, the functor and the oracles built on one
 geometry share them; each category applies its own twist and orientation
 tokens on top.
 
+Oracles.  Two independent checks decide on integers too.  The polygon
+oracle (`mu2_raster_count`) counts the lattice points strictly inside each
+mu_2 triangle on an r-fold refinement of the lattice and requires Pick's
+theorem to hold exactly; the Maslov oracle follows the flowed tangent
+direction through integer dot and cross products.
+
 Signs of individual polygons come from the orientation-token bookkeeping
 and the closed sign formulas; there is no independent geometric sign.
 """
@@ -48,7 +54,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator, Mapping
 
 from . import _kernels
@@ -233,38 +238,33 @@ def chord_pairs(g: CylinderGeometry, bound: int) -> Iterator[tuple[Chord, Chord]
 # Independent Maslov-degree oracle.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _rotation_degree(c_num: int, c_den: int, steps: int) -> int:
     """Brute-force Maslov index of the fibre's time-1 tangent path.
 
-    The flowed tangent line at time t is spanned by (2ct, 1); its angle is
-    tracked as a continuous lift (unwrapped modulo pi) starting from the
-    vertical, and the degree is ceil of the net sweep relative to the
-    vertical target, in units of pi.
+    The flowed tangent line at time t = n / steps is spanned by (2ct, 1), a
+    positive multiple of the integer direction (2 c_num n, steps c_den).  A
+    step turns the line by less than pi/2 iff the dot product of consecutive
+    directions is positive; then the continuous lift, started at the
+    vertical, never flips the direction, and the net sweep in units of pi
+    lies in (-1/2, 1/2).  Its ceiling is 1 iff the final direction lies
+    counterclockwise of the vertical, which is the sign of their cross
+    product.
     """
-    c = c_num / c_den
-    prev = math.atan2(1.0, 0.0)
-    lift = prev
+    prev = (0, steps * c_den)
     for n in range(1, steps + 1):
-        t = n / steps
-        ang = math.atan2(1.0, 2.0 * c * t)
-        delta = ang - prev
-        while delta > math.pi / 2:
-            delta -= math.pi
-        while delta <= -math.pi / 2:
-            delta += math.pi
-        lift += delta
-        prev = ang
-    sweep = (lift - math.atan2(1.0, 0.0)) / math.pi
-    nearest = round(sweep)
-    if abs(sweep - nearest) < 1e-9 and nearest != sweep:
-        raise ArithmeticError("rotation oracle hit an integer boundary; refine steps")
-    return math.ceil(sweep)
+        cur = (2 * c_num * n, steps * c_den)
+        if prev[0] * cur[0] + prev[1] * cur[1] <= 0:
+            raise ArithmeticError("rotation oracle step turns by pi/2 or more; refine steps")
+        prev = cur
+    vertical = (0, 1)
+    cross = vertical[0] * prev[1] - vertical[1] * prev[0]
+    return 1 if cross > 0 else 0
 
 
 def maslov_degree_oracle(g: CylinderGeometry, x: Chord, steps: int = 512) -> int:
     """Degree of a fibre-to-fibre chord from the rotation count of the
-    explicit Lagrangian tangent path; independent of the assigned grading."""
+    explicit Lagrangian tangent path; independent of the assigned grading.
+    The path is the same for every chord (see `maslov_cross_check`)."""
     return _rotation_degree(g.c.numerator, g.c.denominator, steps)
 
 
@@ -859,7 +859,7 @@ def ring_isomorphism_report(
 
 
 # ---------------------------------------------------------------------------
-# Rasterised oracle for the triangle counts.
+# Lattice-count oracle for the triangle counts.
 # ---------------------------------------------------------------------------
 
 def mu2_exact_count(g: CylinderGeometry, x1: Chord, x2: Chord) -> int:
@@ -869,62 +869,40 @@ def mu2_exact_count(g: CylinderGeometry, x1: Chord, x2: Chord) -> int:
 def mu2_raster_count(
     g: CylinderGeometry, x1: Chord, x2: Chord, resolution: int
 ) -> int:
-    """Independent brute-force count: rasterise the region cut out by the
-    three boundary lines over the corner bounding box and decide emptiness
-    and area numerically.
+    """Independent count of the region cut out by the three boundary lines,
+    decided exactly on the geometry's own lattice.
 
-    Returns 1 for a confirmed triangle (non-empty interior whose pixel area
-    matches the corner area within the discretisation bound) or a confirmed
-    constant configuration (coincident corners, empty interior), else 0.
+    The corners are lattice points (Q, P), and (q, p) is a positive diagonal
+    scaling of (Q, P), so interiors and area ratios carry over unchanged.
+    `resolution` r refines the lattice r-fold in each direction: the
+    kernel counts the I refined points strictly inside the triangle, B is
+    the number of refined points on its boundary (from the edge gcds), and
+    Pick's theorem |cross| r^2 = 2I + B - 2 must hold exactly.
+
+    Returns 1 for a confirmed triangle (I > 0 and Pick's identity) or a
+    confirmed constant configuration (coincident corners, I == 0), else 0.
     """
+    if type(resolution) is not int or resolution < 1:
+        raise CylinderConfigError(f"raster resolution must be a positive int, got {resolution!r}")
     _check_composable((x1, x2))
     P0, P1, P2 = _mu2_corners(g, x1, x2)
-    # the float of each corner's rationals q = Q/D, p = P/(4cD), correctly
-    # rounded by integer true division
-    D, c = g.denominator, g.c
-    fpts = [(Q / D, P * c.denominator / (4 * c.numerator * D)) for Q, P in (P0, P1, P2)]
-
+    interior = _kernels.triangle_grid_count(*P0, *P1, *P2, resolution, resolution)
     if P0 == P1 == P2:
-        count = _kernels.triangle_grid_count(
-            fpts[0][0], fpts[0][1], fpts[1][0], fpts[1][1], fpts[2][0], fpts[2][1],
-            resolution, resolution,
-        )
-        return 1 if count == 0 else 0
-
-    area = abs(_cross(P0, P1, P2)) * c.denominator / (8 * c.numerator * D * D)
-    xmin = min(p[0] for p in fpts)
-    xmax = max(p[0] for p in fpts)
-    ymin = min(p[1] for p in fpts)
-    ymax = max(p[1] for p in fpts)
-    dx = (xmax - xmin) / resolution
-    dy = (ymax - ymin) / resolution
-    sides = []
-    for (u, v) in ((0, 1), (1, 2), (2, 0)):
-        sides.append(math.hypot(fpts[u][0] - fpts[v][0], fpts[u][1] - fpts[v][1]))
-    perimeter = sum(sides)
-    inradius = 2 * area / perimeter
-    if math.hypot(dx, dy) >= inradius:
-        raise CylinderConfigError(
-            f"raster resolution {resolution} insufficient for inradius {inradius}"
-        )
-    count = _kernels.triangle_grid_count(
-        fpts[0][0], fpts[0][1], fpts[1][0], fpts[1][1], fpts[2][0], fpts[2][1],
-        resolution, resolution,
+        return 1 if interior == 0 else 0
+    if interior == 0:
+        return 0
+    boundary = resolution * sum(
+        math.gcd(u[0] - v[0], u[1] - v[1]) for u, v in ((P0, P1), (P1, P2), (P2, P0))
     )
-    if count == 0:
-        return 0
-    cell_area = dx * dy
-    tolerance = 3.0 * perimeter * math.hypot(dx, dy) + 4.0 * cell_area
-    if abs(count * cell_area - area) > tolerance:
-        return 0
-    return 1
+    twice_area = abs(_cross(P0, P1, P2)) * resolution * resolution
+    return 1 if twice_area == 2 * interior + boundary - 2 else 0
 
 
 def raster_cross_check(
     g: CylinderGeometry, winding_bound: int, resolutions: tuple[int, int] = (192, 384)
 ) -> CheckReport:
-    """Compare |mu_2| with the rasterised count for every composable chord
-    pair within the bound, at two resolutions."""
+    """Compare |mu_2| with the exact lattice count for every composable
+    chord pair within the bound, at two refinements."""
     name = "mu2-raster-oracle"
     pairs = 0
     for x1, x2 in chord_pairs(g, winding_bound):
@@ -942,23 +920,27 @@ def raster_cross_check(
                     },
                 )
         pairs += 1
-    return passed(name, pairs=pairs, resolutions=list(resolutions),
-                  backend=_kernels.backend_name())
+    return passed(name, pairs=pairs, resolutions=list(resolutions))
 
 
 def maslov_cross_check(
     g: CylinderGeometry, winding_bound: int, steps: tuple[int, int] = (256, 1024)
 ) -> CheckReport:
     """Compare the assigned chord degrees against the rotation-number
-    oracle at two step counts."""
+    oracle at two step counts.
+
+    The time-1 flow of H = c p^2 is the same shear (q, p) -> (q + 2cp, p) at
+    every point, so every fibre's tangent line follows the same path and the
+    oracle's degree depends only on c: it is computed once per step count.
+    """
     name = "maslov-oracle"
     n = g.nfibers()
+    degrees = [_rotation_degree(g.c.numerator, g.c.denominator, s) for s in steps]
     checked = 0
     for a in range(n):
         for b in range(n):
             for x in enumerate_chords(g, a, b, winding_bound):
-                for s in steps:
-                    got = maslov_degree_oracle(g, x, steps=s)
+                for got in degrees:
                     if got != x.degree:
                         return failed(
                             name,

@@ -166,4 +166,4 @@ def test_criterion_7_oracle_cross_checks():
     elapsed = time.perf_counter() - t0
     ok = maslov.ok and raster.ok and census["rigid_polygons"] == 0
     report("criterion 7: Maslov and raster oracles agree exactly",
-           ok, elapsed, 60)
+           ok, elapsed, 2)

@@ -1,6 +1,9 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floerloops.ainfty import CompositionError, check_ainfty, check_functor
 from floerloops.cylinder import (
@@ -97,6 +100,43 @@ def test_maslov_oracle_agrees(c):
 
 def test_maslov_cross_check(three_fibers):
     assert maslov_cross_check(three_fibers, 3).ok
+
+
+def float_rotation_degree(c: Fraction, steps: int) -> int:
+    """The float rotation count the integer oracle replaced: the tangent
+    angle tracked by atan2 as a lift modulo pi, with a 1e-9 guard."""
+    prev = math.atan2(1.0, 0.0)
+    lift = prev
+    for n in range(1, steps + 1):
+        ang = math.atan2(1.0, 2.0 * float(c) * (n / steps))
+        delta = ang - prev
+        while delta > math.pi / 2:
+            delta -= math.pi
+        while delta <= -math.pi / 2:
+            delta += math.pi
+        lift += delta
+        prev = ang
+    sweep = (lift - math.atan2(1.0, 0.0)) / math.pi
+    assert abs(sweep - round(sweep)) >= 1e-9 or round(sweep) == sweep, "refine steps"
+    return math.ceil(sweep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+       st.integers(1, 600))
+def test_maslov_degree_is_zero_and_matches_float_count(c, steps):
+    g = CylinderGeometry(c, (Fraction(0),))
+    oracle = maslov_degree_oracle(g, chord(g, 0, 0, 1), steps=steps)
+    assert oracle == float_rotation_degree(c, steps) == 0
+
+
+def test_maslov_cross_check_catches_a_mutated_degree():
+    g = CylinderGeometry(Fraction(1), (Fraction(0), Fraction(1, 3)))
+    x = chord(g, 0, 1, 1)
+    g._chords[g.key(0, 1, 1)] = dataclasses.replace(x, degree=1)
+    rep = maslov_cross_check(g, 2)
+    assert not rep.ok
+    assert rep.witness == {"chord": x.gid, "assigned": 1, "oracle": 0}
 
 
 def test_mu2_same_fiber_single_triangle(one_fiber):
@@ -318,8 +358,6 @@ def test_raster_single_pair_degenerate(one_fiber):
 
 
 def test_random_geometry_properties():
-    from hypothesis import given, settings, strategies as st
-
     @settings(max_examples=25, deadline=None)
     @given(
         st.fractions(min_value=Fraction(1, 8), max_value=Fraction(8), max_denominator=8),
