@@ -99,7 +99,9 @@ TRIANGLES = [
 
 
 @pytest.mark.parametrize("tri", TRIANGLES)
-def test_kernel_matches_reference(tri):
+def test_numpy_matches_reference(tri):
+    """The fixed triangles against the reference loop. The name is kept from
+    the numpy kernel this exact integer kernel replaced."""
     for nx, ny in ((7, 7), (16, 16), (3, 11)):
         assert _kernels.triangle_grid_count(*tri, nx, ny) == brute_count(*tri, nx, ny)
 
