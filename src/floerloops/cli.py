@@ -13,11 +13,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .ainfty import (
     AInftyCategory,
+    AInftyFunctor,
     category_from_json,
     category_to_json,
     check_ainfty,
@@ -63,7 +64,56 @@ from .twisted import (
 
 SCHEMA_VERSION = 1
 
-MUTATIONS = ("mu2-sign", "f1-zero", "pontryagin-compose", "flat-sign", "twisted-mc")
+# what the mutations corrupt: mu2-sign and f1-zero the chord of winding 1 on
+# fibre 0, pontryagin-compose the product of the loops of winding 1 and 2
+MUTATED_CHORD = ("x", 0, 0, 1)
+MUTATED_LOOPS = (("p", 0, 0, 1), ("p", 0, 0, 2))
+
+
+def _flip_mu2(cat: AInftyCategory) -> AInftyCategory:
+    """mu2-sign: the category with mu_2 of the mutated chord with itself
+    negated, on generators and, when the category has them, on keys."""
+    pair = (MUTATED_CHORD, MUTATED_CHORD)
+
+    def mu_fn(gens):
+        out = cat.mu_fn(gens)
+        return -out if tuple(g.gid for g in gens) == pair else out
+
+    def mu(keys):
+        out = cat.keyed.mu(keys)
+        if tuple(cat.keyed.decode(k).gid for k in keys) == pair:
+            return tuple((k, -c) for k, c in out)
+        return out
+
+    return replace(cat, mu_fn=mu_fn, keyed=cat.keyed and replace(cat.keyed, mu=mu))
+
+
+def _zero_f1(F: AInftyFunctor) -> AInftyFunctor:
+    """f1-zero: the functor with F^1 of the mutated chord set to zero."""
+    def components(d, gens):
+        return Chain.zero() if d == 1 and gens[0].gid == MUTATED_CHORD else F.components(d, gens)
+
+    return replace(F, components=components)
+
+
+def _corrupt_complex(_inputs):
+    """twisted-mc: a complex failing Maurer-Cartan in place of the tw-dg samples."""
+    witness = leibniz_witness_model()
+    a, b, c = (Chain.of(g) for g in witness.all_gens() if g.gid in ("a", "b", "c"))
+    bad = TwistedComplex(witness, [ShiftedObject(0, 0)] * 3,
+                         {(0, 1): a, (1, 2): b, (0, 2): -c}, name="corrupt")
+    return witness, [bad], 0
+
+
+# --mutate NAME -> (the report row it must fail, a wrapper over that row's
+# input); every other row sees its input unchanged
+MUTATIONS = {
+    "mu2-sign": ("ainfty", _flip_mu2),
+    "f1-zero": ("functor", _zero_f1),
+    "pontryagin-compose": ("path-model", lambda model: MutatedPathModel(model, MUTATED_LOOPS)),
+    "flat-sign": ("fundamental-chains", lambda datasets: [datasets[0].mutated(0), *datasets[1:]]),
+    "twisted-mc": ("tw-dg", _corrupt_complex),
+}
 
 
 @dataclass
@@ -74,7 +124,7 @@ class RunConfig:
     max_d: int
     twist: str
     out: str | None
-    mutate: str | None
+    mutation: str | None
     timings: bool
 
     def validate(self) -> None:
@@ -84,8 +134,8 @@ class RunConfig:
             raise CylinderConfigError("max_d must lie in 2..4")
         if not isinstance(self.twist, str) or self.twist not in TWISTS:
             raise CylinderConfigError(f"unknown twist {self.twist!r}")
-        if self.mutate is not None and self.mutate not in MUTATIONS:
-            raise CylinderConfigError(f"unknown mutation {self.mutate!r}")
+        if self.mutation is not None and self.mutation not in MUTATIONS:
+            raise CylinderConfigError(f"unknown mutation {self.mutation!r}")
 
     def geometry(self) -> CylinderGeometry:
         return CylinderGeometry(self.c, self.fibers)
@@ -255,7 +305,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         twist = args.twist
     cfg = RunConfig(
         c=c, fibers=fibers, winding_bound=winding, max_d=max_d, twist=twist,
-        out=args.out, mutate=args.mutate, timings=args.timings,
+        out=args.out, mutation=args.mutate, timings=args.timings,
     )
     cfg.validate()
     return cfg
@@ -267,14 +317,8 @@ def _timed(fn, *args, **kwargs) -> Report:
     return Report.from_check(check, time.perf_counter() - t0)
 
 
-def _moduli_pipeline(cfg: RunConfig, g: CylinderGeometry) -> CheckReport:
-    """Choose and verify fundamental chains on the synthetic battery and on
-    the cylinder's two-input half-disc families."""
-    datasets = synthetic_dataset_battery()
-    for x1, x2 in chord_pairs(g, min(cfg.winding_bound, 2)):
-        datasets.append(half_disc_d2_family(g, x1, x2)[0])
-    if cfg.mutate == "flat-sign":
-        datasets[0] = synthetic_dataset_battery()[0].mutated(0)
+def _moduli_pipeline(datasets: list) -> CheckReport:
+    """Choose and verify fundamental chains on every dataset."""
     for ds in datasets:
         try:
             chains = choose_fundamental_chains(ds)
@@ -288,46 +332,31 @@ def _moduli_pipeline(cfg: RunConfig, g: CylinderGeometry) -> CheckReport:
 
 def _build_reports(cfg: RunConfig, imported_category=None) -> list[Report]:
     g = cfg.geometry()
-    reports: list[Report] = []
+    mutated_row, wrap = MUTATIONS.get(cfg.mutation, (None, None))
 
-    model = pontryagin_target(g)
-    if cfg.mutate == "pontryagin-compose":
-        model = MutatedPathModel(model, (("p", 0, 0, 1), ("p", 0, 0, 2)))
-    reports.append(_timed(
-        validate_path_model, model, min(cfg.winding_bound, 2), "path-model"
-    ))
+    def row_input(row: str, value):
+        return wrap(value) if row == mutated_row else value
 
-    if imported_category is not None:
-        cat = imported_category
-    else:
-        cat = cylinder_category(
-            g, cfg.winding_bound, cfg.max_d, twist=cfg.twist,
-            mutate_mu2=cfg.mutate == "mu2-sign",
-        )
+    model = row_input("path-model", pontryagin_target(g))
+    reports = [_timed(validate_path_model, model, min(cfg.winding_bound, 2), "path-model")]
+
+    cat = imported_category
+    if cat is None:
+        cat = cylinder_category(g, cfg.winding_bound, twist=cfg.twist)
+    cat = row_input("ainfty", cat)
     reports.append(_timed(check_ainfty, cat, cfg.max_d, "ainfty"))
 
-    F, target_model, f_objs = functor_F(
-        g, cfg.winding_bound, max_d=2, twist=cfg.twist,
-        mutate_f1_zero=("x", 0, 0, 1) if cfg.mutate == "f1-zero" else None,
-    )
+    F, target_model, f_objs = functor_F(g, cfg.winding_bound, twist=cfg.twist)
     samples = list(f_objs) + synthetic_twisted_complexes(target_model, tag="syn")
-    if cfg.mutate == "twisted-mc":
-        witness = leibniz_witness_model()
-        gens = {g.gid: g for g in witness.all_gens()}
-        bad = TwistedComplex(
-            witness,
-            [ShiftedObject(0, 0), ShiftedObject(0, 0), ShiftedObject(0, 0)],
-            {(0, 1): Chain.of(gens["a"]),
-             (1, 2): Chain.of(gens["b"]),
-             (0, 2): Chain.of(gens["c"], -1)},
-            name="corrupt",
-        )
-        reports.append(_timed(check_tw_dg, witness, [bad], 0, "tw-dg"))
-    else:
-        reports.append(_timed(check_tw_dg, target_model, samples, 1, "tw-dg"))
+    tw_model, complexes, window = row_input("tw-dg", (target_model, samples, 1))
+    reports.append(_timed(check_tw_dg, tw_model, complexes, window, "tw-dg"))
 
-    reports.append(_timed(_moduli_pipeline, cfg, g))
-    reports.append(_timed(check_functor, F, 2, "functor"))
+    # the synthetic battery and the cylinder's two-input half-disc families
+    datasets = synthetic_dataset_battery() + [
+        half_disc_d2_family(g, x1, x2)[0] for x1, x2 in chord_pairs(g, min(cfg.winding_bound, 2))
+    ]
+    reports.append(_timed(_moduli_pipeline, row_input("fundamental-chains", datasets)))
+    reports.append(_timed(check_functor, row_input("functor", F), 2, "functor"))
     return reports
 
 
@@ -412,7 +441,7 @@ def cmd_demo_s1(args: argparse.Namespace) -> int:
                 agree = False
         print(f"  x_{i}: " + " ".join(floer_row) + "   |   " + " ".join(loop_row))
     rep = ring_isomorphism_report(g, bound, fiber, twist=cfg.twist)
-    F, _m, _f = functor_F(g, bound, max_d=2, twist=cfg.twist)
+    F, _m, _f = functor_F(g, bound, twist=cfg.twist)
     func = check_functor(F, 2, "functor")
     verdict = rep.ok and func.ok and agree
     print(f"\nring isomorphism: {'yes' if verdict else 'no'}")
@@ -455,7 +484,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     cat = category_from_tables(
         "cylinder-export", tuple(range(g.nfibers())), hom_basis_map, mu_tables
     )
-    F, model, f_objs = functor_F(g, cfg.winding_bound, max_d=2, twist=cfg.twist)
+    F, model, f_objs = functor_F(g, cfg.winding_bound, twist=cfg.twist)
     bundle = {
         "schema_version": SCHEMA_VERSION,
         "kind": "export_bundle",
@@ -491,29 +520,32 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_import_model(args: argparse.Namespace) -> int:
-    if not args.model:
-        print("error: import-model requires --model PATH", file=sys.stderr)
-        return 2
     try:
         model = load_path_model(args.model)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load model: {exc}", file=sys.stderr)
         return 2
     rep = validate_path_model(model, window=0, name="imported-path-model")
-    status = "pass" if rep.ok else "fail"
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "check_report",
         "seed": os.environ.get("FLOERLOOPS_SEED"),
-        "reports": [{
-            "name": rep.name,
-            "status": status,
-            "witness": _jsonable(rep.witness),
-            "timing_ms": None,
-        }],
+        "reports": [Report.from_check(rep, 0.0).as_json(timings=False)],
     }
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     return 0 if rep.ok else 1
+
+
+FLAGS = {
+    "config": {"help": "geometry config or export bundle (JSON)"},
+    "winding": {"type": int, "help": "winding bound"},
+    "max-d": {"type": int, "help": "largest arity the A-infinity check covers (2..4)"},
+    "twist": {"choices": sorted(TWISTS)},
+    "out": {"help": "output path (default stdout)"},
+    "mutate": {"metavar": "NAME", "help": "corrupt one row's input: " + ", ".join(MUTATIONS)},
+    "timings": {"action": "store_true", "help": "include wall-clock in JSON"},
+    "model": {"required": True, "help": "path model JSON"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,22 +554,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact-arithmetic checks for the cylinder's wrapped "
                     "category and its loop-space comparison",
     )
+    # a subcommand that does not take a flag sees its default
+    parser.set_defaults(config=None, winding=None, max_d=None, twist=None, out=None,
+                        mutate=None, timings=False, model=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("check-all", cmd_check_all),
-        ("demo-s1", cmd_demo_s1),
-        ("export", cmd_export),
-        ("import-model", cmd_import_model),
+    # each subcommand takes only the flags it reads
+    for name, fn, flags in (
+        ("check-all", cmd_check_all, "config winding max-d twist out mutate timings"),
+        ("demo-s1", cmd_demo_s1, "config winding twist"),
+        ("export", cmd_export, "config winding max-d twist out"),
+        ("import-model", cmd_import_model, "model"),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", help="geometry config or export bundle (JSON)")
-        p.add_argument("--winding", type=int, default=None, help="winding bound")
-        p.add_argument("--max-d", type=int, default=None, dest="max_d")
-        p.add_argument("--twist", choices=sorted(TWISTS), default=None)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--mutate", default=None, help="test-only sign corruption")
-        p.add_argument("--timings", action="store_true", help="include wall-clock in JSON")
-        p.add_argument("--model", default=None, help="path model JSON (import-model)")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 

@@ -440,31 +440,6 @@ def mu_d(
     return Chain.from_sums(acc)
 
 
-def rigid_census(g: CylinderGeometry, winding_bound: int, d: int) -> dict:
-    """Exhaustive d-input enumeration within the winding bound: counts the
-    tuples examined and certifies that no rigid polygon exists for d >= 3
-    (the candidate family has positive expected dimension and no output
-    chord has the required degree)."""
-    if d < 3:
-        raise ValueError("census is for d >= 3")
-    n = g.nfibers()
-    tuples = 0
-    rigid = 0
-    for path in itertools.product(range(n), repeat=d + 1):
-        for windings in itertools.product(
-            range(-winding_bound, winding_bound + 1), repeat=d
-        ):
-            chords = tuple(
-                chord(g, path[k], path[k + 1], windings[k]) for k in range(d)
-            )
-            tuples += 1
-            required_degree = 2 - d + sum(x.degree for x in chords)
-            family_dim = d - 2
-            if required_degree == 0 and family_dim == 0:
-                rigid += len(mu_polygons(g, chords))  # pragma: no cover
-    return {"d": d, "tuples": tuples, "rigid_polygons": rigid, "family_dim": d - 2}
-
-
 # ---------------------------------------------------------------------------
 # Intersection points, half-discs and the functor.
 # ---------------------------------------------------------------------------
@@ -473,12 +448,6 @@ def intersection_points(g: CylinderGeometry, fiber: int) -> list[tuple[tuple[Fra
     """Q intersects each fibre transversely in the single point (q, 0), of
     degree 0."""
     return [((g.fibers[fiber], Fraction(0)), 0)]
-
-
-def strip_moduli_dataset(g: CylinderGeometry, fiber: int) -> StratifiedModuli:
-    """Strip moduli between the intersection points of Q with one fibre:
-    with a single point there are no pairs, so the dataset is empty."""
-    return StratifiedModuli("strip", f"strips-L{fiber}", {}, {})
 
 
 def connection_from_strips(
@@ -556,10 +525,7 @@ def half_disc_d2_family(
     constant: its image is degenerate in normalised chains.
     """
     _check_composable((x1, x2))
-    left = half_disc_d1(g, x1)
-    right = half_disc_d1(g, x2)
     y = chord(g, x1.source, x2.target, x1.winding + x2.winding)
-    whole = half_disc_d1(g, y)
     ((_, triangle_sign),) = g.mu2_terms(_key(g, x1), _key(g, x2))
     if g.delta(x1) + g.delta(x2) != g.delta(y):
         raise AssertionError("half-disc family evaluation is not constant")
@@ -586,26 +552,11 @@ def half_disc_d2_family(
     }
     dataset = StratifiedModuli("half_disc", name, cells, boundary)
     ev = {
-        "total_displacement": whole.displacement,
+        "total_displacement": half_disc_d1(g, y).displacement,
         "total_winding": x1.winding + x2.winding,
         "constant_evaluation": True,
-        "boundary_half_discs": (left, right, whole),
     }
     return dataset, ev
-
-
-def half_discs(
-    g: CylinderGeometry, chords: tuple[Chord, ...]
-) -> list[HalfDisc]:
-    """Rigid combinatorial half-discs with the given chord inputs; for two
-    inputs these are the boundary-compatible configurations of the
-    1-dimensional family, all carrying the total winding."""
-    if len(chords) == 1:
-        return [half_disc_d1(g, chords[0])]
-    if len(chords) == 2:
-        _, ev = half_disc_d2_family(g, *chords)
-        return [ev["boundary_half_discs"][2]]
-    raise ValueError("half-disc enumeration implemented for d <= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +566,8 @@ def half_discs(
 def cylinder_category(
     g: CylinderGeometry,
     winding_bound: int,
-    max_d: int = 4,
     twist: str = "none",
     tokens: Mapping[tuple, int] | None = None,
-    mutate_mu2: bool = False,
 ) -> AInftyCategory:
     """The wrapped category on the marked fibres: hom bases are chords with
     |winding| <= bound; operations are evaluated exactly and are defined on
@@ -628,20 +577,18 @@ def cylinder_category(
     arcs of a strip lie on straight lines in the cover, two transverse lines
     bound no compact bigon, the only coincident configuration is the
     constant strip, which is not rigid, and the index condition
-    |x_0| = |x_1| + 1 fails since every chord has degree 0.  For d >= 3 no
-    output chord has the degree 2 - d that mu_d needs (`rigid_census`
-    certifies the geometric enumeration is empty as well).
-    `max_d` is validated here and bounds what callers check; it does not
-    change mu.
+    |x_0| = |x_1| + 1 fails since every chord has degree 0.  For d >= 3 the
+    forced corner configuration sits in a family of conformal structures of
+    dimension d - 2 > 0, so it is never rigid, and the index forbids it too:
+    mu_d needs an output of degree 2 - d < 0 and every chord has degree 0
+    (`mu_polygons` returns no polygon there).
 
     The checker runs on chord keys (`keyed`): mu_2 of a key pair is the
-    geometry's shared table with this category's twist, tokens and
-    `mutate_mu2` applied, kept per pair as (key, coeff) terms.  `mu_fn`
-    encodes and decodes generators through the same terms."""
+    geometry's shared table with this category's twist and tokens applied,
+    kept per pair as (key, coeff) terms.  `mu_fn` encodes and decodes
+    generators through the same terms."""
     if winding_bound < 1:
         raise CylinderConfigError("winding_bound must be >= 1")
-    if not 2 <= max_d <= 4:
-        raise CylinderConfigError("max_d must lie in 2..4")
     twist_fn = TWISTS.get(twist)
     if twist_fn is None:
         raise CylinderConfigError(f"unknown twist {twist!r}")
@@ -652,7 +599,6 @@ def cylinder_category(
         (a, b): tuple(_key(g, x) for x in enumerate_chords(g, a, b, winding_bound))
         for a in objects for b in objects
     }
-    mutated = g.key(0, 0, 1) if mutate_mu2 else None
     terms: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
     def mu(keys: tuple) -> tuple[tuple[int, int], ...]:
@@ -660,10 +606,7 @@ def cylinder_category(
             return ()
         out = terms.get(keys)
         if out is None:
-            out = _signed_mu2(g, keys[0], keys[1], twist_fn, tokens)
-            if keys[0] == keys[1] == mutated:
-                out = tuple((key, -coeff) for key, coeff in out)
-            terms[keys] = out
+            out = terms[keys] = _signed_mu2(g, keys[0], keys[1], twist_fn, tokens)
         return out
 
     def degree(key: int) -> int:
@@ -724,10 +667,8 @@ def pontryagin_target(g: CylinderGeometry) -> CirclePathModel:
 def functor_F(
     g: CylinderGeometry,
     winding_bound: int,
-    max_d: int = 2,
     twist: str = "none",
     tokens: Mapping[tuple, int] | None = None,
-    mutate_f1_zero: tuple | None = None,
 ) -> tuple[AInftyFunctor, CirclePathModel, list[TwistedComplex]]:
     """The comparison functor from the wrapped category into twisted
     complexes over the circle's path category.
@@ -739,15 +680,12 @@ def functor_F(
     negative degrees of a degree-0 target, hence vanishes.  F^1 is evaluated
     once per chord and kept; each F^2 family is built where it is used.
     """
-    if not 1 <= max_d <= 4:
-        raise CylinderConfigError("functor max_d must lie in 1..4")
     if twist not in TWISTS:
         raise CylinderConfigError(f"unknown twist {twist!r}")
     model = pontryagin_target(g)
     objects = list(range(g.nfibers()))
     f_objs = [build_F_object(g, L, model) for L in objects]
-    source = cylinder_category(g, winding_bound, max_d=max(2, max_d), twist=twist,
-                               tokens=tokens)
+    source = cylinder_category(g, winding_bound, twist=twist, tokens=tokens)
     target = tw_category(model, f_objs, window=winding_bound, name="TwP")
     object_map = {L: f_objs[L].name for L in objects}
     twist_fn = TWISTS[twist]
@@ -766,8 +704,6 @@ def functor_F(
         return Chain.of(out_gen, coeff)
 
     def f1_chain(gen: Generator) -> Chain:
-        if gen.gid == mutate_f1_zero:
-            return Chain.zero()
         val = f1_values.get(gen.gid)
         if val is None:
             val = f1_values[gen.gid] = f1_value(chord_from_gid(g, gen.gid))

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Hashable
 
 from .report import CheckReport, failed, passed
-
-Gid = Hashable
 
 
 def sign_pow(exponent: int) -> int:
@@ -45,7 +43,7 @@ class Generator:
     the token are negatives of each other as chains.
     """
 
-    gid: Gid
+    gid: Hashable
     degree: int
     orientation: int = 1
 
@@ -176,12 +174,6 @@ class Chain:
             raise ValueError(f"inhomogeneous chain with degrees {sorted(degs)}")
         return degs.pop()
 
-    def map_generators(self, fn: Callable[[Generator], "Chain"]) -> "Chain":
-        acc: dict[Generator, int] = {}
-        for gen, coeff in self._terms.items():
-            accumulate(acc, fn(gen).items(), coeff)
-        return Chain.from_sums(acc)
-
     def sorted_items(self) -> list[tuple[Generator, int]]:
         return sorted(self._terms.items(), key=lambda kv: repr(kv[0].gid))
 
@@ -207,137 +199,6 @@ def accumulate(acc: dict, terms: Iterable[tuple[Hashable, int]], scale: int) -> 
             acc[key] = new
         else:
             acc.pop(key, None)
-
-
-# ---------------------------------------------------------------------------
-# Finite cubical sets and normalised cubical chains.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Cube:
-    """A combinatorial cube in a finite cubical set.
-
-    `faces[(k, eps)]` names the (dim-1)-cube obtained by freezing the k-th
-    free coordinate (k = 1..dim) at eps in {0, 1}.  Degenerate cubes are
-    quotiented out of the normalised chain complex.
-    """
-
-    cid: Gid
-    dim: int
-    faces: tuple[tuple[tuple[int, int], Gid], ...] = ()
-    degenerate: bool = False
-
-    def face(self, k: int, eps: int) -> Gid:
-        for (kk, ee), target in self.faces:
-            if kk == k and ee == eps:
-                return target
-        raise KeyError(f"cube {self.cid} has no face ({k},{eps})")
-
-
-class CubicalSet:
-    """A finite cubical set given by explicit cubes and face assignments."""
-
-    def __init__(self, cubes: Iterable[Cube]):
-        self._cubes: dict[Gid, Cube] = {}
-        for cube in cubes:
-            if cube.cid in self._cubes:
-                raise ValueError(f"duplicate cube id {cube.cid}")
-            self._cubes[cube.cid] = cube
-        for cube in self._cubes.values():
-            expected = {(k, e) for k in range(1, cube.dim + 1) for e in (0, 1)}
-            got = {ke for ke, _ in cube.faces}
-            if got != expected:
-                raise ValueError(f"cube {cube.cid}: faces {got} != expected {expected}")
-            for _, target in cube.faces:
-                tgt = self._cubes.get(target)
-                if tgt is None or tgt.dim != cube.dim - 1:
-                    raise ValueError(f"cube {cube.cid}: bad face target {target}")
-
-    def cube(self, cid: Gid) -> Cube:
-        return self._cubes[cid]
-
-    def cubes(self, dim: int | None = None) -> list[Cube]:
-        out = [c for c in self._cubes.values() if dim is None or c.dim == dim]
-        return sorted(out, key=lambda c: repr(c.cid))
-
-    def generator(self, cid: Gid) -> Generator:
-        cube = self._cubes[cid]
-        # Chains on cubes live in C_{-*}: cohomological degree is -dim.
-        return Generator(("cube", cid), -cube.dim)
-
-
-def cubical_boundary(cset: CubicalSet, cid: Gid) -> Chain:
-    """Normalised boundary: sum of (-1)**(k+eps) faces, degenerate faces dropped.
-
-    A degenerate cube is itself zero in normalised chains, so its boundary
-    is the zero chain.
-    """
-    cube = cset.cube(cid)
-    if cube.degenerate:
-        return Chain.zero()
-    terms: dict[Generator, int] = {}
-    for (k, eps), target in cube.faces:
-        face = cset.cube(target)
-        if face.degenerate:
-            continue
-        gen = cset.generator(target)
-        terms[gen] = terms.get(gen, 0) + sign_pow(k + eps)
-    return Chain(terms)
-
-
-def standard_cube_complex(n: int) -> CubicalSet:
-    """The cubical set of all faces of the n-cube.
-
-    Faces are encoded as words in {'0', '1', '*'}; dimension is the number
-    of stars, and delta_{k,eps} freezes the k-th star.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    words = [""]
-    for _ in range(n):
-        words = [w + ch for w in words for ch in "01*"]
-    cubes = []
-    for w in words:
-        stars = [i for i, ch in enumerate(w) if ch == "*"]
-        faces = []
-        for k, pos in enumerate(stars, start=1):
-            for eps in (0, 1):
-                target = w[:pos] + str(eps) + w[pos + 1:]
-                faces.append(((k, eps), target))
-        cubes.append(Cube(w if w else "pt", len(stars), tuple(faces)))
-    return CubicalSet(cubes)
-
-
-def torus_square_complex() -> CubicalSet:
-    """The torus as one square with opposite edges identified."""
-    v = Cube("v", 0)
-    a = Cube("a", 1, (((1, 0), "v"), ((1, 1), "v")))
-    b = Cube("b", 1, (((1, 0), "v"), ((1, 1), "v")))
-    sq = Cube("sq", 2, (((1, 0), "a"), ((1, 1), "a"), ((2, 0), "b"), ((2, 1), "b")))
-    return CubicalSet([v, a, b, sq])
-
-
-def circle_with_degenerate_square() -> CubicalSet:
-    """A circle together with a degenerate edge and a degenerate square on it."""
-    v = Cube("v", 0)
-    e = Cube("e", 1, (((1, 0), "v"), ((1, 1), "v")))
-    dv = Cube("dv", 1, (((1, 0), "v"), ((1, 1), "v")), degenerate=True)
-    dsq = Cube(
-        "dsq", 2,
-        (((1, 0), "e"), ((1, 1), "e"), ((2, 0), "dv"), ((2, 1), "dv")),
-        degenerate=True,
-    )
-    return CubicalSet([v, e, dv, dsq])
-
-
-def complex_from_cubical_set(cset: CubicalSet) -> "GradedComplex":
-    basis = tuple(
-        cset.generator(c.cid)
-        for c in sorted(cset.cubes(), key=lambda c: (c.dim, repr(c.cid)))
-        if not c.degenerate
-    )
-    diff = {g: cubical_boundary(cset, g.gid[1]) for g in basis}
-    return GradedComplex(basis, diff)
 
 
 # ---------------------------------------------------------------------------

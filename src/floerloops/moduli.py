@@ -289,39 +289,6 @@ def verify_boundary_consistency(
     return passed(name, cells=len(m.cells), strata=m.n_strata())
 
 
-def check_sign_square_commutativity(max_degree: int = 3) -> CheckReport:
-    """Strip sign rule consistency: the two orders of double breaking cancel
-    in the boundary of the boundary, for every degree pattern.
-
-    Route A breaks at k1 first and then breaks the right factor at k2,
-    picking up the Leibniz sign of the left factor; route B breaks at k2
-    first and then the left factor at k1.  Their total signs must be
-    opposite.
-    """
-    name = "sign-square-commutativity"
-    rng = range(max_degree + 1)
-    for qi in rng:
-        for qk1 in rng:
-            for qk2 in rng:
-                for qj in rng:
-                    dim_ik1 = qi - qk1 - 1
-                    route_a = (
-                        boundary_sign_strips(qi, qk1)
-                        * sign_pow(dim_ik1)
-                        * boundary_sign_strips(qk1, qk2)
-                    )
-                    route_b = (
-                        boundary_sign_strips(qi, qk2)
-                        * boundary_sign_strips(qi, qk1)
-                    )
-                    if route_a + route_b != 0:
-                        return failed(
-                            name,
-                            {"degrees": (qi, qk1, qk2, qj), "route_a": route_a, "route_b": route_b},
-                        )
-    return passed(name, patterns=(max_degree + 1) ** 4)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic datasets for the sign lemmas.
 # ---------------------------------------------------------------------------

@@ -290,25 +290,52 @@ def path_model_to_json(model: FinitePathModel) -> dict:
     }
 
 
+def _is_int(obj) -> bool:
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _is_str(obj) -> bool:
+    return isinstance(obj, str)
+
+
+def _is_map(obj, ok=_is_int) -> bool:
+    """A JSON object whose values all pass `ok` (default: coefficients)."""
+    return isinstance(obj, dict) and all(map(ok, obj.values()))
+
+
+def _is_rows(rows, **fields) -> bool:
+    """A JSON list of objects whose named fields pass their predicates."""
+    return isinstance(rows, list) and all(
+        isinstance(r, dict) and all(ok(r.get(k)) for k, ok in fields.items()) for r in rows
+    )
+
+
 def path_model_from_json(data: dict) -> FinitePathModel:
+    """The table-backed model of a path_model document; a section of the
+    wrong type raises ValueError."""
     if not isinstance(data, dict) or data.get("kind") != "path_model":
         raise ValueError("not a path_model document")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {data.get('schema_version')}")
-    points = tuple(data["points"])
-    generators = {
-        g["id"]: (g["source"], g["target"], g["degree"]) for g in data["generators"]
+    gens, units = data.get("generators"), data.get("units")
+    composition, differential = data.get("composition"), data.get("differential", {})
+    sections = {
+        "points": isinstance(data.get("points"), list),
+        "generators": _is_rows(gens, id=_is_str, source=_is_int, target=_is_int, degree=_is_int),
+        "units": _is_map(units, _is_str),
+        "composition": _is_rows(composition, first=_is_str, second=_is_str, result=_is_map),
+        "differential": _is_map(differential, _is_map),
     }
-    units = {int(i): gid for i, gid in data["units"].items()}
-    composition = {
-        (row["first"], row["second"]): {k: int(v) for k, v in row["result"].items()}
-        for row in data["composition"]
-    }
-    differential = {
-        gid: {k: int(v) for k, v in table.items()}
-        for gid, table in data.get("differential", {}).items()
-    }
-    return FinitePathModel(points, generators, units, composition, differential)
+    bad = [name for name, ok in sections.items() if not ok]
+    if bad:
+        raise ValueError(f"path_model has malformed {', '.join(bad)}")
+    return FinitePathModel(
+        tuple(data["points"]),
+        {g["id"]: (g["source"], g["target"], g["degree"]) for g in gens},
+        {int(i): gid for i, gid in units.items()},
+        {(r["first"], r["second"]): r["result"] for r in composition},
+        differential,
+    )
 
 
 def load_path_model(path: str) -> FinitePathModel:

@@ -170,6 +170,21 @@ def test_json_array_config_exits_2(tmp_path):
     assert "not a geometry_config document" in proc.stderr
 
 
+# the witness each mutation's one failing row gives at --winding 1
+MUTATION_WITNESSES = {
+    "mu2-sign": {"d": 3, "residual": "Chain(2*('x', 0, 0, 1))",
+                 "tuple": [["x", 0, 0, -1], ["x", 0, 0, 1], ["x", 0, 0, 1]]},
+    "f1-zero": {"d": 2, "residual": "Chain(1*('m', 'F0', 0, 'F0', 0, ('p', 0, 0, 0)))",
+                "tuple": [["x", 0, 0, -1], ["x", 0, 0, 1]]},
+    "pontryagin-compose": {"d": 3, "residual": "Chain(2*('p', 0, 0, 3))",
+                           "tuple": [["p", 0, 0, 1], ["p", 0, 0, 1], ["p", 0, 0, 1]]},
+    "flat-sign": {"dataset": "strip-chain4-mut",
+                  "error": "strip-chain4-mut: stratum sum of 1-cell 'H03' has "
+                           "augmentation 2; signs are inconsistent"},
+    "twisted-mc": {"complex": "corrupt", "entry": [0, 2], "residual": "Chain(-2*ab)"},
+}
+
+
 @pytest.mark.parametrize(
     "mutation,failing",
     [
@@ -186,9 +201,10 @@ def test_mutations_fail_with_witness(tmp_path, mutation, failing):
                    "--out", str(out))
     assert proc.returncode == 1
     doc = json.loads(out.read_text())
-    failures = {r["name"]: r for r in doc["reports"] if r["status"] == "fail"}
-    assert failing in failures
-    assert failures[failing]["witness"] is not None
+    names = [r["name"] for r in doc["reports"]]
+    assert names == ["path-model", "ainfty", "tw-dg", "fundamental-chains", "functor"]
+    failures = {r["name"]: r["witness"] for r in doc["reports"] if r["status"] == "fail"}
+    assert failures == {failing: MUTATION_WITNESSES[mutation]}
 
 
 def test_unknown_mutation_exits_2():
@@ -295,6 +311,24 @@ def test_import_model_garbage_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "key,value,section",
+    [("generators", 5, "generators"), ("units", [], "units"), ("points", 5, "points")],
+)
+def test_import_model_malformed_section_exits_2(tmp_path, key, value, section):
+    from floerloops.pontryagin import leibniz_witness_model, path_model_to_json
+
+    doc = path_model_to_json(leibniz_witness_model())
+    doc[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("import-model", "--model", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"error: cannot load model: path_model has malformed {section}"
+    ]
+
+
 def test_import_model_json_array_exits_2(tmp_path):
     path = tmp_path / "array.json"
     path.write_text("[1,2]")
@@ -310,3 +344,52 @@ def test_timings_flag_breaks_byte_identity_only_in_timing(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(out.read_text())
     assert all(isinstance(r["timing_ms"], float) for r in doc["reports"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["import-model", "--model", "m.json", "--out", "r.json"],
+        ["export", "--mutate", "mu2-sign"],
+        ["export", "--timings"],
+        ["demo-s1", "--max-d", "3"],
+        ["demo-s1", "--out", "r.txt"],
+        ["check-all", "--model", "m.json"],
+    ],
+)
+def test_subcommands_refuse_flags_they_do_not_read(argv, capsys):
+    from floerloops.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_no_public_parameter_is_a_mutation_hook():
+    # mutations wrap a report row's input (cli.MUTATIONS); no production
+    # signature carries a switch for them
+    import importlib
+    import inspect
+    import pkgutil
+
+    import floerloops
+
+    hooks = []
+    for info in pkgutil.iter_modules(floerloops.__path__):
+        module = importlib.import_module(f"floerloops.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [m for n, m in vars(obj).items()
+                            if inspect.isfunction(m) and not n.startswith("_")]
+            for fn in filter(callable, members):
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                hooks += [f"{module.__name__}.{name}({p})" for p in params
+                          if p.startswith("mutate")]
+    assert hooks == []

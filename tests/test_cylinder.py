@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floerloops.ainfty import CompositionError, check_ainfty, check_functor
+from floerloops.cli import MUTATIONS
 from floerloops.cylinder import (
     Chord,
     CylinderConfigError,
@@ -19,7 +21,6 @@ from floerloops.cylinder import (
     functor_F,
     half_disc_d1,
     half_disc_d2_family,
-    half_discs,
     intersection_points,
     maslov_cross_check,
     maslov_degree_oracle,
@@ -28,9 +29,7 @@ from floerloops.cylinder import (
     mu_polygons,
     pontryagin_target,
     raster_cross_check,
-    rigid_census,
     ring_isomorphism_report,
-    strip_moduli_dataset,
     structure_constants,
     twist_constant,
     twist_none,
@@ -188,15 +187,20 @@ def test_mu_d_rejects_bad_input(one_fiber):
 
 
 def test_mu3_mu4_empty_by_census(three_fibers):
-    census3 = rigid_census(three_fibers, 2, 3)
-    assert census3["rigid_polygons"] == 0
-    assert census3["tuples"] > 0
-    assert census3["family_dim"] == 1
-    census4 = rigid_census(CylinderGeometry(Fraction(1), (Fraction(0),)), 2, 4)
-    assert census4["rigid_polygons"] == 0
-    for d in (3, 4):
-        inputs = tuple(chord(three_fibers, k % 3, (k + 1) % 3, 1) for k in range(d))
-        assert mu_d(three_fibers, inputs).is_zero()
+    # every composable d = 3 tuple with |winding| <= 1 on three fibres, and
+    # every d = 4 tuple with |winding| <= 2 on one fibre, bounds no rigid
+    # polygon: the family has dimension d - 2 > 0
+    one_fiber = CylinderGeometry(Fraction(1), (Fraction(0),))
+    for g, d, bound in ((three_fibers, 3, 1), (one_fiber, 4, 2)):
+        n, windings = g.nfibers(), range(-bound, bound + 1)
+        tuples = 0
+        for path in itertools.product(range(n), repeat=d + 1):
+            for ws in itertools.product(windings, repeat=d):
+                chords = tuple(chord(g, path[k], path[k + 1], ws[k]) for k in range(d))
+                assert mu_polygons(g, chords) == []
+                assert mu_d(g, chords).is_zero()
+                tuples += 1
+        assert tuples == n ** (d + 1) * len(windings) ** d
 
 
 def test_rescaling_invariance(three_fibers):
@@ -218,14 +222,14 @@ def test_background_twists(one_fiber):
 
 
 def test_constant_twist_preserves_ainfty(one_fiber):
-    cat = cylinder_category(one_fiber, 2, 4, twist="constant")
+    cat = cylinder_category(one_fiber, 2, twist="constant")
     assert check_ainfty(cat, 4).ok
 
 
 def test_parity_twist_outcome_recorded(one_fiber):
     # the winding-parity hook is not an intersection number with a cycle;
     # the checker reports the computed failure with a valid witness
-    cat = cylinder_category(one_fiber, 1, 4, twist="parity")
+    cat = cylinder_category(one_fiber, 1, twist="parity")
     rep = check_ainfty(cat, 4)
     assert not rep.ok
     assert rep.witness["d"] == 3
@@ -233,7 +237,7 @@ def test_parity_twist_outcome_recorded(one_fiber):
 
 def test_token_gauge_invariance(one_fiber):
     tokens = {("x", 0, 0, 1): -1, ("x", 0, 0, -2): -1}
-    cat = cylinder_category(one_fiber, 2, 4, tokens=tokens)
+    cat = cylinder_category(one_fiber, 2, tokens=tokens)
     assert check_ainfty(cat, 4).ok
     # x_1 occurs once in mu_2(x_2, x_1) -> x_3, so its flip is visible
     flipped = mu_d(one_fiber, (chord(one_fiber, 0, 0, 1), chord(one_fiber, 0, 0, 2)),
@@ -246,10 +250,15 @@ def test_token_gauge_invariance(one_fiber):
 
 
 def test_mutated_mu2_detected(one_fiber):
-    cat = cylinder_category(one_fiber, 1, 4, mutate_mu2=True)
-    rep = check_ainfty(cat, 4)
+    row, flip_mu2 = MUTATIONS["mu2-sign"]
+    assert row == "ainfty"
+    cat = cylinder_category(one_fiber, 1)
+    assert check_ainfty(cat, 4).ok
+    rep = check_ainfty(flip_mu2(cat), 4)
     assert not rep.ok
     assert rep.witness["d"] == 3
+    # the wrapper leaves the category it wraps unchanged
+    assert check_ainfty(cat, 4).ok
 
 
 def test_intersection_points(three_fibers):
@@ -258,7 +267,6 @@ def test_intersection_points(three_fibers):
     assert len(pts0) == len(pts1) == 1
     assert pts0[0] != pts1[0]
     assert pts0[0][1] == 0  # degree
-    assert not strip_moduli_dataset(three_fibers, 0).cells
 
 
 def test_connection_sign_convention():
@@ -282,10 +290,9 @@ def test_build_F_object(three_fibers):
 def test_half_disc_d1_unique_with_winding(one_fiber):
     for k in (-2, 0, 3):
         x = chord(one_fiber, 0, 0, k)
-        discs = half_discs(one_fiber, (x,))
-        assert len(discs) == 1
-        assert discs[0].winding == k
-        assert discs[0].area == -x.action
+        disc = half_disc_d1(one_fiber, x)
+        assert disc.winding == k
+        assert disc.area == -x.action
         # rigidity: dim = |q0| - |q_d| - |x| = 0
         assert 0 - 0 - x.degree == 0
 
@@ -298,8 +305,7 @@ def test_half_disc_d2_family_feeds_chooser(three_fibers):
     assert ev["total_winding"] == 0
     chains = choose_fundamental_chains(dataset)
     assert verify_boundary_consistency(dataset, chains).ok
-    (whole,) = half_discs(g, (x1, x2))
-    assert whole.winding == x1.winding + x2.winding
+    assert ev["total_displacement"] == half_disc_d1(g, chord(g, 0, 2, 0)).displacement
 
 
 def test_functor_f1_values(one_fiber):
@@ -313,9 +319,12 @@ def test_functor_f1_values(one_fiber):
 def test_functor_equation_and_mutation(three_fibers):
     F, _model, _objs = functor_F(three_fibers, 2)
     assert check_functor(F, 2).ok
-    bad, _, _ = functor_F(three_fibers, 2, mutate_f1_zero=("x", 0, 0, 1))
-    rep = check_functor(bad, 2)
+    row, zero_f1 = MUTATIONS["f1-zero"]
+    assert row == "functor"
+    rep = check_functor(zero_f1(F), 2)
     assert not rep.ok
+    assert ("x", 0, 0, 1) in rep.witness["tuple"]
+    assert check_functor(F, 2).ok
 
 
 def test_functor_unit_chord_to_unit_loop(one_fiber):
@@ -412,8 +421,6 @@ def test_functor_sign_flip_detected(one_fiber):
 
 def test_category_config_validation(one_fiber):
     with pytest.raises(CylinderConfigError):
-        cylinder_category(one_fiber, 0, 4)
+        cylinder_category(one_fiber, 0)
     with pytest.raises(CylinderConfigError):
-        cylinder_category(one_fiber, 2, 5)
-    with pytest.raises(CylinderConfigError):
-        cylinder_category(one_fiber, 2, 4, twist="bogus")
+        cylinder_category(one_fiber, 2, twist="bogus")

@@ -3,18 +3,11 @@ from hypothesis import given, strategies as st
 
 from floerloops.gradedalg import (
     Chain,
-    Cube,
-    CubicalSet,
     Generator,
     GradedComplex,
     check_d_squared,
-    circle_with_degenerate_square,
-    complex_from_cubical_set,
-    cubical_boundary,
     koszul_sign,
     sign_pow,
-    standard_cube_complex,
-    torus_square_complex,
 )
 
 
@@ -104,59 +97,6 @@ def test_chain_degree():
         mixed.degree()
 
 
-# -- normalised cubical chains ------------------------------------------------
-
-def test_boundary_of_point_is_zero():
-    cset = standard_cube_complex(0)
-    assert cubical_boundary(cset, "pt").is_zero()
-
-
-def test_boundary_of_interval_signs():
-    # 1-cube: faces at (k=1, eps) enter with (-1)**(1+eps)
-    cset = standard_cube_complex(1)
-    d = cubical_boundary(cset, "*")
-    assert d.coefficient(cset.generator("1")) == 1
-    assert d.coefficient(cset.generator("0")) == -1
-
-
-def test_degenerate_square_is_zero():
-    cset = circle_with_degenerate_square()
-    assert cubical_boundary(cset, "dsq").is_zero()
-    # the honest edge has boundary v - v = 0
-    assert cubical_boundary(cset, "e").is_zero()
-
-
-@pytest.mark.parametrize(
-    "cset",
-    [
-        standard_cube_complex(1),
-        standard_cube_complex(2),
-        standard_cube_complex(3),
-        torus_square_complex(),
-        circle_with_degenerate_square(),
-    ],
-    ids=["cube1", "cube2", "cube3", "torus", "circle-degenerate"],
-)
-def test_boundary_squares_to_zero(cset):
-    for cube in cset.cubes():
-        if cube.degenerate:
-            continue
-        dd = cubical_boundary(cset, cube.cid).map_generators(
-            lambda g: cubical_boundary(cset, g.gid[1])
-        )
-        assert dd.is_zero(), cube.cid
-
-
-def test_torus_boundary_cancels():
-    cset = torus_square_complex()
-    assert cubical_boundary(cset, "sq").is_zero()
-
-
-def test_cubical_set_validation():
-    with pytest.raises(ValueError):
-        CubicalSet([Cube("e", 1, (((1, 0), "v"),))])  # missing face
-
-
 # -- graded complexes ---------------------------------------------------------
 
 def test_check_d_squared_zero_differential():
@@ -186,7 +126,3 @@ def test_check_d_squared_flags_wrong_degree():
     bad = GradedComplex((a, b), {a: Chain.of(b)})
     assert not check_d_squared(bad).ok
 
-
-def test_cubical_complex_as_graded_complex():
-    cx = complex_from_cubical_set(standard_cube_complex(2))
-    assert check_d_squared(cx).ok

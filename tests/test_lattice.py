@@ -105,8 +105,8 @@ def test_tables_build_each_chord_and_f1_once(monkeypatch):
     monkeypatch.setattr(cylinder, "mu_polygons", counted_polygons)
 
     g = CylinderGeometry(*ACCEPTANCE_GEOMETRY)
-    assert check_ainfty(cylinder_category(g, BOUND, 4), 4).ok
-    F, _model, _objs = functor_F(g, BOUND, max_d=2)
+    assert check_ainfty(cylinder_category(g, BOUND), 4).ok
+    F, _model, _objs = functor_F(g, BOUND)
     assert check_functor(F, 2).ok
     # d = 3 relations reach outputs of winding up to 9: 9 fibre pairs x 19
     assert len(built) == 171 and set(built.values()) == {1}

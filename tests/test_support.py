@@ -18,6 +18,7 @@ from floerloops.ainfty import (
     category_from_tables,
     check_ainfty,
 )
+from floerloops.cli import MUTATIONS
 from floerloops.cylinder import (
     TWISTS,
     CylinderGeometry,
@@ -100,20 +101,20 @@ def small_geometries(draw):
 def test_support_checker_matches_exhaustive_reference(g, twist, flips):
     n = g.nfibers()
     tokens = {("x", a, b, w): -1 for a, b, w in flips if a < n and b < n}
-    cat = cylinder_category(g, 1, 4, twist=twist, tokens=tokens)
+    cat = cylinder_category(g, 1, twist=twist, tokens=tokens)
     assert_agrees(cat, 4)
 
 
 def test_mu2_sign_witness_matches_reference():
     g = CylinderGeometry(Fraction(1), (Fraction(0),))
-    rep = assert_agrees(cylinder_category(g, 1, 4, mutate_mu2=True), 4)
+    rep = assert_agrees(MUTATIONS["mu2-sign"][1](cylinder_category(g, 1)), 4)
     assert not rep.ok and rep.witness["d"] == 3
 
 
 def test_tuples_checked_counts_every_composable_tuple(three_fibers):
     cm = circle_model(2)
     for cat, max_d in (
-        (cylinder_category(three_fibers, 1, 4), 4),
+        (cylinder_category(three_fibers, 1), 4),
         (tw_category(cm, synthetic_twisted_complexes(cm, "n")[:3], window=1), 3),
     ):
         rep = check_ainfty(cat, max_d)
@@ -125,7 +126,7 @@ def test_tuples_checked_counts_every_composable_tuple(three_fibers):
 
 
 def test_cylinder_enumerates_only_arity_three(one_fiber):
-    rep = check_ainfty(cylinder_category(one_fiber, 2, 4), 4)
+    rep = check_ainfty(cylinder_category(one_fiber, 2), 4)
     enumerated = {d: c["enumerated"] for d, c in rep.details["per_arity"].items()}
     assert enumerated == {1: 0, 2: 0, 3: 5 ** 3, 4: 0}
     assert rep.details["per_arity"][4]["certified_zero_by_support"] == 5 ** 4
@@ -313,7 +314,7 @@ def two_object_table_category():
 
 def test_grouped_enumeration_flattens_to_composable_order(three_fibers):
     cases = [
-        (cylinder_category(three_fibers, 3, 4), (3,)),
+        (cylinder_category(three_fibers, 3), (3,)),
         (path_model_category(circle_model(3), 2), (1, 2, 3)),
         (two_object_table_category(), (1, 2, 3)),
     ]
@@ -348,11 +349,11 @@ def counted_visits(cat, max_d):
 def test_grouped_kernel_work_on_acceptance_objects(three_fibers):
     # the tw-dg and ainfty rows of an acceptance check-all; a kernel that
     # recomputed the per-prefix work per tuple made 6.05 and 4.0 calls
-    _F, model, objs = functor_F(three_fibers, 3, max_d=2)
+    _F, model, objs = functor_F(three_fibers, 3)
     cxs = list(objs) + synthetic_twisted_complexes(model, tag="syn")
     calls, visited = counted_visits(tw_category(model, cxs, window=1), 2)
     assert visited == 221052 and calls <= 5.2 * visited
-    calls, visited = counted_visits(cylinder_category(three_fibers, 3, 4), 4)
+    calls, visited = counted_visits(cylinder_category(three_fibers, 3), 4)
     assert visited == 27783 and calls <= 3.2 * visited
 
 
