@@ -261,17 +261,14 @@ def category_from_tables(
         return lookup.get(tuple(g.gid for g in gens), Chain.zero())
 
     cat = AInftyCategory(name, objects, hom_basis_map, mu_fn, is_dg, arities=arities)
+    # the first basis generator listed with each gid
+    by_gid = {gen.gid: gen for gen in reversed(cat._gen_hom)}
     for gids in lookup:
-        gens = tuple(_find_gen(cat, gid) for gid in gids)
-        cat.tuple_path(gens)
+        for gid in gids:
+            if gid not in by_gid:
+                raise CompositionError(f"gid {gid} not in any hom basis")
+        cat.tuple_path(tuple(by_gid[gid] for gid in gids))
     return cat
-
-
-def _find_gen(cat: AInftyCategory, gid: Hashable) -> Generator:
-    for gen in cat._gen_hom:
-        if gen.gid == gid:
-            return gen
-    raise CompositionError(f"gid {gid} not in any hom basis")
 
 
 def mu2_shifted(

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .ainfty import (
@@ -37,6 +37,7 @@ from .cylinder import (
     mu_d,
     pontryagin_target,
     ring_isomorphism_report,
+    signed_mu2,
     TWISTS,
 )
 from .gradedalg import Chain
@@ -126,6 +127,8 @@ class RunConfig:
     out: str | None
     mutation: str | None
     timings: bool
+    # the parsed --config file, read once
+    document: dict | None = field(default=None, repr=False, compare=False)
 
     def validate(self) -> None:
         if self.winding_bound < 1:
@@ -207,11 +210,9 @@ def _parse_int(doc: dict, key: str) -> int:
     raise CylinderConfigError(f"{key} must be an integer, got {value!r}")
 
 
-def _geometry_doc(path: str) -> dict:
-    """The geometry_config document at `path` (or inside the export bundle
-    there), checked for kind, schema version and required keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _geometry_doc(doc) -> dict:
+    """The geometry_config document `doc` (or the one inside an export
+    bundle), checked for kind, schema version and required keys."""
     if isinstance(doc, dict) and doc.get("kind") == "export_bundle":
         doc = doc.get("config")
     if not isinstance(doc, dict) or doc.get("kind") != "geometry_config":
@@ -290,8 +291,11 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     winding = 3
     max_d = 4
     twist = "none"
+    document = None
     if args.config:
-        doc = _geometry_doc(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            document = json.load(fh)
+        doc = _geometry_doc(document)
         c = _parse_fraction(doc["c"])
         fibers = tuple(_parse_fraction(f) for f in doc["fibers"])
         winding = _parse_int(doc, "winding_bound")
@@ -305,7 +309,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         twist = args.twist
     cfg = RunConfig(
         c=c, fibers=fibers, winding_bound=winding, max_d=max_d, twist=twist,
-        out=args.out, mutation=args.mutate, timings=args.timings,
+        out=args.out, mutation=args.mutate, timings=args.timings, document=document,
     )
     cfg.validate()
     return cfg
@@ -382,26 +386,23 @@ def _emit(cfg: RunConfig, reports: list[Report], stream) -> int:
 def cmd_check_all(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     imported = None
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("kind") == "export_bundle":
-            # the bundle's tables cover every lookup of the A-infinity check
-            # at the recorded enumeration bound; re-check over that basis
-            full_cat = _bundle_category(doc)
-            g = cfg.geometry()
-            n = g.nfibers()
-            hom_basis_map = {
-                (a, b): tuple(
-                    x.generator() for x in enumerate_chords(g, a, b, cfg.winding_bound)
-                )
-                for a in range(n) for b in range(n)
-            }
-            imported = AInftyCategory(
-                "imported", full_cat.objects, hom_basis_map, full_cat.mu_fn,
-                is_dg=False, arities=full_cat.arities,
-                gen_hom_fn=lambda gen: (gen.gid[1], gen.gid[2]),
+    if cfg.document is not None and cfg.document.get("kind") == "export_bundle":
+        # the bundle's tables cover every lookup of the A-infinity check at
+        # the recorded enumeration bound; re-check over that basis
+        full_cat = _bundle_category(cfg.document)
+        g = cfg.geometry()
+        n = g.nfibers()
+        hom_basis_map = {
+            (a, b): tuple(
+                x.generator() for x in enumerate_chords(g, a, b, cfg.winding_bound)
             )
+            for a in range(n) for b in range(n)
+        }
+        imported = AInftyCategory(
+            "imported", full_cat.objects, hom_basis_map, full_cat.mu_fn,
+            is_dg=False, arities=full_cat.arities,
+            gen_hom_fn=lambda gen: (gen.gid[1], gen.gid[2]),
+        )
     reports = _build_reports(cfg, imported_category=imported)
     return _emit(cfg, reports, sys.stdout)
 
@@ -467,9 +468,11 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
             continue
         if min(abs(x1.winding), abs(x2.winding)) > winding_bound:
             continue
-        val = mu_d(g, (x1, x2), twist=twist_fn)
-        if not val.is_zero():
-            table[(x1.gid, x2.gid)] = val
+        k1 = g.key(x1.source, x1.target, x1.winding)
+        k2 = g.key(x2.source, x2.target, x2.winding)
+        terms = signed_mu2(g, k1, k2, twist_fn, None)
+        if terms:
+            table[(x1.gid, x2.gid)] = Chain({g.chord_at(k).generator(): c for k, c in terms})
     return hom_basis_map, {2: table}
 
 

@@ -33,10 +33,12 @@ with it the mu_2 table, unchanged.
 Tables.  Each geometry instance builds two tables once, on integer keys:
 the chord table (a chord's key packs (a, b, w); its `Fraction` momentum and
 action are derived once from delta) and the mu_2 table, from a pair of chord
-keys to the (output key, polygon sign) terms that `mu_polygons` finds on the
-lattice.  The categories, the functor and the oracles built on one
-geometry share them; each category applies its own twist and orientation
-tokens on top.
+keys to the (output key, polygon sign) terms.  `_mu2_entry` fills each entry
+in one integer pass that makes every check of the triangle model, with no
+polygon object or `Fraction`; `mu_polygons` wraps the same helper for
+callers that want the polygon.  The categories, the functor, the oracles
+and the export built on one geometry read that table; each applies its own
+twist and orientation tokens on top.
 
 Oracles.  Two independent checks decide on integers too.  The polygon
 oracle (`mu2_raster_count`) counts the lattice points strictly inside each
@@ -159,13 +161,10 @@ class CylinderGeometry:
 
     def mu2_terms(self, k1: int, k2: int) -> tuple[tuple[int, int], ...]:
         """The (output key, polygon sign) terms of mu_2 on two chord keys in
-        composition order, from `mu_polygons` the first time."""
+        composition order, filled by `_mu2_entry` the first time."""
         terms = self._mu2.get((k1, k2))
         if terms is None:
-            polys = mu_polygons(self, (self.chord_at(k1), self.chord_at(k2)))
-            terms = self._mu2[(k1, k2)] = tuple(
-                (self.key(*poly.output[1:]), poly.sign) for poly in polys
-            )
+            terms = self._mu2[(k1, k2)] = _mu2_entry(self, k1, k2)
         return terms
 
 
@@ -294,60 +293,49 @@ def _check_composable(chords: tuple[Chord, ...]) -> None:
             )
 
 
-def _mu2_corners(g: CylinderGeometry, x1: Chord, x2: Chord):
-    """The corners (P0, P1, P2) of the mu_2 configuration on (x1, x2) as
-    lattice points: P0 on the boundary lines 0 and 2, P1 on lines 0 and 1,
-    P2 on lines 1 and 2.  Line k is 2Q = 2A_k + (2 - k)P, with A_0 the lift of
-    the first fibre and A_k that of the k-th chord's target after the
-    windings so far."""
+def _mu2_corners(g: CylinderGeometry, k1: int, k2: int):
+    """The output key and the corners (P0, P1, P2) of the mu_2 configuration
+    on two chord keys in composition order, as lattice points: P0 on the
+    boundary lines 0 and 2, P1 on lines 0 and 1, P2 on lines 1 and 2.
+
+    Line k is 2Q = 2A_k + (2 - k)P, with A_0 the lift of the first fibre and
+    A_k that of the k-th chord's target after the windings so far.  Each
+    pair of lines meets at an integer point: P0 = (A_2, A_2 - A_0),
+    P1 = (2A_1 - A_0, 2(A_1 - A_0)) and P2 = (A_2, 2(A_2 - A_1)).
+    """
+    n = len(g.fibers)
+    rest, b = divmod(k1, n)
+    w1, a = divmod(rest, n)
+    rest, c = divmod(k2, n)
+    w2, b2 = divmod(rest, n)
+    if b != b2:
+        raise CompositionError(
+            f"chords not composable: {('x', a, b, w1)} then {('x', b2, c, w2)}"
+        )
     N, D = g.lattice, g.denominator
-    offsets = (
-        N[x1.source],
-        N[x1.target] + x1.winding * D,
-        N[x2.target] + (x1.winding + x2.winding) * D,
-    )
-
-    def meet(k: int, m: int) -> tuple[int, int]:
-        p, r = divmod(2 * (offsets[m] - offsets[k]), m - k)
-        q, s = divmod(2 * offsets[m] + (2 - m) * p, 2)
-        if r or s:
-            raise AssertionError("boundary lines meet off the lattice")
-        return (q, p)
-
-    return meet(0, 2), meet(0, 1), meet(1, 2)
+    A0, A1, A2 = N[a], N[b] + w1 * D, N[c] + (w1 + w2) * D
+    out = ((w1 + w2) * n + a) * n + c
+    return out, ((A2, A2 - A0), (2 * A1 - A0, 2 * (A1 - A0)), (A2, 2 * (A2 - A1)))
 
 
 def _cross(P0: tuple[int, int], P1: tuple[int, int], P2: tuple[int, int]) -> int:
     return (P1[0] - P0[0]) * (P2[1] - P0[1]) - (P1[1] - P0[1]) * (P2[0] - P0[0])
 
 
-def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[LatticePolygon]:
-    """Rigid convex polygons with the prescribed corner chords.
+def _mu2_entry(g: CylinderGeometry, k1: int, k2: int) -> tuple[tuple[int, int], ...]:
+    """The mu_2 table entry of two chord keys in composition order: the
+    (output key, sign) term of the one rigid triangle.
 
-    The lifts are forced by the corners, so for d = 2 exactly one candidate
-    exists; it is the honest triangle bounded by the three lines, or the
-    constant configuration when all corners coincide.  For d >= 3 the
-    candidate sits in a (d-2)-parameter family of conformal structures and
-    is never rigid; with all chords in degree 0 the index also forbids an
-    output, so the rigid count is empty.
-
-    Every decision is an integer identity on the lattice: areas, energies
-    and actions are in half cells, where a chord's action is -2 delta^2.
+    The lifts are forced by the corners, so exactly one candidate exists; it
+    is the honest triangle bounded by the three lines, or the constant
+    configuration when all corners coincide.  Every decision is an integer
+    identity on the lattice: areas, energies and actions are in half cells,
+    where a chord's action is -2 delta^2.
     """
-    d = len(chords)
-    if d < 2:
-        raise ValueError("polygon enumeration needs d >= 2")
-    _check_composable(chords)
-    if d >= 3:
-        # the configuration exists but its expected dimension d-2 is positive
-        return []
-
-    x1, x2 = chords
-    d1, d2 = g.delta(x1), g.delta(x2)
-    out = chord(g, x1.source, x2.target, x1.winding + x2.winding)
-    if g.delta(out) != d1 + d2:
+    out, (P0, P1, P2) = _mu2_corners(g, k1, k2)
+    d1, d2 = g.delta(g.chord_at(k1)), g.delta(g.chord_at(k2))
+    if g.delta(g.chord_at(out)) != d1 + d2:
         raise AssertionError("output corner does not close up")
-    P0, P1, P2 = _mu2_corners(g, x1, x2)
 
     # the cross product, in cells, is -(delta_1 - delta_2)^2 only when the
     # intersected corners sit at the chords' momenta 2 delta_1 and 2 delta_2
@@ -361,7 +349,7 @@ def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[LatticeP
         raise AssertionError("triangle corners in counterclockwise order; invalid count")
 
     # in half cells: the output's action weighted by 1/2, and the inputs'
-    area = abs(cross)
+    area = -cross
     weighted = -(d1 + d2) ** 2
     inputs = -2 * (d1 * d1 + d2 * d2)
     energy = weighted - inputs
@@ -369,14 +357,37 @@ def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[LatticeP
         raise AssertionError(f"energy identity violated: area {area} != {energy}")
     if weighted < inputs:
         raise AssertionError("weighted output action below input action sum")
+    return ((out, 1),)
 
+
+def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[LatticePolygon]:
+    """Rigid convex polygons with the prescribed corner chords.
+
+    For d = 2 this is the table entry of `_mu2_entry`, which makes every
+    check, wrapped with its corners and its area.  For d >= 3 the candidate
+    sits in a (d-2)-parameter family of conformal structures and is never
+    rigid; with all chords in degree 0 the index also forbids an output, so
+    the rigid count is empty.
+    """
+    d = len(chords)
+    if d < 2:
+        raise ValueError("polygon enumeration needs d >= 2")
+    _check_composable(chords)
+    if d >= 3:
+        # the configuration exists but its expected dimension d-2 is positive
+        return []
+
+    x1, x2 = chords
+    k1, k2 = _key(g, x1), _key(g, x2)
+    ((out, sign),) = _mu2_entry(g, k1, k2)
+    _, corners = _mu2_corners(g, k1, k2)
     poly = LatticePolygon(
-        vertices=(P0, P1, P2),
+        vertices=corners,
         corner_chords=(x1.gid, x2.gid),
-        output=out.gid,
-        sign=1,
-        degenerate=degenerate,
-        area=g.half_cells(area),
+        output=g.chord_at(out).gid,
+        sign=sign,
+        degenerate=g.delta(x1) == g.delta(x2),
+        area=g.half_cells(-_cross(*corners)),
     )
     return [poly]
 
@@ -404,7 +415,7 @@ TWISTS: dict[str, TwistFn] = {
 }
 
 
-def _signed_mu2(
+def signed_mu2(
     g: CylinderGeometry, k1: int, k2: int, twist: TwistFn, tokens: Mapping[tuple, int] | None
 ) -> tuple[tuple[int, int], ...]:
     """mu_2 on two chord keys as (output key, coeff) terms: the geometry's
@@ -435,7 +446,7 @@ def mu_d(
         mu_polygons(g, chords)  # raises below d = 2; no rigid polygon above
         return Chain.zero()
     acc: dict[Generator, int] = {}
-    for key, coeff in _signed_mu2(g, _key(g, chords[0]), _key(g, chords[1]), twist, tokens):
+    for key, coeff in signed_mu2(g, _key(g, chords[0]), _key(g, chords[1]), twist, tokens):
         accumulate(acc, ((g.chord_at(key).generator(), coeff),), 1)
     return Chain.from_sums(acc)
 
@@ -606,7 +617,7 @@ def cylinder_category(
             return ()
         out = terms.get(keys)
         if out is None:
-            out = terms[keys] = _signed_mu2(g, keys[0], keys[1], twist_fn, tokens)
+            out = terms[keys] = signed_mu2(g, keys[0], keys[1], twist_fn, tokens)
         return out
 
     def degree(key: int) -> int:
@@ -653,7 +664,9 @@ def structure_constants(
     twist_fn = TWISTS[twist]
     return {
         (x1.gid, x2.gid): {
-            gen.gid: coeff for gen, coeff in mu_d(g, (x1, x2), twist=twist_fn).sorted_items()
+            # a table entry has one term, so this is mu_d's sorted chain
+            g.chord_at(key).gid: coeff
+            for key, coeff in signed_mu2(g, _key(g, x1), _key(g, x2), twist_fn, None)
         }
         for x1, x2 in chord_pairs(g, winding_bound)
     }
@@ -798,8 +811,21 @@ def ring_isomorphism_report(
 # Lattice-count oracle for the triangle counts.
 # ---------------------------------------------------------------------------
 
-def mu2_exact_count(g: CylinderGeometry, x1: Chord, x2: Chord) -> int:
-    return len(g.mu2_terms(_key(g, x1), _key(g, x2)))
+def _raster_count(corners, resolution: int) -> int:
+    """The lattice count of `mu2_raster_count` on the corners (P0, P1, P2)."""
+    if type(resolution) is not int or resolution < 1:
+        raise CylinderConfigError(f"raster resolution must be a positive int, got {resolution!r}")
+    P0, P1, P2 = corners
+    interior = _kernels.triangle_grid_count(*P0, *P1, *P2, resolution, resolution)
+    if P0 == P1 == P2:
+        return 1 if interior == 0 else 0
+    if interior == 0:
+        return 0
+    boundary = resolution * sum(
+        math.gcd(u[0] - v[0], u[1] - v[1]) for u, v in ((P0, P1), (P1, P2), (P2, P0))
+    )
+    twice_area = abs(_cross(P0, P1, P2)) * resolution * resolution
+    return 1 if twice_area == 2 * interior + boundary - 2 else 0
 
 
 def mu2_raster_count(
@@ -818,33 +844,23 @@ def mu2_raster_count(
     Returns 1 for a confirmed triangle (I > 0 and Pick's identity) or a
     confirmed constant configuration (coincident corners, I == 0), else 0.
     """
-    if type(resolution) is not int or resolution < 1:
-        raise CylinderConfigError(f"raster resolution must be a positive int, got {resolution!r}")
-    _check_composable((x1, x2))
-    P0, P1, P2 = _mu2_corners(g, x1, x2)
-    interior = _kernels.triangle_grid_count(*P0, *P1, *P2, resolution, resolution)
-    if P0 == P1 == P2:
-        return 1 if interior == 0 else 0
-    if interior == 0:
-        return 0
-    boundary = resolution * sum(
-        math.gcd(u[0] - v[0], u[1] - v[1]) for u, v in ((P0, P1), (P1, P2), (P2, P0))
-    )
-    twice_area = abs(_cross(P0, P1, P2)) * resolution * resolution
-    return 1 if twice_area == 2 * interior + boundary - 2 else 0
+    _, corners = _mu2_corners(g, _key(g, x1), _key(g, x2))
+    return _raster_count(corners, resolution)
 
 
 def raster_cross_check(
     g: CylinderGeometry, winding_bound: int, resolutions: tuple[int, int] = (192, 384)
 ) -> CheckReport:
     """Compare |mu_2| with the exact lattice count for every composable
-    chord pair within the bound, at two refinements."""
+    chord pair within the bound, at two refinements of the pair's corners."""
     name = "mu2-raster-oracle"
     pairs = 0
     for x1, x2 in chord_pairs(g, winding_bound):
-        exact = mu2_exact_count(g, x1, x2)
+        k1, k2 = _key(g, x1), _key(g, x2)
+        exact = len(g.mu2_terms(k1, k2))
+        _, corners = _mu2_corners(g, k1, k2)
         for res in resolutions:
-            raster = mu2_raster_count(g, x1, x2, res)
+            raster = _raster_count(corners, res)
             if raster != exact:
                 return failed(
                     name,

@@ -11,6 +11,7 @@ by the same exhaustive checks.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
@@ -152,7 +153,9 @@ def circle_model_at(points: Iterable[Fraction]) -> CirclePathModel:
 
 
 class FinitePathModel(PathModel):
-    """A path model backed by explicit finite tables (e.g. loaded from JSON)."""
+    """A path model backed by explicit finite tables (e.g. loaded from JSON),
+    with at least one point; every table must name only known points and
+    generators, else construction raises ValueError."""
 
     def __init__(
         self,
@@ -163,11 +166,20 @@ class FinitePathModel(PathModel):
         differential: Mapping[Hashable, Mapping[Hashable, int]] | None = None,
     ):
         self.points = tuple(points)
+        if not self.points:
+            raise ValueError("path model has no points")
         self._gens: dict[Hashable, Generator] = {}
         self._endpoints: dict[Hashable, tuple[int, int]] = {}
         for gid, (src, tgt, deg) in generators.items():
+            if not (0 <= src < len(self.points) and 0 <= tgt < len(self.points)):
+                raise ValueError(f"generator {gid!r} runs between unknown points {src}, {tgt}")
             self._gens[gid] = Generator(gid, deg)
             self._endpoints[gid] = (src, tgt)
+        rows = [(*pair, *table) for pair, table in composition.items()]
+        rows += [(gid, *table) for gid, table in (differential or {}).items()]
+        for gid in itertools.chain(*rows):
+            if gid not in self._gens:
+                raise ValueError(f"path model row names unknown generator {gid!r}")
         self._units = dict(units)
         for i in range(len(self.points)):
             ugid = self._units.get(i)

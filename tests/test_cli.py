@@ -338,6 +338,61 @@ def test_import_model_json_array_exits_2(tmp_path):
     assert proc.stderr.strip() == "error: cannot load model: not a path_model document"
 
 
+def _generator_off_the_points(doc):
+    doc["generators"].append({"id": "z", "source": 5, "target": 7, "degree": 0})
+
+
+def _row_with_unknown_second(doc):
+    doc["composition"].append({"first": "a", "second": "zz", "result": {}})
+
+
+def _no_points(doc):
+    doc["points"] = []
+
+
+def _no_points_no_units(doc):
+    doc["points"] = []
+    doc["units"] = {}
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_generator_off_the_points, "generator 'z' runs between unknown points 5, 7"),
+        (_row_with_unknown_second, "path model row names unknown generator 'zz'"),
+        (_no_points, "path model has no points"),
+        (_no_points_no_units, "path model has no points"),
+    ],
+)
+def test_import_model_open_tables_exit_2(tmp_path, corrupt, message):
+    from floerloops.pontryagin import leibniz_witness_model, path_model_to_json
+
+    doc = path_model_to_json(leibniz_witness_model())
+    corrupt(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("import-model", "--model", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: cannot load model: {message}"]
+
+
+def test_bundle_check_all_parses_the_bundle_once(tmp_path, small_bundle, monkeypatch, capsys):
+    from floerloops import cli
+
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(small_bundle))
+    loads = []
+    load = json.load
+
+    def counted_load(fh, *args, **kwargs):
+        loads.append(fh.name)
+        return load(fh, *args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counted_load)
+    assert cli.main(["check-all", "--config", str(path)]) == 0
+    assert loads == [str(path)]
+
+
 def test_timings_flag_breaks_byte_identity_only_in_timing(tmp_path):
     out = tmp_path / "t.json"
     proc = run_cli("check-all", "--winding", "1", "--timings", "--out", str(out))

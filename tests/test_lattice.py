@@ -16,7 +16,10 @@ from floerloops.cylinder import (
     cylinder_category,
     functor_F,
     half_disc_d1,
+    mu_d,
     mu_polygons,
+    structure_constants,
+    TWISTS,
 )
 
 BOUND = 3
@@ -72,12 +75,12 @@ ACCEPTANCE_GEOMETRY = (Fraction(1), (Fraction(0), Fraction(1, 3), Fraction(3, 4)
 def test_tables_build_each_chord_and_f1_once(monkeypatch):
     built = collections.Counter()
     f1_evaluations = collections.Counter()
-    polygons = collections.Counter()
+    entries = collections.Counter()
     in_family = []
     chord_class = cylinder.Chord
     half_disc = cylinder.half_disc_d1
     family = cylinder.half_disc_d2_family
-    polygons_of = cylinder.mu_polygons
+    entry_of = cylinder._mu2_entry
 
     def counted_chord(a, b, w, *rest):
         built[(a, b, w)] += 1
@@ -95,14 +98,14 @@ def test_tables_build_each_chord_and_f1_once(monkeypatch):
         finally:
             in_family.pop()
 
-    def counted_polygons(g, chords):
-        polygons[tuple(x.gid for x in chords)] += 1
-        return polygons_of(g, chords)
+    def counted_entry(g, k1, k2):
+        entries[(k1, k2)] += 1
+        return entry_of(g, k1, k2)
 
     monkeypatch.setattr(cylinder, "Chord", counted_chord)
     monkeypatch.setattr(cylinder, "half_disc_d1", counted_half_disc)
     monkeypatch.setattr(cylinder, "half_disc_d2_family", counted_family)
-    monkeypatch.setattr(cylinder, "mu_polygons", counted_polygons)
+    monkeypatch.setattr(cylinder, "_mu2_entry", counted_entry)
 
     g = CylinderGeometry(*ACCEPTANCE_GEOMETRY)
     assert check_ainfty(cylinder_category(g, BOUND), 4).ok
@@ -114,4 +117,31 @@ def test_tables_build_each_chord_and_f1_once(monkeypatch):
     # (|w| <= 6): 9 fibre pairs x 13
     assert len(f1_evaluations) == 117 and set(f1_evaluations.values()) == {1}
     # 27 fibre paths x 133 winding pairs with one winding in the basis
-    assert len(polygons) == 3591 and set(polygons.values()) == {1}
+    assert len(entries) == 3591 and set(entries.values()) == {1}
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    c=st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=12),
+    fibers=st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda f: f < 1),
+        min_size=1, max_size=3, unique=True,
+    ),
+    bound=st.integers(1, 2),
+)
+def test_structure_constants_read_the_table_as_mu_d_would(c, fibers, bound):
+    """The table-read structure constants against a reference built from
+    mu_d Chains, key order of the outer and inner dicts included."""
+    g = CylinderGeometry(c, tuple(fibers))
+    for twist, twist_fn in TWISTS.items():
+        reference = {
+            (x1.gid, x2.gid): {
+                gen.gid: coeff for gen, coeff in mu_d(g, (x1, x2), twist=twist_fn).sorted_items()
+            }
+            for x1, x2 in chord_pairs(g, bound)
+        }
+        got = structure_constants(g, bound, twist)
+        assert list(got) == list(reference)
+        assert [list(v.items()) for v in got.values()] == [
+            list(v.items()) for v in reference.values()
+        ]

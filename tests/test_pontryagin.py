@@ -142,3 +142,17 @@ def test_json_rejects_bad_documents():
 def test_finite_model_requires_units():
     with pytest.raises(ValueError):
         FinitePathModel(("P",), {"a": (0, 0, 1)}, {}, {})
+
+
+@pytest.mark.parametrize(
+    "composition,differential,unknown",
+    [
+        ({("u", "u"): {"zz": 1}}, {}, "zz"),
+        ({("zz", "u"): {"u": 1}}, {}, "zz"),
+        ({("u", "u"): {"u": 1}}, {"zz": {"u": 1}}, "zz"),
+        ({("u", "u"): {"u": 1}}, {"u": {"zz": 1}}, "zz"),
+    ],
+)
+def test_finite_model_rows_name_known_generators(composition, differential, unknown):
+    with pytest.raises(ValueError, match=f"unknown generator '{unknown}'"):
+        FinitePathModel(("P",), {"u": (0, 0, 0)}, {0: "u"}, composition, differential)
