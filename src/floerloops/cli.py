@@ -37,7 +37,6 @@ from .cylinder import (
     mu_d,
     pontryagin_target,
     ring_isomorphism_report,
-    signed_mu2,
     TWISTS,
 )
 from .gradedalg import Chain
@@ -468,11 +467,9 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
             continue
         if min(abs(x1.winding), abs(x2.winding)) > winding_bound:
             continue
-        k1 = g.key(x1.source, x1.target, x1.winding)
-        k2 = g.key(x2.source, x2.target, x2.winding)
-        terms = signed_mu2(g, k1, k2, twist_fn, None)
-        if terms:
-            table[(x1.gid, x2.gid)] = Chain({g.chord_at(k).generator(): c for k, c in terms})
+        val = mu_d(g, (x1, x2), twist=twist_fn)
+        if not val.is_zero():
+            table[(x1.gid, x2.gid)] = val
     return hom_basis_map, {2: table}
 
 

@@ -35,10 +35,9 @@ the chord table (a chord's key packs (a, b, w); its `Fraction` momentum and
 action are derived once from delta) and the mu_2 table, from a pair of chord
 keys to the (output key, polygon sign) terms.  `_mu2_entry` fills each entry
 in one integer pass that makes every check of the triangle model, with no
-polygon object or `Fraction`; `mu_polygons` wraps the same helper for
-callers that want the polygon.  The categories, the functor, the oracles
-and the export built on one geometry read that table; each applies its own
-twist and orientation tokens on top.
+polygon object or `Fraction`; `mu_polygons` returns its terms.  The
+categories, the functor, the oracles and the export built on one geometry
+read that table; each applies its own twist and orientation tokens on top.
 
 Oracles.  Two independent checks decide on integers too.  The polygon
 oracle (`mu2_raster_count`) counts the lattice points strictly inside each
@@ -271,20 +270,6 @@ def maslov_degree_oracle(g: CylinderGeometry, x: Chord, steps: int = 512) -> int
 # Polygons for the higher products.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticePolygon:
-    """A rigid configuration contributing to an operation: corner chords,
-    vertices as lattice points (Q, P) of the geometry, the output chord, the
-    sign and the area."""
-
-    vertices: tuple[tuple[int, int], ...]
-    corner_chords: tuple[tuple, ...]
-    output: tuple
-    sign: int
-    degenerate: bool
-    area: Fraction
-
-
 def _check_composable(chords: tuple[Chord, ...]) -> None:
     for x, y in zip(chords, chords[1:]):
         if x.target != y.source:
@@ -293,28 +278,22 @@ def _check_composable(chords: tuple[Chord, ...]) -> None:
             )
 
 
-def _mu2_corners(g: CylinderGeometry, k1: int, k2: int):
+def _mu2_corners(g: CylinderGeometry, x1: Chord, x2: Chord):
     """The output key and the corners (P0, P1, P2) of the mu_2 configuration
-    on two chord keys in composition order, as lattice points: P0 on the
-    boundary lines 0 and 2, P1 on lines 0 and 1, P2 on lines 1 and 2.
+    on (x1, x2), as lattice points: P0 on the boundary lines 0 and 2, P1 on
+    lines 0 and 1, P2 on lines 1 and 2.
 
     Line k is 2Q = 2A_k + (2 - k)P, with A_0 the lift of the first fibre and
     A_k that of the k-th chord's target after the windings so far.  Each
     pair of lines meets at an integer point: P0 = (A_2, A_2 - A_0),
     P1 = (2A_1 - A_0, 2(A_1 - A_0)) and P2 = (A_2, 2(A_2 - A_1)).
     """
-    n = len(g.fibers)
-    rest, b = divmod(k1, n)
-    w1, a = divmod(rest, n)
-    rest, c = divmod(k2, n)
-    w2, b2 = divmod(rest, n)
-    if b != b2:
-        raise CompositionError(
-            f"chords not composable: {('x', a, b, w1)} then {('x', b2, c, w2)}"
-        )
+    _check_composable((x1, x2))
     N, D = g.lattice, g.denominator
-    A0, A1, A2 = N[a], N[b] + w1 * D, N[c] + (w1 + w2) * D
-    out = ((w1 + w2) * n + a) * n + c
+    A0 = N[x1.source]
+    A1 = N[x1.target] + x1.winding * D
+    A2 = N[x2.target] + (x1.winding + x2.winding) * D
+    out = g.key(x1.source, x2.target, x1.winding + x2.winding)
     return out, ((A2, A2 - A0), (2 * A1 - A0, 2 * (A1 - A0)), (A2, 2 * (A2 - A1)))
 
 
@@ -332,8 +311,9 @@ def _mu2_entry(g: CylinderGeometry, k1: int, k2: int) -> tuple[tuple[int, int], 
     identity on the lattice: areas, energies and actions are in half cells,
     where a chord's action is -2 delta^2.
     """
-    out, (P0, P1, P2) = _mu2_corners(g, k1, k2)
-    d1, d2 = g.delta(g.chord_at(k1)), g.delta(g.chord_at(k2))
+    x1, x2 = g.chord_at(k1), g.chord_at(k2)
+    out, (P0, P1, P2) = _mu2_corners(g, x1, x2)
+    d1, d2 = g.delta(x1), g.delta(x2)
     if g.delta(g.chord_at(out)) != d1 + d2:
         raise AssertionError("output corner does not close up")
 
@@ -360,14 +340,14 @@ def _mu2_entry(g: CylinderGeometry, k1: int, k2: int) -> tuple[tuple[int, int], 
     return ((out, 1),)
 
 
-def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[LatticePolygon]:
-    """Rigid convex polygons with the prescribed corner chords.
+def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[tuple[int, int]]:
+    """The rigid polygons with the prescribed corner chords, as (output key,
+    sign) terms.
 
-    For d = 2 this is the table entry of `_mu2_entry`, which makes every
-    check, wrapped with its corners and its area.  For d >= 3 the candidate
-    sits in a (d-2)-parameter family of conformal structures and is never
-    rigid; with all chords in degree 0 the index also forbids an output, so
-    the rigid count is empty.
+    For d = 2 these are the mu_2 table's terms, which `_mu2_entry` checked.
+    For d >= 3 the candidate sits in a (d-2)-parameter family of conformal
+    structures and is never rigid; with all chords in degree 0 the index
+    also forbids an output, so the rigid count is empty.
     """
     d = len(chords)
     if d < 2:
@@ -376,20 +356,7 @@ def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[LatticeP
     if d >= 3:
         # the configuration exists but its expected dimension d-2 is positive
         return []
-
-    x1, x2 = chords
-    k1, k2 = _key(g, x1), _key(g, x2)
-    ((out, sign),) = _mu2_entry(g, k1, k2)
-    _, corners = _mu2_corners(g, k1, k2)
-    poly = LatticePolygon(
-        vertices=corners,
-        corner_chords=(x1.gid, x2.gid),
-        output=g.chord_at(out).gid,
-        sign=sign,
-        degenerate=g.delta(x1) == g.delta(x2),
-        area=g.half_cells(-_cross(*corners)),
-    )
-    return [poly]
+    return list(g.mu2_terms(_key(g, chords[0]), _key(g, chords[1])))
 
 
 TwistFn = Callable[[int], int]
@@ -415,7 +382,7 @@ TWISTS: dict[str, TwistFn] = {
 }
 
 
-def signed_mu2(
+def _signed_mu2(
     g: CylinderGeometry, k1: int, k2: int, twist: TwistFn, tokens: Mapping[tuple, int] | None
 ) -> tuple[tuple[int, int], ...]:
     """mu_2 on two chord keys as (output key, coeff) terms: the geometry's
@@ -446,7 +413,7 @@ def mu_d(
         mu_polygons(g, chords)  # raises below d = 2; no rigid polygon above
         return Chain.zero()
     acc: dict[Generator, int] = {}
-    for key, coeff in signed_mu2(g, _key(g, chords[0]), _key(g, chords[1]), twist, tokens):
+    for key, coeff in _signed_mu2(g, _key(g, chords[0]), _key(g, chords[1]), twist, tokens):
         accumulate(acc, ((g.chord_at(key).generator(), coeff),), 1)
     return Chain.from_sums(acc)
 
@@ -617,7 +584,7 @@ def cylinder_category(
             return ()
         out = terms.get(keys)
         if out is None:
-            out = terms[keys] = signed_mu2(g, keys[0], keys[1], twist_fn, tokens)
+            out = terms[keys] = _signed_mu2(g, keys[0], keys[1], twist_fn, tokens)
         return out
 
     def degree(key: int) -> int:
@@ -666,7 +633,7 @@ def structure_constants(
         (x1.gid, x2.gid): {
             # a table entry has one term, so this is mu_d's sorted chain
             g.chord_at(key).gid: coeff
-            for key, coeff in signed_mu2(g, _key(g, x1), _key(g, x2), twist_fn, None)
+            for key, coeff in _signed_mu2(g, _key(g, x1), _key(g, x2), twist_fn, None)
         }
         for x1, x2 in chord_pairs(g, winding_bound)
     }
@@ -811,23 +778,6 @@ def ring_isomorphism_report(
 # Lattice-count oracle for the triangle counts.
 # ---------------------------------------------------------------------------
 
-def _raster_count(corners, resolution: int) -> int:
-    """The lattice count of `mu2_raster_count` on the corners (P0, P1, P2)."""
-    if type(resolution) is not int or resolution < 1:
-        raise CylinderConfigError(f"raster resolution must be a positive int, got {resolution!r}")
-    P0, P1, P2 = corners
-    interior = _kernels.triangle_grid_count(*P0, *P1, *P2, resolution, resolution)
-    if P0 == P1 == P2:
-        return 1 if interior == 0 else 0
-    if interior == 0:
-        return 0
-    boundary = resolution * sum(
-        math.gcd(u[0] - v[0], u[1] - v[1]) for u, v in ((P0, P1), (P1, P2), (P2, P0))
-    )
-    twice_area = abs(_cross(P0, P1, P2)) * resolution * resolution
-    return 1 if twice_area == 2 * interior + boundary - 2 else 0
-
-
 def mu2_raster_count(
     g: CylinderGeometry, x1: Chord, x2: Chord, resolution: int
 ) -> int:
@@ -844,23 +794,32 @@ def mu2_raster_count(
     Returns 1 for a confirmed triangle (I > 0 and Pick's identity) or a
     confirmed constant configuration (coincident corners, I == 0), else 0.
     """
-    _, corners = _mu2_corners(g, _key(g, x1), _key(g, x2))
-    return _raster_count(corners, resolution)
+    if type(resolution) is not int or resolution < 1:
+        raise CylinderConfigError(f"raster resolution must be a positive int, got {resolution!r}")
+    _, (P0, P1, P2) = _mu2_corners(g, x1, x2)
+    interior = _kernels.triangle_grid_count(*P0, *P1, *P2, resolution, resolution)
+    if P0 == P1 == P2:
+        return 1 if interior == 0 else 0
+    if interior == 0:
+        return 0
+    boundary = resolution * sum(
+        math.gcd(u[0] - v[0], u[1] - v[1]) for u, v in ((P0, P1), (P1, P2), (P2, P0))
+    )
+    twice_area = abs(_cross(P0, P1, P2)) * resolution * resolution
+    return 1 if twice_area == 2 * interior + boundary - 2 else 0
 
 
 def raster_cross_check(
     g: CylinderGeometry, winding_bound: int, resolutions: tuple[int, int] = (192, 384)
 ) -> CheckReport:
     """Compare |mu_2| with the exact lattice count for every composable
-    chord pair within the bound, at two refinements of the pair's corners."""
+    chord pair within the bound, at two refinements."""
     name = "mu2-raster-oracle"
     pairs = 0
     for x1, x2 in chord_pairs(g, winding_bound):
-        k1, k2 = _key(g, x1), _key(g, x2)
-        exact = len(g.mu2_terms(k1, k2))
-        _, corners = _mu2_corners(g, k1, k2)
+        exact = len(g.mu2_terms(_key(g, x1), _key(g, x2)))
         for res in resolutions:
-            raster = _raster_count(corners, res)
+            raster = mu2_raster_count(g, x1, x2, res)
             if raster != exact:
                 return failed(
                     name,

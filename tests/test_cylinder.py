@@ -11,6 +11,8 @@ from floerloops.cli import MUTATIONS
 from floerloops.cylinder import (
     Chord,
     CylinderConfigError,
+    _cross,
+    _mu2_corners,
     CylinderGeometry,
     build_F_object,
     chord,
@@ -141,11 +143,11 @@ def test_maslov_cross_check_catches_a_mutated_degree():
 def test_mu2_same_fiber_single_triangle(one_fiber):
     for i in range(-2, 3):
         for j in range(-2, 3):
-            polys = mu_polygons(one_fiber, (chord(one_fiber, 0, 0, i), chord(one_fiber, 0, 0, j)))
-            assert len(polys) == 1
-            assert polys[0].output == ("x", 0, 0, i + j)
-            assert polys[0].degenerate == (i == j)
-            out = mu_d(one_fiber, (chord(one_fiber, 0, 0, i), chord(one_fiber, 0, 0, j)))
+            x1, x2 = chord(one_fiber, 0, 0, i), chord(one_fiber, 0, 0, j)
+            assert mu_polygons(one_fiber, (x1, x2)) == [(one_fiber.key(0, 0, i + j), 1)]
+            _, (P0, P1, P2) = _mu2_corners(one_fiber, x1, x2)
+            assert (P0 == P1 == P2) == (i == j)
+            out = mu_d(one_fiber, (x1, x2))
             assert out == Chain.of(Generator(("x", 0, 0, i + j), 0))
 
 
@@ -165,12 +167,14 @@ def test_mu2_energy_identity_and_action_direction(three_fibers):
         for w1 in (-2, 0, 1):
             for w2 in (-1, 0, 2):
                 x1, x2 = chord(g, a, b, w1), chord(g, b, c_idx, w2)
-                (poly,) = mu_polygons(g, (x1, x2))
+                assert len(mu_polygons(g, (x1, x2))) == 1
+                _, corners = _mu2_corners(g, x1, x2)
+                area = g.half_cells(-_cross(*corners))
                 p_out = x1.momentum + x2.momentum
                 weighted_action = -g.c * p_out * p_out / 2
-                assert poly.area == weighted_action - (x1.action + x2.action)
+                assert area == weighted_action - (x1.action + x2.action)
                 assert weighted_action >= x1.action + x2.action
-                assert (poly.area == 0) == poly.degenerate
+                assert (area == 0) == (corners[0] == corners[1] == corners[2])
 
 
 def test_mu2_output_degree_bookkeeping(one_fiber):
@@ -384,8 +388,7 @@ def test_random_geometry_properties():
         x2 = chord(g, b, d, w2)
         x3 = chord(g, d, e, w3)
         # energy identity and winding closure for every triangle
-        (poly,) = mu_polygons(g, (x1, x2))
-        assert poly.output == ("x", a, d, w1 + w2)
+        assert mu_polygons(g, (x1, x2)) == [(g.key(a, d, w1 + w2), 1)]
         # associativity of the product
         y12 = mu_d(g, (x1, x2))
         lhs = Chain.zero()
