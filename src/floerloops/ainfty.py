@@ -31,10 +31,17 @@ keyed mu (a key tuple to its (key, coeff) terms) and a degree lookup.  A
 category given on Generators uses them as their own keys.  A category with
 interned tables (`KeyedOps`) hands the kernel integer keys and enumerates
 the linked tuples itself, e.g. by summand, so the tuples it rules out are
-never visited.  Tuples come in groups: a prefix of d - 1 keys and the last
-keys completing it.  Per group the kernel computes the split sign parities
-and the signed inner mu outputs of the splits inside the prefix once; per
-last key it evaluates only the outer mu and the splits touching that key.
+never visited; its Generator-level `mu_fn` is derived from those tables.
+Tuples come in groups: a prefix of d - 1 keys and the last keys completing
+it.  Per group the kernel computes the split sign parities and the signed
+inner mu outputs of the splits inside the prefix once; per last key it
+evaluates only the outer mu and the splits touching that key.
+
+Functors.  An `AInftyFunctor` maps source key tuples to target key terms
+and declares its arity support.  `check_functor` evaluates the functor
+equation through both categories' keyed mu, on the terms whose operations
+all lie in their supports, and decodes only the witness; an arity with no
+such term is certified zero by support and not enumerated.
 """
 
 from __future__ import annotations
@@ -65,13 +72,14 @@ class KeyedOps:
     and a sequence of last keys, whose tuples prefix + (last,) are the
     composable length-d key tuples not certified zero by linkage, flattened
     in `composable_tuples` order; `decode(key)` is the basis generator a
-    key stands for.
+    key stands for, and `encode(gen)` the key of a token-(+1) generator.
     """
 
     mu: Callable[[tuple], Iterable[tuple[Hashable, int]]]
     degree: Callable[[Hashable], int]
     linked_groups: Callable[[int], Iterable[tuple[tuple, Sequence]]]
     decode: Callable[[Hashable], Generator]
+    encode: Callable[[Generator], Hashable]
 
 
 _gen_degree = attrgetter("degree")
@@ -99,13 +107,15 @@ class AInftyCategory:
     not listed in the enumeration basis (operations may leave a finite
     enumeration window).  `keyed`, when given, is the same structure on
     interned keys, which `check_ainfty` runs instead of `mu_fn`,
-    `composable_tuples` and `linked`; those must then decode it.
+    `composable_tuples` and `linked`; those must then decode it.  A keyed
+    category built with `mu_fn` None gets the Generator-level `mu_fn` that
+    encodes, runs `keyed.mu` and decodes.
     """
 
     name: str
     objects: tuple
     hom_basis_map: Mapping[tuple, tuple[Generator, ...]]
-    mu_fn: Callable[[tuple[Generator, ...]], Chain]
+    mu_fn: Callable[[tuple[Generator, ...]], Chain] | None = None
     is_dg: bool = False
     arities: frozenset[int] | None = None
     gen_hom_fn: Callable[[Generator], tuple] | None = None
@@ -116,6 +126,11 @@ class AInftyCategory:
     def __post_init__(self):
         if self.arities is not None:
             self.arities = frozenset(self.arities)
+        if self.mu_fn is None:
+            ops = self.keyed
+            self.mu_fn = lambda gens: Chain(
+                {ops.decode(k): c for k, c in ops.mu(tuple(map(ops.encode, gens)))}
+            )
         for pair, basis in self.hom_basis_map.items():
             for gen in basis:
                 if gen.orientation != 1:
@@ -180,13 +195,6 @@ class AInftyCategory:
             return Chain.zero()
         return self.mu_fn(gens)
 
-    def mu2_chain(self, chain2: Chain, chain1: Chain) -> Chain:
-        acc: dict[Generator, int] = {}
-        for g1, c1 in chain1.items():
-            for g2, c2 in chain2.items():
-                accumulate(acc, self.mu((g1, g2)).items(), c1 * c2)
-        return Chain.from_sums(acc)
-
     def composable_tuples(self, d: int) -> Iterator[tuple]:
         """All length-d composable basis tuples, lexicographic in the object
         path then in the per-slot basis order."""
@@ -208,7 +216,7 @@ class AInftyCategory:
                 return groups
             return ((p, [x for x in lasts if linked(p + (x,))]) for p, lasts in groups)
 
-        return KeyedOps(_chain_terms(self.mu_fn), _gen_degree, linked_groups, _same)
+        return KeyedOps(_chain_terms(self.mu_fn), _gen_degree, linked_groups, _same, _same)
 
     def count_composable(self, d: int) -> int:
         """The number of tuples `composable_tuples(d)` yields, without
@@ -422,76 +430,69 @@ def check_ainfty(
 
 @dataclass
 class AInftyFunctor:
-    """Multilinear components F_d from a source category into a DG target.
+    """Multilinear components F_d from a source category into a DG target,
+    on the two categories' kernel keys.
 
-    `components(d, gens)` receives composable source basis tuples in
-    composition order and returns a Chain in
-    hom(object_map[L_0], object_map[L_d]) of the target.
+    `components(keys)` receives a composable tuple of source keys in
+    composition order and returns the (key, coeff) terms of F_d on it in
+    hom(object_map[L_0], object_map[L_d]) of the target.  `arities` is the
+    support of F (None: unrestricted): `check_functor` never consults
+    `components` outside it.
     """
 
     source: AInftyCategory
     target: AInftyCategory
     object_map: Mapping
-    components: Callable[[int, tuple[Generator, ...]], Chain]
+    components: Callable[[tuple], Iterable[tuple[Hashable, int]]]
+    arities: frozenset[int] | None = None
     name: str = "F"
-
-    def apply(self, gens: tuple[Generator, ...]) -> Chain:
-        return self.components(len(gens), gens)
-
-    def apply_multilinear(
-        self, head: tuple[Generator, ...], inner: Chain, tail: tuple[Generator, ...]
-    ) -> Chain:
-        acc: dict[Generator, int] = {}
-        for gen, coeff in inner.items():
-            accumulate(acc, self.apply(head + (gen,) + tail).items(), coeff)
-        return Chain.from_sums(acc)
-
-
-def functor_residual(F: AInftyFunctor, gens: tuple[Generator, ...]) -> Chain:
-    """LHS minus RHS of the functor equation on one source tuple; the LHS
-    runs over the splits whose inner arity lies in the source's support."""
-    src, tgt = F.source, F.target
-    acc: dict[Generator, int] = {}
-    splits = admissible_splits(len(gens), src.arities, None)
-    parity = _prefix_parities(gens[:-1], _gen_degree)
-    for d2, k in splits:
-        sgn = -1 if parity[k] else 1
-        head, tail = gens[:k], gens[k + d2:]
-        for gen, coeff in src.mu(gens[k:k + d2]).items():
-            accumulate(acc, F.apply(head + (gen,) + tail).items(), sgn * coeff)
-
-    for gen, coeff in F.apply(gens).items():
-        accumulate(acc, tgt.mu((gen,)).items(), -coeff)
-    for r in range(1, len(gens)):
-        left, right = F.apply(gens[r:]), F.apply(gens[:r])
-        for g2, c2 in left.items():
-            for g1, c1 in right.items():
-                accumulate(acc, tgt.mu((g1, g2)).items(), -c1 * c2)
-    return Chain.from_sums(acc)
 
 
 def check_functor(
     F: AInftyFunctor, max_d: int, name: str | None = None
 ) -> CheckReport:
-    """Verify the A-infinity functor equation on every composable source
-    tuple of length <= max_d."""
+    """Verify the A-infinity functor equation, LHS minus RHS, on every
+    composable source tuple of length <= max_d; the witness is the first
+    failing tuple in lexicographic order.  `tuples_checked` counts every
+    composable tuple, those certified zero by support included."""
     name = name or f"functor({F.name})"
-    if not F.target.is_dg:
+    src, tgt = F.source, F.target
+    if not tgt.is_dg:
         raise ValueError("functor target must be a DG category (mu_{>=3} = 0)")
+    sops, tops = src.kernel_ops(), tgt.kernel_ops()
+    smu, tmu, degree, comp = sops.mu, tops.mu, sops.degree, F.components
+    hom_keys = {pair: tuple(map(sops.encode, basis)) for pair, basis in src.hom_basis_map.items()}
+    support = range(1, max_d + 1) if F.arities is None else F.arities
     checked = 0
     for d in range(1, max_d + 1):
-        for gens in F.source.composable_tuples(d):
-            residual = functor_residual(F, gens)
-            checked += 1
-            if not residual.is_zero():
-                return failed(
-                    name,
-                    {
-                        "tuple": [g.gid for g in gens],
-                        "d": d,
-                        "residual": repr(residual),
-                    },
-                )
+        checked += src.count_composable(d)
+        splits = admissible_splits(d, src.arities, F.arities)
+        mu1 = d in support and tgt.supports(1)
+        cuts = [r for r in range(1, d) if r in support and d - r in support and tgt.supports(2)]
+        if not (splits or mu1 or cuts):
+            continue
+        for prefix, lasts in composable_paths(src.objects, hom_keys, d):
+            parity = _prefix_parities(prefix, degree)
+            for last in lasts:
+                keys = prefix + (last,)
+                acc: dict = {}
+                for d2, k in splits:
+                    sgn = -1 if parity[k] else 1
+                    head, tail = keys[:k], keys[k + d2:]
+                    for key, coeff in smu(keys[k:k + d2]):
+                        accumulate(acc, comp(head + (key,) + tail), sgn * coeff)
+                if mu1:
+                    for key, coeff in comp(keys):
+                        accumulate(acc, tmu((key,)), -coeff)
+                for r in cuts:
+                    later = tuple(comp(keys[r:]))
+                    for k1, c1 in comp(keys[:r]):
+                        for k2, c2 in later:
+                            accumulate(acc, tmu((k1, k2)), -c1 * c2)
+                if acc:
+                    residual = Chain({tops.decode(k): c for k, c in acc.items()})
+                    gids = [sops.decode(key).gid for key in keys]
+                    return failed(name, {"tuple": gids, "d": d, "residual": repr(residual)})
     return passed(name, tuples_checked=checked, max_d=max_d)
 
 

@@ -20,6 +20,7 @@ from .ainfty import (
     AInftyCategory,
     AInftyFunctor,
     category_from_json,
+    category_from_tables,
     category_to_json,
     check_ainfty,
     check_functor,
@@ -31,15 +32,15 @@ from .cylinder import (
     chord_pairs,
     cylinder_category,
     enumerate_chords,
-    f1_sign_table,
     functor_F,
     half_disc_d2_family,
     mu_d,
     pontryagin_target,
     ring_isomorphism_report,
+    twist_fn,
     TWISTS,
 )
-from .gradedalg import Chain
+from .gradedalg import Chain, Generator, sign_pow
 from .moduli import (
     ModuliConsistencyError,
     choose_fundamental_chains,
@@ -72,26 +73,28 @@ MUTATED_LOOPS = (("p", 0, 0, 1), ("p", 0, 0, 2))
 
 def _flip_mu2(cat: AInftyCategory) -> AInftyCategory:
     """mu2-sign: the category with mu_2 of the mutated chord with itself
-    negated, on generators and, when the category has them, on keys."""
+    negated on its kernel keys; its `mu_fn` is derived from the flipped
+    keys."""
+    ops = cat.kernel_ops()
     pair = (MUTATED_CHORD, MUTATED_CHORD)
 
-    def mu_fn(gens):
-        out = cat.mu_fn(gens)
-        return -out if tuple(g.gid for g in gens) == pair else out
-
     def mu(keys):
-        out = cat.keyed.mu(keys)
-        if tuple(cat.keyed.decode(k).gid for k in keys) == pair:
+        out = ops.mu(keys)
+        if tuple(ops.decode(k).gid for k in keys) == pair:
             return tuple((k, -c) for k, c in out)
         return out
 
-    return replace(cat, mu_fn=mu_fn, keyed=cat.keyed and replace(cat.keyed, mu=mu))
+    return replace(cat, mu_fn=None, keyed=replace(ops, mu=mu))
 
 
 def _zero_f1(F: AInftyFunctor) -> AInftyFunctor:
     """f1-zero: the functor with F^1 of the mutated chord set to zero."""
-    def components(d, gens):
-        return Chain.zero() if d == 1 and gens[0].gid == MUTATED_CHORD else F.components(d, gens)
+    decode = F.source.kernel_ops().decode
+
+    def components(keys):
+        if len(keys) == 1 and decode(keys[0]).gid == MUTATED_CHORD:
+            return ()
+        return F.components(keys)
 
     return replace(F, components=components)
 
@@ -134,8 +137,7 @@ class RunConfig:
             raise CylinderConfigError("winding_bound must be >= 1")
         if not 2 <= self.max_d <= 4:
             raise CylinderConfigError("max_d must lie in 2..4")
-        if not isinstance(self.twist, str) or self.twist not in TWISTS:
-            raise CylinderConfigError(f"unknown twist {self.twist!r}")
+        twist_fn(self.twist)
         if self.mutation is not None and self.mutation not in MUTATIONS:
             raise CylinderConfigError(f"unknown mutation {self.mutation!r}")
 
@@ -213,6 +215,10 @@ def _geometry_doc(doc) -> dict:
     """The geometry_config document `doc` (or the one inside an export
     bundle), checked for kind, schema version and required keys."""
     if isinstance(doc, dict) and doc.get("kind") == "export_bundle":
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise CylinderConfigError(
+                f"unsupported export_bundle schema_version {doc.get('schema_version')!r}"
+            )
         doc = doc.get("config")
     if not isinstance(doc, dict) or doc.get("kind") != "geometry_config":
         raise CylinderConfigError("config file is not a geometry_config document")
@@ -417,14 +423,15 @@ def cmd_demo_s1(args: argparse.Namespace) -> int:
     for x in sorted(chords, key=lambda x: x.winding):
         print(f"{x.winding:>8} {str(x.momentum):>10} {str(x.action):>10} {x.degree:>7}")
 
-    table = f1_sign_table(g, bound)
+    F, _model, _objs = functor_F(g, bound, twist=cfg.twist)
+    n_b = twist_fn(cfg.twist)
     print("\n# linear comparison map: chord -> loop class")
     for x in sorted(chords, key=lambda x: x.winding):
-        path_gid, coeff = table[x.gid]
-        sign = "+" if coeff > 0 else "-"
+        path_gid, coeff = _f1_image(F, x.generator())
+        # the half-disc sign, without the background twist
+        sign = "+" if coeff * sign_pow(n_b(x.winding)) > 0 else "-"
         print(f"  x_{x.winding} -> {sign}t^{path_gid[3]}")
 
-    twist_fn = TWISTS[cfg.twist]
     print("\n# product table: mu_2(x_j, x_i) vs loop concatenation t^i.t^j")
     windings = [x.winding for x in sorted(chords, key=lambda x: x.winding)]
     agree = True
@@ -433,15 +440,14 @@ def cmd_demo_s1(args: argparse.Namespace) -> int:
         loop_row = []
         for j in windings:
             prod = mu_d(g, (chord(g, fiber, fiber, i), chord(g, fiber, fiber, j)),
-                        twist=twist_fn)
+                        twist=n_b)
             ((gen, coeff),) = list(prod.items())
             floer_row.append(f"{'+' if coeff > 0 else '-'}x_{gen.gid[3]}")
             loop_row.append(f"t^{i + j}")
             if gen.gid[3] != i + j:
                 agree = False
         print(f"  x_{i}: " + " ".join(floer_row) + "   |   " + " ".join(loop_row))
-    rep = ring_isomorphism_report(g, bound, fiber, twist=cfg.twist)
-    F, _m, _f = functor_F(g, bound, twist=cfg.twist)
+    rep = ring_isomorphism_report(F, fiber)
     func = check_functor(F, 2, "functor")
     verdict = rep.ok and func.ok and agree
     print(f"\nring isomorphism: {'yes' if verdict else 'no'}")
@@ -449,6 +455,12 @@ def cmd_demo_s1(args: argparse.Namespace) -> int:
         print(f"witness: {rep.witness or func.witness}")
         return 1
     return 0
+
+
+def _f1_image(F: AInftyFunctor, gen: Generator) -> tuple[tuple, int]:
+    """F^1 of a chord generator as (loop class gid, sign)."""
+    ((key, coeff),) = F.components((F.source.kernel_ops().encode(gen),))
+    return F.target.kernel_ops().decode(key).gid[5], coeff
 
 
 def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: str):
@@ -460,14 +472,14 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
         (a, b): tuple(x.generator() for x in enumerate_chords(g, a, b, closure))
         for a in range(n) for b in range(n)
     }
-    twist_fn = TWISTS[twist]
+    n_b = twist_fn(twist)
     table: dict[tuple, Chain] = {}
     for x1, x2 in chord_pairs(g, 2 * winding_bound):
         if abs(x1.winding + x2.winding) > closure:
             continue
         if min(abs(x1.winding), abs(x2.winding)) > winding_bound:
             continue
-        val = mu_d(g, (x1, x2), twist=twist_fn)
+        val = mu_d(g, (x1, x2), twist=n_b)
         if not val.is_zero():
             table[(x1.gid, x2.gid)] = val
     return hom_basis_map, {2: table}
@@ -476,15 +488,21 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
 def cmd_export(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     g = cfg.geometry()
-    from .ainfty import category_from_tables
-
     hom_basis_map, mu_tables = _export_tables(
         g, cfg.winding_bound, cfg.max_d, cfg.twist
     )
     cat = category_from_tables(
         "cylinder-export", tuple(range(g.nfibers())), hom_basis_map, mu_tables
     )
-    F, model, f_objs = functor_F(g, cfg.winding_bound, twist=cfg.twist)
+    # the bundle records F^1 with its half-disc signs, without the
+    # background twist; the fibre complexes do not depend on the twist
+    F, _model, f_objs = functor_F(g, cfg.winding_bound)
+    chords = sorted((x for basis in F.source.hom_basis_map.values() for x in basis),
+                    key=lambda x: repr(x.gid))
+    f1_rows = []
+    for x in chords:
+        path_gid, coeff = _f1_image(F, x)
+        f1_rows.append({"chord": list(x.gid), "path_winding": path_gid[3], "sign": coeff})
     bundle = {
         "schema_version": SCHEMA_VERSION,
         "kind": "export_bundle",
@@ -494,16 +512,7 @@ def cmd_export(args: argparse.Namespace) -> int:
             extra={"enumeration_bound": cfg.winding_bound, "max_d": cfg.max_d},
         ),
         "twisted_complexes": [twisted_to_json(T) for T in f_objs],
-        "functor_f1": [
-            {
-                "chord": list(gid),
-                "path_winding": table_entry[0][3],
-                "sign": table_entry[1],
-            }
-            for gid, table_entry in sorted(
-                f1_sign_table(g, cfg.winding_bound).items(), key=lambda kv: repr(kv[0])
-            )
-        ],
+        "functor_f1": f1_rows,
         "moduli": [moduli_to_json(ds) for ds in synthetic_dataset_battery()],
     }
     text = json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n"

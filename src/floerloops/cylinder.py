@@ -38,6 +38,9 @@ in one integer pass that makes every check of the triangle model, with no
 polygon object or `Fraction`; `mu_polygons` returns its terms.  The
 categories, the functor, the oracles and the export built on one geometry
 read that table; each applies its own twist and orientation tokens on top.
+The comparison functor keeps one more table, F^1 from a chord key to its one
+term on the target's keys, filled the first time the functor equation meets
+the chord.  F^2 has no table: it is zero on every pair (see `functor_F`).
 
 Oracles.  Two independent checks decide on integers too.  The polygon
 oracle (`mu2_raster_count`) counts the lattice points strictly inside each
@@ -60,12 +63,7 @@ from typing import Callable, Iterator, Mapping
 from . import _kernels
 from .ainfty import AInftyCategory, AInftyFunctor, CompositionError, KeyedOps, composable_paths
 from .gradedalg import Chain, Generator, accumulate, sign_pow
-from .moduli import (
-    StratifiedModuli,
-    ModuliCell,
-    choose_fundamental_chains,
-    make_stratum,
-)
+from .moduli import StratifiedModuli, ModuliCell, make_stratum
 from .pontryagin import CirclePathModel, circle_model_at
 from .report import CheckReport, failed, passed
 from .twisted import ShiftedObject, TwistedComplex, tw_category
@@ -192,17 +190,6 @@ def chord(g: CylinderGeometry, a: int, b: int, winding: int) -> Chord:
 
 def _key(g: CylinderGeometry, x: Chord) -> int:
     return g.key(x.source, x.target, x.winding)
-
-
-def _gid_key(g: CylinderGeometry, gid: tuple) -> int:
-    tag, a, b, w = gid
-    if tag != "x":
-        raise ValueError(f"not a chord gid: {gid}")
-    return g.key(a, b, w)
-
-
-def chord_from_gid(g: CylinderGeometry, gid: tuple) -> Chord:
-    return g.chord_at(_gid_key(g, gid))
 
 
 def enumerate_chords(
@@ -380,6 +367,14 @@ TWISTS: dict[str, TwistFn] = {
     "constant": twist_constant,
     "parity": twist_winding_parity,
 }
+
+
+def twist_fn(name: str) -> TwistFn:
+    """The twist called `name`; any other value is a config error."""
+    fn = TWISTS.get(name) if isinstance(name, str) else None
+    if fn is None:
+        raise CylinderConfigError(f"unknown twist {name!r}")
+    return fn
 
 
 def _signed_mu2(
@@ -563,13 +558,10 @@ def cylinder_category(
 
     The checker runs on chord keys (`keyed`): mu_2 of a key pair is the
     geometry's shared table with this category's twist and tokens applied,
-    kept per pair as (key, coeff) terms.  `mu_fn` encodes and decodes
-    generators through the same terms."""
+    kept per pair as (key, coeff) terms."""
     if winding_bound < 1:
         raise CylinderConfigError("winding_bound must be >= 1")
-    twist_fn = TWISTS.get(twist)
-    if twist_fn is None:
-        raise CylinderConfigError(f"unknown twist {twist!r}")
+    n_b = twist_fn(twist)
 
     n = g.nfibers()
     objects = tuple(range(n))
@@ -584,7 +576,7 @@ def cylinder_category(
             return ()
         out = terms.get(keys)
         if out is None:
-            out = terms[keys] = _signed_mu2(g, keys[0], keys[1], twist_fn, tokens)
+            out = terms[keys] = _signed_mu2(g, keys[0], keys[1], n_b, tokens)
         return out
 
     def degree(key: int) -> int:
@@ -601,25 +593,22 @@ def cylinder_category(
             gen = decoded[key] = g.chord_at(key).generator()
         return gen
 
-    def mu_fn(gens: tuple[Generator, ...]) -> Chain:
-        keys = tuple(_gid_key(g, gen.gid) for gen in gens)
-        return Chain({decode(key): coeff for key, coeff in mu(keys)})
-
     def gen_hom_fn(gen: Generator) -> tuple:
         tag, a, b, _w = gen.gid
         if tag != "x":
             raise CompositionError(f"not a chord generator: {gen.gid}")
         return (a, b)
 
+    def encode(gen: Generator) -> int:
+        return g.key(*gen_hom_fn(gen), gen.gid[3])
+
     return AInftyCategory(
         f"CW(c={g.c},fibres={len(g.fibers)},w<={winding_bound})",
         objects,
         {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()},
-        mu_fn,
-        is_dg=False,
         arities={2},
         gen_hom_fn=gen_hom_fn,
-        keyed=KeyedOps(mu, degree, linked_groups, decode),
+        keyed=KeyedOps(mu, degree, linked_groups, decode, encode),
     )
 
 
@@ -628,12 +617,12 @@ def structure_constants(
 ) -> dict[tuple, dict[tuple, int]]:
     """All mu_2 structure constants within the winding bound, keyed by input
     gids; used by the rescaling-invariance and twist comparisons."""
-    twist_fn = TWISTS[twist]
+    n_b = twist_fn(twist)
     return {
         (x1.gid, x2.gid): {
             # a table entry has one term, so this is mu_d's sorted chain
             g.chord_at(key).gid: coeff
-            for key, coeff in _signed_mu2(g, _key(g, x1), _key(g, x2), twist_fn, None)
+            for key, coeff in _signed_mu2(g, _key(g, x1), _key(g, x2), n_b, None)
         }
         for x1, x2 in chord_pairs(g, winding_bound)
     }
@@ -651,127 +640,78 @@ def functor_F(
     tokens: Mapping[tuple, int] | None = None,
 ) -> tuple[AInftyFunctor, CirclePathModel, list[TwistedComplex]]:
     """The comparison functor from the wrapped category into twisted
-    complexes over the circle's path category.
+    complexes over the circle's path category, on the two categories' keys.
 
     F^1 sends a chord to the evaluation of its unique half-disc, with the
-    sign (-1)**(|x| + (|q_0|+1)(|x| + |q_1|)); F^2 is the evaluation of the
-    1-dimensional half-disc family, which is constant and hence degenerate,
-    so F^2 = 0 (computed per tuple, not assumed); F^d for d > 2 lands in
-    negative degrees of a degree-0 target, hence vanishes.  F^1 is evaluated
-    once per chord and kept; each F^2 family is built where it is used.
+    sign (-1)**(|x| + (|q_0|+1)(|x| + |q_1|)).  F^2 is the evaluation of
+    the two-input half-disc family (`half_disc_d2_family`), constant because
+    the product chord's delta is the sum of the inputs': the closure
+    identity `_mu2_entry` asserts for every pair the functor equation reads.
+    A constant family pushes forward to a degenerate cube, which vanishes in
+    normalised chains, so F^2 = 0.  F^d for d > 2 lands in negative degrees
+    of a degree-0 target.  So F's support is {1}, and F^1 is one table on
+    chord keys, filled on first use.
     """
-    if twist not in TWISTS:
-        raise CylinderConfigError(f"unknown twist {twist!r}")
+    n_b = twist_fn(twist)
     model = pontryagin_target(g)
     objects = list(range(g.nfibers()))
     f_objs = [build_F_object(g, L, model) for L in objects]
     source = cylinder_category(g, winding_bound, twist=twist, tokens=tokens)
     target = tw_category(model, f_objs, window=winding_bound, name="TwP")
     object_map = {L: f_objs[L].name for L in objects}
-    twist_fn = TWISTS[twist]
-    f1_values: dict[tuple, Chain] = {}
+    encode = target.keyed.encode
+    f1: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    def f1_value(x: Chord) -> Chain:
+    def f1_terms(key: int) -> tuple[tuple[int, int], ...]:
+        x = g.chord_at(key)
         disc = half_disc_d1(g, x)
         deg_q0 = deg_q1 = 0
         coeff = sign_pow(x.degree + (deg_q0 + 1) * (x.degree + deg_q1))
-        coeff *= sign_pow(twist_fn(disc.winding))
+        coeff *= sign_pow(n_b(disc.winding))
         if tokens:
             coeff *= tokens.get(x.gid, 1)
         path_gid = ("p", x.source, x.target, disc.winding)
-        tname_a, tname_b = object_map[x.source], object_map[x.target]
-        out_gen = Generator(("m", tname_a, 0, tname_b, 0, path_gid), 0)
-        return Chain.of(out_gen, coeff)
+        out = Generator(("m", object_map[x.source], 0, object_map[x.target], 0, path_gid), 0)
+        return ((encode(out), coeff),)
 
-    def f1_chain(gen: Generator) -> Chain:
-        val = f1_values.get(gen.gid)
-        if val is None:
-            val = f1_values[gen.gid] = f1_value(chord_from_gid(g, gen.gid))
-        return val if gen.orientation == 1 else -val
+    def components(keys: tuple) -> tuple[tuple[int, int], ...]:
+        if len(keys) != 1:
+            return ()
+        terms = f1.get(keys[0])
+        if terms is None:
+            terms = f1[keys[0]] = f1_terms(keys[0])
+        return terms
 
-    def components(d: int, gens: tuple[Generator, ...]) -> Chain:
-        if d == 1:
-            return f1_chain(gens[0])
-        if d == 2:
-            x1 = chord_from_gid(g, gens[0].gid)
-            x2 = chord_from_gid(g, gens[1].gid)
-            dataset, ev = half_disc_d2_family(g, x1, x2)
-            # the fundamental chain of the 1-dimensional family is chosen by
-            # the moduli machinery; its evaluation is constant, hence its
-            # pushforward is a degenerate cube and vanishes when normalised
-            choose_fundamental_chains(dataset)
-            if not ev["constant_evaluation"]:  # pragma: no cover - guard
-                raise NotImplementedError("non-constant half-disc evaluation")
-            return Chain.zero()
-        # target hom complexes are concentrated in degree 0 and F^d has
-        # degree 1 - d
-        return Chain.zero()
-
-    F = AInftyFunctor(source, target, object_map, components, name="F")
+    F = AInftyFunctor(source, target, object_map, components, arities={1}, name="F")
     return F, model, f_objs
 
 
-def f1_sign_table(
-    g: CylinderGeometry, winding_bound: int,
-    tokens: Mapping[tuple, int] | None = None,
-) -> dict[tuple, tuple[tuple, int]]:
-    """Recorded sign table x_k -> (path generator, sign) for the chosen
-    orientation tokens."""
-    F, _model, _ = functor_F(g, winding_bound, tokens=tokens)
-    table = {}
-    for a in range(g.nfibers()):
-        for b in range(g.nfibers()):
-            for x in enumerate_chords(g, a, b, winding_bound):
-                val = F.apply((x.generator(),))
-                ((gen, coeff),) = list(val.items())
-                table[x.gid] = (gen.gid[5], coeff)
-    return table
-
-
-def ring_isomorphism_report(
-    g: CylinderGeometry, winding_bound: int, fiber: int = 0, twist: str = "none"
-) -> CheckReport:
-    """Theorem check at the circle: F^1 restricted to one fibre is a
-    degree-0 basis bijection onto the circle's loop classes, sends the unit
-    chord to the constant loop (up to the global token gauge), and
-    intertwines mu_2 with the concatenation product exactly."""
+def ring_isomorphism_report(F: AInftyFunctor, fiber: int = 0) -> CheckReport:
+    """Theorem check at the circle: the comparison functor's F^1 restricted
+    to one fibre is a degree-0 basis bijection onto the circle's loop
+    classes that preserves winding and sends the unit chord to the constant
+    loop (up to the global token gauge).  That it intertwines mu_2 with
+    concatenation is the d = 2 functor equation, which `check_functor`
+    decides."""
     name = "ring-isomorphism"
-    F, model, _ = functor_F(g, winding_bound, twist=twist)
-    chords = enumerate_chords(g, fiber, fiber, winding_bound)
-    image = {}
-    for x in chords:
-        val = F.apply((x.generator(),))
-        if len(val) != 1:
+    encode, decode = F.source.kernel_ops().encode, F.target.kernel_ops().decode
+    basis = F.source.hom_basis(fiber, fiber)
+    unit_image = None
+    for x in basis:
+        terms = tuple(F.components((encode(x),)))
+        if len(terms) != 1:
             return failed(name, {"chord": x.gid, "reason": "image not a basis element"})
-        ((gen, coeff),) = list(val.items())
+        ((key, coeff),) = terms
+        gen = decode(key)
         if abs(coeff) != 1 or gen.degree != 0:
             return failed(name, {"chord": x.gid, "reason": f"image {coeff}*{gen.gid}"})
+        # the chords have distinct windings, so preserving winding is injective
         path_gid = gen.gid[5]
-        if path_gid[3] != x.winding:
-            return failed(
-                name, {"chord": x.gid, "reason": f"winding image {path_gid}"}
-            )
-        image[x.gid] = (path_gid, coeff)
-    if len({v[0] for v in image.values()}) != len(chords):
-        return failed(name, {"reason": "not injective on basis"})
-
-    twist_fn = TWISTS[twist]
-    for x1 in chords:
-        for x2 in chords:
-            prod = mu_d(g, (x1, x2), twist=twist_fn)
-            lhs = F.apply_multilinear((), prod, ())
-            rhs = F.target.mu2_chain(F.apply((x2.generator(),)), F.apply((x1.generator(),)))
-            if lhs != rhs:
-                return failed(
-                    name,
-                    {"pair": (x1.gid, x2.gid), "reason": "product not intertwined"},
-                )
-    unit_image = image[("x", fiber, fiber, 0)]
-    return passed(
-        name,
-        basis_size=len(chords),
-        unit_image=(unit_image[0], unit_image[1]),
-    )
+        if path_gid[3] != x.gid[3]:
+            return failed(name, {"chord": x.gid, "reason": f"winding image {path_gid}"})
+        if path_gid[3] == 0:
+            unit_image = (path_gid, coeff)
+    return passed(name, basis_size=len(basis), unit_image=unit_image)
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,7 @@ def path_model_category(model: PathModel, window: int = 2, name: str = "P") -> A
         mu_fn, is_dg=True, arities={1, 2}, gen_hom_fn=model.gen_endpoints,
         keyed=KeyedOps(
             mu, lambda key: by_key[key].degree,
-            lambda d: composable_paths(objects, hom_keys, d), by_key.__getitem__,
+            lambda d: composable_paths(objects, hom_keys, d), by_key.__getitem__, intern,
         ),
     )
 

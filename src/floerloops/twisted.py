@@ -220,9 +220,10 @@ def tw_category(
     the keys.  Base products are cached per (base1, base2, parity) and mu_1
     rows per key, as tuples of (key, coeff); mu_1 of a key is mu_1 of its
     base plus mu_2 against the connection entries of Ta ending at i1 and of
-    Tb starting at i2.  `check_ainfty` runs on these keys (`keyed`);
-    `mu_fn`, `linked` and `composable_tuples` decode them to generators
-    with gid ("m", name1, i1, name2, i2, base_gid).
+    Tb starting at i2.  `check_ainfty` and `check_functor` run on these
+    keys (`keyed`); `decode` and `encode` translate them to and from the
+    generators with gid ("m", name1, i1, name2, i2, base_gid) that `mu_fn`,
+    `linked` and `composable_tuples` see.
 
     Summand linkage.  Take g1 at summands (i1, i2) of Hom(Ta, Tb) and g2 at
     (j1, j2) of Hom(Tb, Tc).  The d = 2 relation on (g1, g2) is a signed sum
@@ -396,9 +397,6 @@ def tw_category(
             key = encoded[gen] = (base << bbits) | block(n1, i1, n2, i2)
         return key
 
-    def mu_fn(gens: tuple[Generator, ...]) -> Chain:
-        return Chain({decode(k): c for k, c in mu(tuple(map(encode, gens)))})
-
     def gen_hom_fn(gen: Generator) -> tuple:
         _, n1, _, n2, _, _ = gen.gid
         return (n1, n2)
@@ -411,9 +409,9 @@ def tw_category(
 
     hom_basis_map = {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()}
     return AInftyCategory(
-        name, names, hom_basis_map, mu_fn,
+        name, names, hom_basis_map,
         is_dg=True, arities={1, 2}, gen_hom_fn=gen_hom_fn, linked=linked,
-        keyed=KeyedOps(mu, degree, linked_groups, decode),
+        keyed=KeyedOps(mu, degree, linked_groups, decode, encode),
     )
 
 

@@ -147,14 +147,10 @@ def test_token_normalisation_in_mu():
 
 def test_identity_functor_of_dga_passes():
     cat = witness_category()
-
-    def components(d, gens):
-        if d == 1:
-            return Chain.of(gens[0])
-        return Chain.zero()
-
-    F = AInftyFunctor(cat, cat, {0: 0}, components, name="id")
-    assert check_functor(F, 3).ok
+    F = AInftyFunctor(cat, cat, {0: 0}, lambda keys: ((keys[0], 1),), arities={1}, name="id")
+    rep = check_functor(F, 3)
+    assert rep.ok
+    assert rep.details["tuples_checked"] == sum(cat.count_composable(d) for d in (1, 2, 3))
 
 
 def test_functor_requires_dg_target():
@@ -163,23 +159,23 @@ def test_functor_requires_dg_target():
         "n", cat.objects, cat.hom_basis_map, cat.mu_fn, is_dg=False, arities={1, 2},
         gen_hom_fn=cat.gen_hom_fn,
     )
-    F = AInftyFunctor(cat, not_dg, {0: 0}, lambda d, g: Chain.zero())
+    F = AInftyFunctor(cat, not_dg, {0: 0}, lambda keys: ())
     with pytest.raises(ValueError):
         check_functor(F, 2)
 
 
 def test_broken_functor_detected():
+    # the identity with F^1(c) = 0: mu_1(c) = ab is not hit on the right
     cat = witness_category()
+    ops = cat.kernel_ops()
 
-    def components(d, gens):
-        if d == 1 and gens[0].gid != "c":
-            return Chain.of(gens[0])
-        return Chain.zero()
+    def components(keys):
+        return () if ops.decode(keys[0]).gid == "c" else ((keys[0], 1),)
 
-    F = AInftyFunctor(cat, cat, {0: 0}, components, name="broken")
+    F = AInftyFunctor(cat, cat, {0: 0}, components, arities={1}, name="broken")
     rep = check_functor(F, 2)
     assert not rep.ok
-    assert rep.witness["tuple"] in (["c"], [["c"]]) or "c" in str(rep.witness["tuple"])
+    assert rep.witness == {"tuple": ["c"], "d": 1, "residual": "Chain(1*ab)"}
 
 
 def test_gid_json_round_trip():

@@ -141,6 +141,10 @@ def _unknown_mu_input(doc):
     doc["category"]["mu"][0]["inputs"][0] = "nowhere"
 
 
+def _list_bundle_version(doc):
+    doc["schema_version"] = [[1]]
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -148,6 +152,7 @@ def _unknown_mu_input(doc):
         (_drop_mu_inputs, "bundle category mu row lacks inputs"),
         (_string_basis_source, "bundle category basis row has bad source"),
         (_unknown_mu_input, "bad bundle category: gid nowhere not in any hom basis"),
+        (_list_bundle_version, "unsupported export_bundle schema_version [[1]]"),
     ],
 )
 def test_malformed_bundle_category_exits_2(tmp_path, small_bundle, corrupt, message):
@@ -159,6 +164,7 @@ def test_malformed_bundle_category_exits_2(tmp_path, small_bundle, corrupt, mess
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_json_array_config_exits_2(tmp_path):

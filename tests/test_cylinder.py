@@ -19,7 +19,6 @@ from floerloops.cylinder import (
     connection_from_strips,
     cylinder_category,
     enumerate_chords,
-    f1_sign_table,
     functor_F,
     half_disc_d1,
     half_disc_d2_family,
@@ -34,12 +33,19 @@ from floerloops.cylinder import (
     ring_isomorphism_report,
     structure_constants,
     twist_constant,
+    twist_fn,
     twist_none,
     twist_winding_parity,
 )
 from floerloops.gradedalg import Chain, Generator
 from floerloops.moduli import choose_fundamental_chains, verify_boundary_consistency
 from floerloops.twisted import validate_twisted
+
+
+def f1_image(F, x):
+    """F^1 of the chord x as a (target generator, coeff) pair."""
+    ((key, coeff),) = F.components((F.source.kernel_ops().encode(x.generator()),))
+    return F.target.kernel_ops().decode(key), coeff
 
 
 def brute_force_windings(g, a, b, bound):
@@ -313,10 +319,10 @@ def test_half_disc_d2_family_feeds_chooser(three_fibers):
 
 
 def test_functor_f1_values(one_fiber):
-    table = f1_sign_table(one_fiber, 3)
+    F, _model, _objs = functor_F(one_fiber, 3)
     for k in range(-3, 4):
-        path_gid, coeff = table[("x", 0, 0, k)]
-        assert path_gid == ("p", 0, 0, k)
+        gen, coeff = f1_image(F, chord(one_fiber, 0, 0, k))
+        assert gen.gid == ("m", "F0", 0, "F0", 0, ("p", 0, 0, k))
         assert coeff == 1
 
 
@@ -333,23 +339,27 @@ def test_functor_equation_and_mutation(three_fibers):
 
 def test_functor_unit_chord_to_unit_loop(one_fiber):
     F, model, _ = functor_F(one_fiber, 1)
-    val = F.apply((chord(one_fiber, 0, 0, 0).generator(),))
-    ((gen, coeff),) = list(val.items())
+    gen, coeff = f1_image(F, chord(one_fiber, 0, 0, 0))
     assert coeff == 1
     assert gen.gid[5] == ("p", 0, 0, 0)
 
 
 def test_ring_isomorphism(one_fiber):
-    rep = ring_isomorphism_report(one_fiber, 3)
+    F, _model, _objs = functor_F(one_fiber, 3)
+    rep = ring_isomorphism_report(F)
     assert rep.ok
     assert rep.details["unit_image"][0] == ("p", 0, 0, 0)
+    assert rep.details["basis_size"] == 7
+    bad = ring_isomorphism_report(MUTATIONS["f1-zero"][1](F))
+    assert bad.witness == {"chord": ("x", 0, 0, 1), "reason": "image not a basis element"}
 
 
 def test_f1_token_gauge_changes_signs_coherently(one_fiber):
     tokens = {("x", 0, 0, 1): -1}
-    table = f1_sign_table(one_fiber, 1, tokens=tokens)
-    assert table[("x", 0, 0, 1)][1] == -1
-    assert table[("x", 0, 0, 0)][1] == 1
+    F, _model, _objs = functor_F(one_fiber, 1, tokens=tokens)
+    assert f1_image(F, chord(one_fiber, 0, 0, 1))[1] == -1
+    assert f1_image(F, chord(one_fiber, 0, 0, 0))[1] == 1
+    assert check_functor(F, 2).ok
 
 
 def test_cw_hom_complex_d_squared(one_fiber):
@@ -407,16 +417,15 @@ def test_functor_sign_flip_detected(one_fiber):
     # flipping the sign of one F^1 value breaks the d=2 functor equation
     F, _model, _objs = functor_F(one_fiber, 2)
     base = F.components
+    mutated = F.source.kernel_ops().encode(chord(one_fiber, 0, 0, 1).generator())
 
-    def flipped(d, gens):
-        out = base(d, gens)
-        if d == 1 and gens[0].gid == ("x", 0, 0, 1):
-            out = -out
+    def flipped(keys):
+        out = base(keys)
+        if keys == (mutated,):
+            out = tuple((k, -c) for k, c in out)
         return out
 
-    from floerloops.ainfty import AInftyFunctor
-
-    bad = AInftyFunctor(F.source, F.target, F.object_map, flipped, name="flip")
+    bad = dataclasses.replace(F, components=flipped, name="flip")
     rep = check_functor(bad, 2)
     assert not rep.ok
     assert rep.witness["d"] == 2
@@ -427,3 +436,15 @@ def test_category_config_validation(one_fiber):
         cylinder_category(one_fiber, 0)
     with pytest.raises(CylinderConfigError):
         cylinder_category(one_fiber, 2, twist="bogus")
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda g: twist_fn("bogus"),
+    lambda g: twist_fn(["none"]),
+    lambda g: structure_constants(g, 1, twist="bogus"),
+    lambda g: functor_F(g, 1, twist="bogus"),
+    lambda g: cylinder_category(g, 1, twist="bogus"),
+])
+def test_unknown_twist_is_a_config_error(one_fiber, lookup):
+    with pytest.raises(CylinderConfigError, match="unknown twist"):
+        lookup(one_fiber)

@@ -78,7 +78,7 @@ def test_tables_build_each_chord_and_f1_once(monkeypatch):
     built = collections.Counter()
     f1_evaluations = collections.Counter()
     entries = collections.Counter()
-    in_family = []
+    families = []
     chord_class = cylinder.Chord
     half_disc = cylinder.half_disc_d1
     family = cylinder.half_disc_d2_family
@@ -89,16 +89,12 @@ def test_tables_build_each_chord_and_f1_once(monkeypatch):
         return chord_class(a, b, w, *rest)
 
     def counted_half_disc(g, x):
-        if not in_family:
-            f1_evaluations[x.gid] += 1
+        f1_evaluations[x.gid] += 1
         return half_disc(g, x)
 
     def counted_family(g, x1, x2):
-        in_family.append(True)
-        try:
-            return family(g, x1, x2)
-        finally:
-            in_family.pop()
+        families.append((x1.gid, x2.gid))
+        return family(g, x1, x2)
 
     def counted_entry(g, k1, k2):
         entries[(k1, k2)] += 1
@@ -112,7 +108,11 @@ def test_tables_build_each_chord_and_f1_once(monkeypatch):
     g = CylinderGeometry(*ACCEPTANCE_GEOMETRY)
     assert check_ainfty(cylinder_category(g, BOUND), 4).ok
     F, _model, _objs = functor_F(g, BOUND)
-    assert check_functor(F, 2).ok
+    rep = check_functor(F, 2)
+    assert rep.ok and rep.details["tuples_checked"] == 1386
+    # F^2 = 0 is certified by the closure identity, not by building the
+    # two-input half-disc family of each pair
+    assert families == []
     # d = 3 relations reach outputs of winding up to 9: 9 fibre pairs x 19
     assert len(built) == 171 and set(built.values()) == {1}
     # the basis (|w| <= 3) and the mu_2 outputs the functor equation meets

@@ -1,8 +1,10 @@
-"""The support-driven A-infinity checker against an exhaustive reference.
+"""The support-driven A-infinity and functor checkers against exhaustive
+references.
 
-The reference below evaluates every split of every composable tuple through
-the category's raw `mu_fn`, ignoring the declared arity support and the
-summand linkage, so it also checks that those declarations are true.
+The references below evaluate every split of every composable tuple on
+Generators, through the category's raw `mu_fn` (and for the functor every
+cut too), ignoring the declared arity supports and the summand linkage, so
+they also check that those declarations are true.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ from floerloops.ainfty import (
     ainfty_residual,
     category_from_tables,
     check_ainfty,
+    check_functor,
 )
 from floerloops.cli import MUTATIONS
 from floerloops.cylinder import (
@@ -109,6 +112,90 @@ def test_mu2_sign_witness_matches_reference():
     g = CylinderGeometry(Fraction(1), (Fraction(0),))
     rep = assert_agrees(MUTATIONS["mu2-sign"][1](cylinder_category(g, 1)), 4)
     assert not rep.ok and rep.witness["d"] == 3
+
+
+def exhaustive_functor_residual(F, target_mu, gens):
+    """LHS minus RHS of the functor equation on one composable tuple of
+    source generators: every split through the source's `mu_fn`, every cut
+    through `target_mu`, F on Generators through its keyed components."""
+    sops, tops = F.source.kernel_ops(), F.target.kernel_ops()
+
+    def apply(gs):
+        return Chain({tops.decode(k): c for k, c in F.components(tuple(map(sops.encode, gs)))})
+
+    acc = Chain.zero()
+    d = len(gens)
+    for d2 in range(1, d + 1):
+        for k in range(d - d2 + 1):
+            sgn = sign_pow(k + sum(g.degree for g in gens[:k]))
+            for gen, coeff in F.source.mu_fn(gens[k:k + d2]).items():
+                acc = acc + apply(gens[:k] + (gen,) + gens[k + d2:]).scale(sgn * coeff)
+    for gen, coeff in apply(gens).items():
+        acc = acc - target_mu((gen,)).scale(coeff)
+    for r in range(1, d):
+        for g1, c1 in apply(gens[:r]).items():
+            for g2, c2 in apply(gens[r:]).items():
+                acc = acc - target_mu((g1, g2)).scale(c1 * c2)
+    return acc
+
+
+def exhaustive_functor_check(F, target_mu, max_d):
+    """(witness or None, number of tuples) over every composable tuple."""
+    count = 0
+    for d in range(1, max_d + 1):
+        for gens in F.source.composable_tuples(d):
+            count += 1
+            residual = exhaustive_functor_residual(F, target_mu, gens)
+            if not residual.is_zero():
+                witness = {"tuple": [g.gid for g in gens], "d": d, "residual": repr(residual)}
+                return witness, count
+    return None, count
+
+
+def flip_f1(F, gid):
+    """F with the sign of F^1 on the chord `gid` negated."""
+    ops = F.source.kernel_ops()
+
+    def components(keys):
+        out = F.components(keys)
+        if len(keys) == 1 and ops.decode(keys[0]).gid == gid:
+            return tuple((k, -c) for k, c in out)
+        return out
+
+    return dataclasses.replace(F, components=components)
+
+
+FUNCTOR_MUTATIONS = {
+    "none": lambda F: F,
+    "f1-zero": MUTATIONS["f1-zero"][1],
+    "f1-flip": lambda F: flip_f1(F, ("x", 0, 0, 1)),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    g=small_geometries(),
+    twist=st.sampled_from(sorted(TWISTS)),
+    flips=st.sets(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-4, 4))),
+    mutation=st.sampled_from(sorted(FUNCTOR_MUTATIONS)),
+)
+@example(g=CylinderGeometry(Fraction(1), (Fraction(0),)), twist="none", flips=set(),
+         mutation="f1-zero")
+@example(g=CylinderGeometry(Fraction(1, 2), (Fraction(0), Fraction(1, 3))), twist="constant",
+         flips={(0, 1, 1)}, mutation="f1-flip")
+def test_functor_checker_matches_exhaustive_reference(g, twist, flips, mutation):
+    # the target's mu in the reference is the matrix one, independent of
+    # the interned tables the keyed checker reads
+    n = g.nfibers()
+    tokens = {("x", a, b, w): -1 for a, b, w in flips if a < n and b < n}
+    F, model, objs = functor_F(g, 1, twist=twist, tokens=tokens)
+    F = FUNCTOR_MUTATIONS[mutation](F)
+    rep = check_functor(F, 3)
+    witness, count = exhaustive_functor_check(F, matrix_category(model, objs, 1).mu_fn, 3)
+    assert rep.witness == witness
+    assert rep.ok == (twist != "parity" and mutation == "none")
+    if rep.ok:
+        assert rep.details["tuples_checked"] == count
 
 
 def test_tuples_checked_counts_every_composable_tuple(three_fibers):
