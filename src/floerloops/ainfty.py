@@ -14,24 +14,22 @@ the right-hand side is mu_1(F_d) plus the sum of mu_2(F_{d_2}, F_{d_1}) over
 splittings.
 
 Arity support.  A category may declare `arities`, the set of d for which
-mu_d can be nonzero; `mu` and `mu_raw` return zero outside it, so the
-declaration is authoritative.  A split (d_2, k) of an arity-d relation is
-admissible when d_2 and d_1 = d - d_2 + 1 both lie in the support; the other
-terms vanish identically.  An arity with no admissible split has a zero
-relation on every tuple: `check_ainfty` does not enumerate it but counts its
-composable tuples from the hom-basis sizes and reports them per arity as
-"certified zero by support" (the cylinder, with support {2}, enumerates only
-d = 3).  A category may further declare `linked`, a necessary condition for
-the relation on one composable tuple to be nonzero; the tuples it admits are
-the only ones visited, and the rest are reported as "certified zero by
-linkage", counted as the composable tuples minus the visited ones.
+mu_d can be nonzero; `mu` returns zero outside it, so the declaration is
+authoritative.  A split (d_2, k) of an arity-d relation is admissible when
+d_2 and d_1 = d - d_2 + 1 both lie in the support; the other terms vanish
+identically.  An arity with no admissible split has a zero relation on every
+tuple: `check_ainfty` does not enumerate it but counts its composable tuples
+from the hom-basis sizes and reports them per arity as "certified zero by
+support" (the cylinder, with support {2}, enumerates only d = 3).  The
+composable tuples an enumeration leaves out because their relation is known
+to be zero, e.g. by summand, are reported as "certified zero by linkage".
 
-Keys.  The checker runs one residual kernel, `_relation_terms`, on keys: a
-keyed mu (a key tuple to its (key, coeff) terms) and a degree lookup.  A
-category given on Generators uses them as their own keys.  A category with
-interned tables (`KeyedOps`) hands the kernel integer keys and enumerates
-the linked tuples itself, e.g. by summand, so the tuples it rules out are
-never visited; its Generator-level `mu_fn` is derived from those tables.
+Keys.  Every category is given on interned keys (`KeyedOps`): a keyed mu (a
+key tuple to its (key, coeff) terms), a degree lookup, the grouped
+enumeration of the tuples to visit, and `decode` and `encode` between keys
+and basis generators.  The checkers run one residual kernel,
+`_relation_terms`, on these keys and decode only the witness; a category's
+Generator-level `mu_fn` is derived from them unless it is given.
 Tuples come in groups: a prefix of d - 1 keys and the last keys completing
 it.  Per group the kernel computes the split sign parities and the signed
 inner mu outputs of the splits inside the prefix once; per last key it
@@ -49,7 +47,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .gradedalg import Chain, Generator, accumulate, sign_pow
@@ -82,45 +79,24 @@ class KeyedOps:
     encode: Callable[[Generator], Hashable]
 
 
-_gen_degree = attrgetter("degree")
-
-
-def _chain_terms(mu_fn: Callable[[tuple[Generator, ...]], Chain]):
-    """A Generator-level mu_fn as a keyed mu: generators are their own keys."""
-    return lambda gens: mu_fn(gens).items()
-
-
-def _same(gen: Generator) -> Generator:
-    return gen
-
-
 @dataclass
 class AInftyCategory:
-    """Objects, based hom complexes and structure maps given on basis tuples.
+    """Objects, based hom complexes and structure maps on interned keys.
 
-    `mu_fn` receives tuples of token-(+1) basis generators in composition
-    order and returns a Chain.  `arities` is the support of mu: the arities
-    at which it can be nonzero (None: unrestricted); structure outside it is
-    zero and `mu_fn` is never consulted there.  `linked`, when given, returns
-    False only for composable tuples whose A-infinity relation is zero (see
-    the module docstring).  `gen_hom_fn` resolves the hom-pair of generators
-    not listed in the enumeration basis (operations may leave a finite
-    enumeration window).  `keyed`, when given, is the same structure on
-    interned keys, which `check_ainfty` runs instead of `mu_fn`,
-    `composable_tuples` and `linked`; those must then decode it.  A keyed
-    category built with `mu_fn` None gets the Generator-level `mu_fn` that
-    encodes, runs `keyed.mu` and decodes.
+    `keyed` is the structure the checkers run, and `hom_basis_map` lists
+    per object pair the token-(+1) basis generators its keys decode to.
+    `arities` is the support of mu (None: unrestricted); mu is zero outside
+    it.  `mu_fn` is mu on basis generators in composition order, returning
+    a Chain; when not given it is derived from `keyed`.
     """
 
     name: str
     objects: tuple
     hom_basis_map: Mapping[tuple, tuple[Generator, ...]]
-    mu_fn: Callable[[tuple[Generator, ...]], Chain] | None = None
+    keyed: KeyedOps
     is_dg: bool = False
     arities: frozenset[int] | None = None
-    gen_hom_fn: Callable[[Generator], tuple] | None = None
-    linked: Callable[[tuple[Generator, ...]], bool] | None = None
-    keyed: KeyedOps | None = None
+    mu_fn: Callable[[tuple[Generator, ...]], Chain] | None = None
     _gen_hom: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
@@ -144,8 +120,6 @@ class AInftyCategory:
 
     def gen_hom(self, gen: Generator) -> tuple:
         pair = self._gen_hom.get(gen.key)
-        if pair is None and self.gen_hom_fn is not None:
-            pair = self.gen_hom_fn(gen)
         if pair is None:
             raise CompositionError(f"unknown generator {gen.gid}")
         return pair
@@ -187,14 +161,6 @@ class AInftyCategory:
                 )
         return out if token == 1 else out.scale(token)
 
-    def mu_raw(self, gens: tuple[Generator, ...]) -> Chain:
-        """mu without composability/degree validation; callers must pass
-        token-(+1) generators forming a composable tuple (the checkers
-        validate the enclosing tuple once and work on its slices)."""
-        if not self.supports(len(gens)):
-            return Chain.zero()
-        return self.mu_fn(gens)
-
     def composable_tuples(self, d: int) -> Iterator[tuple]:
         """All length-d composable basis tuples, lexicographic in the object
         path then in the per-slot basis order."""
@@ -203,20 +169,8 @@ class AInftyCategory:
                 yield prefix + (last,)
 
     def kernel_ops(self) -> KeyedOps:
-        """The keyed structure the checker runs: `keyed` when given, else
-        `mu_fn`, the grouped `composable_tuples` and `linked` with
-        generators as keys."""
-        if self.keyed is not None:
-            return self.keyed
-        linked = self.linked
-
-        def linked_groups(d: int):
-            groups = composable_paths(self.objects, self.hom_basis_map, d)
-            if linked is None:
-                return groups
-            return ((p, [x for x in lasts if linked(p + (x,))]) for p, lasts in groups)
-
-        return KeyedOps(_chain_terms(self.mu_fn), _gen_degree, linked_groups, _same, _same)
+        """The keyed structure the checkers run."""
+        return self.keyed
 
     def count_composable(self, d: int) -> int:
         """The number of tuples `composable_tuples(d)` yields, without
@@ -251,31 +205,55 @@ def category_from_tables(
     mu_tables: Mapping[int, Mapping[tuple, Chain]],
     is_dg: bool = False,
 ) -> AInftyCategory:
-    """Build a category whose mu is a sparse lookup table.
+    """Build a category whose mu is a sparse lookup table, on interned keys.
 
     Table keys are tuples of generator gids in composition order; absent
     tuples are zero, and the arity support is the set of arities with a
-    nonzero entry.  Non-composable table entries are rejected here.
+    nonzero entry.  A basis generator's key is its position in the basis,
+    and a row is kept as the (key, coeff) terms of its output.  Rejected
+    here: a gid listed twice, rows that are non-composable or name a gid in
+    no basis, and outputs that are not basis generators.
     """
-    lookup: dict[tuple, Chain] = {}
+    by_key = [gen for basis in hom_basis_map.values() for gen in basis]
+    key_of = {gen.gid: key for key, gen in enumerate(by_key)}
+    if len(key_of) != len(by_key):
+        raise ValueError("a generator gid is listed twice in the hom bases")
+    hom_keys = {
+        pair: tuple(key_of[gen.gid] for gen in basis) for pair, basis in hom_basis_map.items()
+    }
+
+    def key_for(gid) -> int:
+        key = key_of.get(gid)
+        if key is None:
+            raise CompositionError(f"gid {gid} not in any hom basis")
+        return key
+
+    terms: dict[tuple, tuple[tuple[int, int], ...]] = {}
+    cat = AInftyCategory(
+        name, objects, hom_basis_map,
+        KeyedOps(
+            lambda keys: terms.get(keys, ()), lambda key: by_key[key].degree,
+            lambda d: composable_paths(objects, hom_keys, d), by_key.__getitem__,
+            lambda gen: key_for(gen.gid),
+        ),
+        is_dg,
+    )
     for d, table in mu_tables.items():
         for gids, chain in table.items():
             if len(gids) != d:
                 raise ValueError(f"arity-{d} table entry with {len(gids)} inputs")
-            lookup[gids] = chain
-    arities = frozenset(len(gids) for gids, chain in lookup.items() if not chain.is_zero())
-
-    def mu_fn(gens: tuple[Generator, ...]) -> Chain:
-        return lookup.get(tuple(g.gid for g in gens), Chain.zero())
-
-    cat = AInftyCategory(name, objects, hom_basis_map, mu_fn, is_dg, arities=arities)
-    # the first basis generator listed with each gid
-    by_gid = {gen.gid: gen for gen in reversed(cat._gen_hom)}
-    for gids in lookup:
-        for gid in gids:
-            if gid not in by_gid:
-                raise CompositionError(f"gid {gid} not in any hom basis")
-        cat.tuple_path(tuple(by_gid[gid] for gid in gids))
+            keys = tuple(map(key_for, gids))
+            cat.tuple_path(tuple(map(by_key.__getitem__, keys)))
+            out = []
+            for gen, coeff in chain.items():
+                key = key_of.get(gen.gid)
+                if key is None or by_key[key] != gen:
+                    raise CompositionError(
+                        f"mu output {gen.gid} of degree {gen.degree} is not a basis generator"
+                    )
+                out.append((key, coeff))
+            terms[keys] = tuple(out)
+    cat.arities = frozenset(len(keys) for keys, out in terms.items() if out)
     return cat
 
 
@@ -376,9 +354,11 @@ def ainfty_residual(cat: AInftyCategory, gens: tuple[Generator, ...]) -> Chain:
     """The quadratic A-infinity residual on one composable tuple, validated
     and summed over the splits admissible for the category's support."""
     cat.tuple_path(gens)
+    ops = cat.kernel_ops()
+    keys = tuple(map(ops.encode, gens))
     splits = admissible_splits(len(gens), cat.arities, cat.arities)
-    found = _relation_terms(_chain_terms(cat.mu_fn), _gen_degree, gens[:-1], gens[-1:], splits)
-    return Chain(found[1] if found else None)
+    found = _relation_terms(ops.mu, ops.degree, keys[:-1], keys[-1:], splits)
+    return Chain({ops.decode(k): c for k, c in found[1].items()} if found else None)
 
 
 def check_ainfty(

@@ -24,6 +24,7 @@ from .ainfty import (
     category_to_json,
     check_ainfty,
     check_functor,
+    composable_paths,
 )
 from .cylinder import (
     CylinderConfigError,
@@ -264,10 +265,13 @@ def _rows(parent: dict, key: str, fields: dict) -> list[dict]:
     return rows
 
 
-def _bundle_category(bundle: dict) -> AInftyCategory:
-    """The table-backed category of an export bundle; its `category` document
-    is checked first for every key and type `category_from_json` reads."""
-    doc = bundle.get("category")
+def _bundle_category(cfg: RunConfig) -> AInftyCategory:
+    """The export bundle's table-backed category as the ainfty row re-checks
+    it: its enumeration restricted to the config's chords within the winding
+    bound.  The `category` document is checked first for every key and type
+    `category_from_json` reads; a re-check above the recorded
+    `enumeration_bound` or `max_d`, where the tables lack rows, is refused."""
+    doc = cfg.document.get("category")
     if not isinstance(doc, dict):
         raise CylinderConfigError("export_bundle lacks a category object")
     objects = doc.get("objects")
@@ -275,6 +279,12 @@ def _bundle_category(bundle: dict) -> AInftyCategory:
         raise CylinderConfigError("bundle category objects must be a list of ids")
     if not isinstance(doc.get("name"), str):
         raise CylinderConfigError("bundle category name must be a string")
+    for key, label, value in (("enumeration_bound", "winding bound", cfg.winding_bound),
+                              ("max_d", "max_d", cfg.max_d)):
+        if not _is_int(doc.get(key)):
+            raise CylinderConfigError(f"bundle category {key} must be an integer")
+        if value > doc[key]:
+            raise CylinderConfigError(f"{label} {value} exceeds the bundle's {key} {doc[key]}")
     for row in _rows(doc, "basis", {"source": _is_int, "target": _is_int,
                                     "generators": _is_list}):
         if not (0 <= row["source"] < len(objects) and 0 <= row["target"] < len(objects)):
@@ -284,10 +294,22 @@ def _bundle_category(bundle: dict) -> AInftyCategory:
         if not all(_is_gid(g) for g in row["inputs"]):
             raise CylinderConfigError(f"bundle category mu row has bad inputs {row['inputs']!r}")
         _rows(row, "output", {"gen": _is_gid, "degree": _is_int, "coeff": _is_int})
-    try:
-        return category_from_json(doc)[0]
-    except ValueError as exc:  # kind, schema version, arity or composability
+    g = cfg.geometry()
+    try:  # kind, schema version, arity, composability or a gid in no basis
+        cat = category_from_json(doc)[0]
+        ops = cat.kernel_ops()
+        hom_keys = {
+            (a, b): tuple(ops.encode(x.generator())
+                          for x in enumerate_chords(g, a, b, cfg.winding_bound))
+            for a in range(g.nfibers()) for b in range(g.nfibers())
+        }
+    except ValueError as exc:
         raise CylinderConfigError(f"bad bundle category: {exc}") from exc
+    return replace(
+        cat, name="imported",
+        hom_basis_map={pair: tuple(map(ops.decode, keys)) for pair, keys in hom_keys.items()},
+        keyed=replace(ops, linked_groups=lambda d: composable_paths(cat.objects, hom_keys, d)),
+    )
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -392,22 +414,7 @@ def cmd_check_all(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     imported = None
     if cfg.document is not None and cfg.document.get("kind") == "export_bundle":
-        # the bundle's tables cover every lookup of the A-infinity check at
-        # the recorded enumeration bound; re-check over that basis
-        full_cat = _bundle_category(cfg.document)
-        g = cfg.geometry()
-        n = g.nfibers()
-        hom_basis_map = {
-            (a, b): tuple(
-                x.generator() for x in enumerate_chords(g, a, b, cfg.winding_bound)
-            )
-            for a in range(n) for b in range(n)
-        }
-        imported = AInftyCategory(
-            "imported", full_cat.objects, hom_basis_map, full_cat.mu_fn,
-            is_dg=False, arities=full_cat.arities,
-            gen_hom_fn=lambda gen: (gen.gid[1], gen.gid[2]),
-        )
+        imported = _bundle_category(cfg)
     reports = _build_reports(cfg, imported_category=imported)
     return _emit(cfg, reports, sys.stdout)
 
@@ -465,7 +472,8 @@ def _f1_image(F: AInftyFunctor, gen: Generator) -> tuple[tuple, int]:
 
 def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: str):
     """mu_2 tables wide enough that the A-infinity check at the recorded
-    enumeration bound is closed under every lookup it performs."""
+    enumeration bound is closed under every lookup it performs; every
+    input and output of a row lies in the closure basis."""
     closure = (max_d - 1) * winding_bound
     n = g.nfibers()
     hom_basis_map = {
@@ -474,7 +482,7 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
     }
     n_b = twist_fn(twist)
     table: dict[tuple, Chain] = {}
-    for x1, x2 in chord_pairs(g, 2 * winding_bound):
+    for x1, x2 in chord_pairs(g, min(2 * winding_bound, closure)):
         if abs(x1.winding + x2.winding) > closure:
             continue
         if min(abs(x1.winding), abs(x2.winding)) > winding_bound:

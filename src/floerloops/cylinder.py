@@ -64,7 +64,7 @@ from . import _kernels
 from .ainfty import AInftyCategory, AInftyFunctor, CompositionError, KeyedOps, composable_paths
 from .gradedalg import Chain, Generator, accumulate, sign_pow
 from .moduli import StratifiedModuli, ModuliCell, make_stratum
-from .pontryagin import CirclePathModel, circle_model_at
+from .pontryagin import CirclePathModel
 from .report import CheckReport, failed, passed
 from .twisted import ShiftedObject, TwistedComplex, tw_category
 
@@ -593,22 +593,16 @@ def cylinder_category(
             gen = decoded[key] = g.chord_at(key).generator()
         return gen
 
-    def gen_hom_fn(gen: Generator) -> tuple:
-        tag, a, b, _w = gen.gid
-        if tag != "x":
-            raise CompositionError(f"not a chord generator: {gen.gid}")
-        return (a, b)
-
     def encode(gen: Generator) -> int:
-        return g.key(*gen_hom_fn(gen), gen.gid[3])
+        _tag, a, b, w = gen.gid
+        return g.key(a, b, w)
 
     return AInftyCategory(
         f"CW(c={g.c},fibres={len(g.fibers)},w<={winding_bound})",
         objects,
         {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()},
+        KeyedOps(mu, degree, linked_groups, decode, encode),
         arities={2},
-        gen_hom_fn=gen_hom_fn,
-        keyed=KeyedOps(mu, degree, linked_groups, decode, encode),
     )
 
 
@@ -630,7 +624,7 @@ def structure_constants(
 
 def pontryagin_target(g: CylinderGeometry) -> CirclePathModel:
     """The path model on the fibre basepoints (Q cap L per fibre)."""
-    return circle_model_at(g.fibers)
+    return CirclePathModel(g.fibers)
 
 
 def functor_F(

@@ -111,9 +111,6 @@ class Chain:
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, gen: Generator) -> int:
-        return self._terms.get(gen.key, 0) * gen.orientation
-
     def is_zero(self) -> bool:
         return not self._terms
 

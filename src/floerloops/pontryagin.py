@@ -119,9 +119,6 @@ class CirclePathModel(PathModel):
         _, i, j, _ = gen.gid
         return i, j
 
-    def winding(self, gen: Generator) -> int:
-        return gen.gid[3]
-
     def displacement(self, gen: Generator) -> Fraction:
         _, i, j, k = gen.gid
         return self.points[j] - self.points[i] + k
@@ -146,10 +143,6 @@ def circle_model(num_basepoints: int) -> CirclePathModel:
     if num_basepoints < 1:
         raise ValueError("num_basepoints must be >= 1")
     return CirclePathModel(Fraction(j, num_basepoints) for j in range(num_basepoints))
-
-
-def circle_model_at(points: Iterable[Fraction]) -> CirclePathModel:
-    return CirclePathModel(points)
 
 
 class FinitePathModel(PathModel):
@@ -405,11 +398,11 @@ def path_model_category(model: PathModel, window: int = 2, name: str = "P") -> A
     objects = tuple(range(n))
     return AInftyCategory(
         name, objects, {pair: tuple(by_key[k] for k in keys) for pair, keys in hom_keys.items()},
-        mu_fn, is_dg=True, arities={1, 2}, gen_hom_fn=model.gen_endpoints,
-        keyed=KeyedOps(
+        KeyedOps(
             mu, lambda key: by_key[key].degree,
             lambda d: composable_paths(objects, hom_keys, d), by_key.__getitem__, intern,
         ),
+        is_dg=True, arities={1, 2}, mu_fn=mu_fn,
     )
 
 

@@ -220,10 +220,9 @@ def tw_category(
     the keys.  Base products are cached per (base1, base2, parity) and mu_1
     rows per key, as tuples of (key, coeff); mu_1 of a key is mu_1 of its
     base plus mu_2 against the connection entries of Ta ending at i1 and of
-    Tb starting at i2.  `check_ainfty` and `check_functor` run on these
-    keys (`keyed`); `decode` and `encode` translate them to and from the
-    generators with gid ("m", name1, i1, name2, i2, base_gid) that `mu_fn`,
-    `linked` and `composable_tuples` see.
+    Tb starting at i2.  The category is these keys (`keyed`); `decode` and
+    `encode` translate them to and from the basis generators with gid
+    ("m", name1, i1, name2, i2, base_gid), which witnesses name.
 
     Summand linkage.  Take g1 at summands (i1, i2) of Hom(Ta, Tb) and g2 at
     (j1, j2) of Hom(Tb, Tc).  The d = 2 relation on (g1, g2) is a signed sum
@@ -397,21 +396,10 @@ def tw_category(
             key = encoded[gen] = (base << bbits) | block(n1, i1, n2, i2)
         return key
 
-    def gen_hom_fn(gen: Generator) -> tuple:
-        _, n1, _, n2, _, _ = gen.gid
-        return (n1, n2)
-
-    def linked(gens: tuple[Generator, ...]) -> bool:
-        if len(gens) != 2:
-            return True
-        _, _, _, middle, i2, _ = gens[0].gid
-        return gens[1].gid[2] in links[(middle, i2)]
-
     hom_basis_map = {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()}
     return AInftyCategory(
-        name, names, hom_basis_map,
-        is_dg=True, arities={1, 2}, gen_hom_fn=gen_hom_fn, linked=linked,
-        keyed=KeyedOps(mu, degree, linked_groups, decode, encode),
+        name, names, hom_basis_map, KeyedOps(mu, degree, linked_groups, decode, encode),
+        is_dg=True, arities={1, 2},
     )
 
 

@@ -1,9 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
 from floerloops.ainfty import (
-    AInftyCategory,
     CompositionError,
     ainfty_residual,
     category_from_json,
@@ -130,11 +130,7 @@ def test_degree_bookkeeping_enforced():
 def test_duplicate_generator_rejected():
     a = Generator("a", 0)
     with pytest.raises(ValueError):
-        AInftyCategory(
-            "dup", ("O", "P"),
-            {("O", "O"): (a,), ("P", "P"): (a,)},
-            lambda gens: Chain.zero(),
-        )
+        category_from_tables("dup", ("O", "P"), {("O", "O"): (a,), ("P", "P"): (a,)}, {})
 
 
 def test_token_normalisation_in_mu():
@@ -155,10 +151,7 @@ def test_identity_functor_of_dga_passes():
 
 def test_functor_requires_dg_target():
     cat = witness_category()
-    not_dg = AInftyCategory(
-        "n", cat.objects, cat.hom_basis_map, cat.mu_fn, is_dg=False, arities={1, 2},
-        gen_hom_fn=cat.gen_hom_fn,
-    )
+    not_dg = dataclasses.replace(cat, is_dg=False)
     F = AInftyFunctor(cat, not_dg, {0: 0}, lambda keys: ())
     with pytest.raises(ValueError):
         check_functor(F, 2)

@@ -145,6 +145,23 @@ def _list_bundle_version(doc):
     doc["schema_version"] = [[1]]
 
 
+def _unknown_mu_output(doc):
+    doc["category"]["mu"][0]["output"][0]["gen"] = "nowhere"
+
+
+def _mu_output_degree(doc):
+    doc["category"]["mu"][0]["output"][0]["degree"] = 1
+
+
+def _winding_above_bound(doc):
+    # the tables lack the rows a re-check beyond the recorded bound reads
+    return ("--winding", "2")
+
+
+def _max_d_above_recorded(doc):
+    doc["category"]["max_d"] = 2
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -153,14 +170,18 @@ def _list_bundle_version(doc):
         (_string_basis_source, "bundle category basis row has bad source"),
         (_unknown_mu_input, "bad bundle category: gid nowhere not in any hom basis"),
         (_list_bundle_version, "unsupported export_bundle schema_version [[1]]"),
+        (_unknown_mu_output, "bad bundle category: mu output nowhere of degree 0 is not a basis"),
+        (_mu_output_degree, "of degree 1 is not a basis generator"),
+        (_winding_above_bound, "winding bound 2 exceeds the bundle's enumeration_bound 1"),
+        (_max_d_above_recorded, "max_d 4 exceeds the bundle's max_d 2"),
     ],
 )
 def test_malformed_bundle_category_exits_2(tmp_path, small_bundle, corrupt, message):
     doc = json.loads(json.dumps(small_bundle))
-    corrupt(doc)
+    extra = corrupt(doc) or ()
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
-    proc = run_cli("check-all", "--config", str(path))
+    proc = run_cli("check-all", "--config", str(path), *extra)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
@@ -246,6 +267,15 @@ def test_export_import_round_trip(tmp_path):
     assert run_cli("check-all", "--winding", "2", "--out", str(rep_fresh)).returncode == 0
     assert run_cli("check-all", "--config", str(bundle), "--out", str(rep_imported)).returncode == 0
     assert rep_fresh.read_bytes() == rep_imported.read_bytes()
+
+
+def test_export_at_max_d_2_round_trips(tmp_path):
+    # at max_d 2 the closure basis is the enumeration window itself
+    bundle = tmp_path / "bundle.json"
+    proc = run_cli("export", "--winding", "2", "--max-d", "2", "--out", str(bundle))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("check-all", "--config", str(bundle))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_export_monotone_in_winding(tmp_path):
@@ -454,3 +484,41 @@ def test_no_public_parameter_is_a_mutation_hook():
                 hooks += [f"{module.__name__}.{name}({p})" for p in params
                           if p.startswith("mutate")]
     assert hooks == []
+
+
+TRACED_RUN = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from floerloops import cli
+import tracing
+
+def run(tag):
+    report, bundle, again = (os.path.join(sys.argv[2], f"{tag}-{name}.json")
+                             for name in ("report", "bundle", "again"))
+    codes = [cli.main(["check-all", "--winding", "1", "--out", report]),
+             cli.main(["export", "--winding", "1", "--out", bundle]),
+             cli.main(["check-all", "--config", bundle, "--out", again])]
+    return codes, [open(p).read() for p in (report, bundle, again)]
+
+plain = run("plain")
+tracer = tracing.Tracer()
+tracing.install(tracer)
+traced = run("traced")
+print(json.dumps({"plain": plain, "traced": traced, "missing": tracer.missing,
+                  "spans": sorted({s[0] for s in tracer.spans})}))
+"""
+
+
+def test_benchmark_tracer_hooks_every_layer(tmp_path):
+    # the benchmark's tracer rebinds package functions by name and swaps a
+    # category's `mu_fn` and `composable_tuples`; it runs in its own
+    # process because the hooks patch the modules globally
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(perfbench), str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["missing"] == []
+    assert doc["traced"] == doc["plain"]
+    assert doc["plain"][0] == [0, 0, 0]
+    assert {"ainfty.check_ainfty.cylinder", "ainfty.check_ainfty.imported"} <= set(doc["spans"])

@@ -10,7 +10,6 @@ from floerloops.pontryagin import (
     FinitePathModel,
     MutatedPathModel,
     circle_model,
-    circle_model_at,
     leibniz_witness_model,
     path_model_category,
     path_model_from_json,
@@ -96,9 +95,9 @@ def test_circle_model_validation_errors():
     with pytest.raises(ValueError):
         circle_model(0)
     with pytest.raises(ValueError):
-        circle_model_at([Fraction(0), Fraction(0)])
+        CirclePathModel([Fraction(0), Fraction(0)])
     with pytest.raises(ValueError):
-        circle_model_at([Fraction(3, 2)])
+        CirclePathModel([Fraction(3, 2)])
     with pytest.raises(ValueError):
         circle_model(1).concat_gens(
             circle_model(1).gen(0, 0, 0), circle_model(2).gen(1, 0, 0)

@@ -228,7 +228,7 @@ def test_adapter_agrees_with_matrix_operations():
                 S1 = {(i1, i2): Chain.of(b1)}
                 S2 = {(j1, j2): Chain.of(b2)}
                 expected = to_chain(Ta, Tc, tw_mu2(Ta, Tb, Tc, S2, S1))
-                assert cat.mu_raw((g1, g2)) == expected
+                assert cat.mu((g1, g2)) == expected
 
 
 def test_twisted_json_round_trip():
