@@ -22,7 +22,9 @@ tuple: `check_ainfty` does not enumerate it but counts its composable tuples
 from the hom-basis sizes and reports them per arity as "certified zero by
 support" (the cylinder, with support {2}, enumerates only d = 3).  The
 composable tuples an enumeration leaves out because their relation is known
-to be zero, e.g. by summand, are reported as "certified zero by linkage".
+to be zero, e.g. by summand, are reported as "certified zero by linkage",
+and those it leaves out because a visited translate decides them (see
+`KeyedOps.orbit`) as "certified by translation".
 
 Keys.  Every category is given on interned keys (`KeyedOps`): a keyed mu (a
 key tuple to its (key, coeff) terms), a degree lookup, the grouped
@@ -70,6 +72,13 @@ class KeyedOps:
     composable length-d key tuples not certified zero by linkage, flattened
     in `composable_tuples` order; `decode(key)` is the basis generator a
     key stands for, and `encode(gen)` the key of a token-(+1) generator.
+
+    `orbit` is the number of keys per slot that each key `linked_groups`
+    yields stands for: a category whose relations commute with a
+    translation of its keys (winding on the circle) yields one
+    representative per translation orbit of those tuples, and a visited
+    length-d tuple then decides orbit**d tuples.  It is 1 when every
+    yielded tuple stands for itself.
     """
 
     mu: Callable[[tuple], Iterable[tuple[Hashable, int]]]
@@ -77,6 +86,7 @@ class KeyedOps:
     linked_groups: Callable[[int], Iterable[tuple[tuple, Sequence]]]
     decode: Callable[[Hashable], Generator]
     encode: Callable[[Generator], Hashable]
+    orbit: int = 1
 
 
 @dataclass
@@ -371,8 +381,11 @@ def check_ainfty(
     tuples of the groups `kernel_ops().linked_groups` yields are visited,
     one kernel call per group.  `tuples_checked` counts every composable
     tuple covered; `per_arity` splits it into `enumerated` and
-    `certified_zero_by_support`, and gives as `certified_zero_by_linkage`
-    the enumerated tuples that were not visited.
+    `certified_zero_by_support`.  Of the enumerated tuples, each visited
+    one decides its whole translation orbit, `orbit**d` tuples
+    (`KeyedOps.orbit`): the translates not visited are given as
+    `certified_by_translation`, and the tuples in no visited orbit as
+    `certified_zero_by_linkage`.
     """
     name = name or f"ainfty({cat.name})"
     ops = cat.kernel_ops()
@@ -385,7 +398,7 @@ def check_ainfty(
         splits = admissible_splits(d, cat.arities, cat.arities)
         if not splits:
             per_arity[d] = {"enumerated": 0, "certified_zero_by_support": composable,
-                            "certified_zero_by_linkage": 0}
+                            "certified_zero_by_linkage": 0, "certified_by_translation": 0}
             continue
         visited = 0
         for prefix, lasts in ops.linked_groups(d):
@@ -403,8 +416,10 @@ def check_ainfty(
                     "residual": repr(Chain({decode(k): c for k, c in acc.items()})),
                 },
             )
+        covered = visited * ops.orbit ** d
         per_arity[d] = {"enumerated": composable, "certified_zero_by_support": 0,
-                        "certified_zero_by_linkage": composable - visited}
+                        "certified_zero_by_linkage": composable - covered,
+                        "certified_by_translation": covered - visited}
     return passed(name, tuples_checked=checked, max_d=max_d, per_arity=per_arity)
 
 
@@ -434,7 +449,9 @@ def check_functor(
     """Verify the A-infinity functor equation, LHS minus RHS, on every
     composable source tuple of length <= max_d; the witness is the first
     failing tuple in lexicographic order.  `tuples_checked` counts every
-    composable tuple, those certified zero by support included."""
+    composable tuple, and `per_arity` splits it into `enumerated` and
+    `certified_zero_by_support`: an arity with no term whose operations all
+    lie in their supports is counted, not enumerated."""
     name = name or f"functor({F.name})"
     src, tgt = F.source, F.target
     if not tgt.is_dg:
@@ -444,12 +461,15 @@ def check_functor(
     hom_keys = {pair: tuple(map(sops.encode, basis)) for pair, basis in src.hom_basis_map.items()}
     support = range(1, max_d + 1) if F.arities is None else F.arities
     checked = 0
+    per_arity: dict[int, dict[str, int]] = {}
     for d in range(1, max_d + 1):
-        checked += src.count_composable(d)
+        composable = src.count_composable(d)
+        checked += composable
         splits = admissible_splits(d, src.arities, F.arities)
         mu1 = d in support and tgt.supports(1)
         cuts = [r for r in range(1, d) if r in support and d - r in support and tgt.supports(2)]
         if not (splits or mu1 or cuts):
+            per_arity[d] = {"enumerated": 0, "certified_zero_by_support": composable}
             continue
         for prefix, lasts in composable_paths(src.objects, hom_keys, d):
             parity = _prefix_parities(prefix, degree)
@@ -473,7 +493,8 @@ def check_functor(
                     residual = Chain({tops.decode(k): c for k, c in acc.items()})
                     gids = [sops.decode(key).gid for key in keys]
                     return failed(name, {"tuple": gids, "d": d, "residual": repr(residual)})
-    return passed(name, tuples_checked=checked, max_d=max_d)
+        per_arity[d] = {"enumerated": composable, "certified_zero_by_support": 0}
+    return passed(name, tuples_checked=checked, max_d=max_d, per_arity=per_arity)
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,8 @@ def _build_reports(cfg: RunConfig, imported_category=None) -> list[Report]:
 
     F, target_model, f_objs = functor_F(g, cfg.winding_bound, twist=cfg.twist)
     samples = list(f_objs) + synthetic_twisted_complexes(target_model, tag="syn")
+    # window 1: on the circle model winding translation already covers every
+    # winding in Z, so a wider window would add no coverage
     tw_model, complexes, window = row_input("tw-dg", (target_model, samples, 1))
     reports.append(_timed(check_tw_dg, tw_model, complexes, window, "tw-dg"))
 
@@ -387,7 +389,7 @@ def _build_reports(cfg: RunConfig, imported_category=None) -> list[Report]:
         half_disc_d2_family(g, x1, x2)[0] for x1, x2 in chord_pairs(g, min(cfg.winding_bound, 2))
     ]
     reports.append(_timed(_moduli_pipeline, row_input("fundamental-chains", datasets)))
-    reports.append(_timed(check_functor, row_input("functor", F), 2, "functor"))
+    reports.append(_timed(check_functor, row_input("functor", F), cfg.max_d, "functor"))
     return reports
 
 

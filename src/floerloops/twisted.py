@@ -25,7 +25,7 @@ from .ainfty import (
     mu2_shifted,
 )
 from .gradedalg import Chain, Generator, accumulate
-from .pontryagin import PathModel
+from .pontryagin import CirclePathModel, PathModel
 from .report import CheckReport, failed, passed
 
 SCHEMA_VERSION = 1
@@ -158,10 +158,6 @@ def matrix_add(A: MorphismMatrix, B: MorphismMatrix) -> MorphismMatrix:
     return {key: Chain.from_sums(terms) for key, terms in acc.items() if terms}
 
 
-def matrix_is_zero(S: MorphismMatrix) -> bool:
-    return all(chain.is_zero() for chain in S.values())
-
-
 def matrix_entry_degree(T1: TwistedComplex, T2: TwistedComplex, i1: int, i2: int, g: int) -> int:
     return g + T2.shift_of(i2) - T1.shift_of(i1)
 
@@ -239,6 +235,31 @@ def tw_category(
     is linked to i2, in increasing j1, which keeps the `composable_tuples`
     order, so the kernel evaluates mu_1 g1 once per slice.  Tuples of other
     lengths are always linked.
+
+    Winding translation.  On the circle's path model (`type(model) is
+    CirclePathModel`, exactly: no subclass or wrapper) every hom is the
+    group ring Z[t^+-1]: concatenation adds windings with coefficient +1 and
+    the differential is zero.  So the twisted mu_1 and mu_2 commute with
+    translating each input's winding, mu(t^k1 x1, ..., t^kd xd) =
+    t^(k1+...+kd) mu(x1, ..., xd), degrees do not depend on windings, and
+    the relation on (t^k1 x1, ..., t^kd xd) is t^(k1+...+kd) times the
+    relation on (x1, ..., xd).  It vanishes for every winding in Z iff it
+    vanishes at one.  So there `linked_groups` yields only the first key of
+    each cell, whose winding is -window: for d = 2 the first input is
+    cell[0] and the lasts are every (2 window + 1)-th key of the follow
+    slice, since every cell has 2 window + 1 keys.  `KeyedOps.orbit` is
+    2 window + 1, and `check_ainfty` reports the translates as
+    `certified_by_translation`.  The witness is unchanged: the first
+    failing tuple in `composable_tuples` order has every winding at
+    -window, because its representative fails too and comes no later, and
+    the representatives are walked in that order.  A window wider than 1
+    adds no coverage there, since the certificate already covers every
+    winding.  Every other model (a `MutatedPathModel`, a table-backed one,
+    a subclass) gets the full linked enumeration.  The limit: the lemma
+    holds for the operations as defined, so a fault in the keyed code above
+    that depends on the base index, not on the model, shows only on the
+    full path, which `MutatedPathModel(model, (None, None))` forces and the
+    tests keep running.
     """
     cxs = list(complexes)
     names = tuple(T.name for T in cxs)
@@ -361,16 +382,22 @@ def tw_category(
     def degree(key: int) -> int:
         return bases[key >> bbits].degree + shifts[key & smask] - shifts[(key >> sbits) & smask]
 
+    # one representative per translation orbit: every stride-th key of a
+    # cell or slice, i.e. the first of each cell
+    stride = 2 * window + 1 if type(model) is CirclePathModel else 1
+
     def linked_groups(d: int):
         if d != 2:
-            yield from composable_paths(names, hom_keys, d)
+            reps = {pair: keys[::stride] for pair, keys in hom_keys.items()}
+            yield from composable_paths(names, reps, d)
             return
         for a, b, c in itertools.product(names, repeat=3):
             after = follow[(b, c)]
             for row in cells[(a, b)]:
                 for i2, cell in enumerate(row):
-                    for g1 in cell:
-                        yield (g1,), after[i2]
+                    lasts = after[i2][::stride]
+                    for g1 in cell[::stride]:
+                        yield (g1,), lasts
 
     decoded: dict[int, Generator] = {}
     encoded: dict[Generator, int] = {}
@@ -398,7 +425,7 @@ def tw_category(
 
     hom_basis_map = {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()}
     return AInftyCategory(
-        name, names, hom_basis_map, KeyedOps(mu, degree, linked_groups, decode, encode),
+        name, names, hom_basis_map, KeyedOps(mu, degree, linked_groups, decode, encode, stride),
         is_dg=True, arities={1, 2},
     )
 

@@ -218,9 +218,30 @@ def test_cylinder_enumerates_only_arity_three(one_fiber):
     assert rep.details["per_arity"][4]["certified_zero_by_support"] == 5 ** 4
 
 
+def test_functor_counts_arities_without_terms(one_fiber):
+    # F has support {1} and the cylinder {2}: arities 3 and 4 of the
+    # functor equation have no term and are counted, not enumerated
+    F, _model, _objs = functor_F(one_fiber, 2)
+    rep = check_functor(F, 4)
+    assert rep.ok and rep.details["tuples_checked"] == 5 + 5 ** 2 + 5 ** 3 + 5 ** 4
+    per_arity = rep.details["per_arity"]
+    assert {d: c["enumerated"] for d, c in per_arity.items()} == {1: 5, 2: 25, 3: 0, 4: 0}
+    assert per_arity[3]["certified_zero_by_support"] == 5 ** 3
+    assert per_arity[4]["certified_zero_by_support"] == 5 ** 4
+
+
+def full_path(model):
+    """The circle model behind a wrapper that flips nothing: the same
+    operations, but `tw_category` takes the full linked enumeration instead
+    of one winding representative per translation orbit."""
+    return MutatedPathModel(model, (None, None))
+
+
 def test_linkage_skips_only_zero_relations():
+    # on the full path; winding translation skips a superset, whose
+    # linkage count `assert_paths_agree` compares with this one
     cm = circle_model(2)
-    cat = tw_category(cm, synthetic_twisted_complexes(cm, "link"), window=1)
+    cat = tw_category(full_path(cm), synthetic_twisted_complexes(cm, "link"), window=1)
     visited = set(flattened_groups(cat, 2))
     skipped = 0
     for gens in cat.composable_tuples(2):
@@ -272,10 +293,12 @@ def test_kernel_matches_exhaustive_residual_on_random_tables(cat):
 
 
 def assert_linked_enumeration(model, cxs, window):
-    """The keyed d=2 enumeration is the linked part of the composable
-    product, decoded, in the same order; linked means i2 == j1 or (i2, j1)
-    in the middle complex's connection."""
-    cat = tw_category(model, cxs, window=window)
+    """On the full path the keyed d=2 enumeration is the linked part of the
+    composable product, decoded, in the same order; linked means i2 == j1
+    or (i2, j1) in the middle complex's connection.  On the circle model
+    itself it is the same restricted to the pairs whose windings are both
+    -window, and each visited pair certifies its (2 window + 1)**2
+    translates."""
     by_name = {T.name: T for T in cxs}
 
     def summand_linked(gens):
@@ -283,10 +306,20 @@ def assert_linked_enumeration(model, cxs, window):
         j1 = gens[1].gid[2]
         return i2 == j1 or (i2, j1) in by_name[middle].D
 
+    cat = tw_category(full_path(model), cxs, window=window)
     keyed = flattened_groups(cat, 2)
-    assert keyed == [t for t in cat.composable_tuples(2) if summand_linked(t)]
+    linked = [t for t in cat.composable_tuples(2) if summand_linked(t)]
+    assert keyed == linked
     per_arity = check_ainfty(cat, 2).details["per_arity"][2]
     assert per_arity["enumerated"] - per_arity["certified_zero_by_linkage"] == len(keyed)
+
+    cat = tw_category(model, cxs, window=window)
+    keyed = flattened_groups(cat, 2)
+    assert keyed == [t for t in linked if all(g.gid[5][3] == -window for g in t)]
+    orbit = (2 * window + 1) ** 2
+    per_arity = check_ainfty(cat, 2).details["per_arity"][2]
+    assert per_arity["enumerated"] - per_arity["certified_zero_by_linkage"] == len(keyed) * orbit
+    assert per_arity["certified_by_translation"] == len(keyed) * (orbit - 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -412,8 +445,10 @@ def counted_visits(cat, max_d):
     cat.keyed = dataclasses.replace(ops, mu=counting_mu)
     rep = check_ainfty(cat, max_d)
     assert rep.ok
-    per_arity = rep.details["per_arity"].values()
-    return calls, sum(c["enumerated"] - c["certified_zero_by_linkage"] for c in per_arity)
+    return calls, sum(
+        c["enumerated"] - c["certified_zero_by_linkage"] - c["certified_by_translation"]
+        for c in rep.details["per_arity"].values()
+    )
 
 
 def test_grouped_kernel_work_on_acceptance_objects(three_fibers):
@@ -421,10 +456,75 @@ def test_grouped_kernel_work_on_acceptance_objects(three_fibers):
     # recomputed the per-prefix work per tuple made 6.05 and 4.0 calls
     _F, model, objs = functor_F(three_fibers, 3)
     cxs = list(objs) + synthetic_twisted_complexes(model, tag="syn")
-    calls, visited = counted_visits(tw_category(model, cxs, window=1), 2)
+    calls, visited = counted_visits(tw_category(full_path(model), cxs, window=1), 2)
     assert visited == 221052 and calls <= 5.2 * visited
+    # winding translation: one representative of each orbit of 3 keys (d=1)
+    # and 9 pairs (d=2), as check-all runs the tw-dg row
+    calls, visited = counted_visits(tw_category(model, cxs, window=1), 2)
+    assert visited == 25012 and calls == 133952
     calls, visited = counted_visits(cylinder_category(three_fibers, 3), 4)
     assert visited == 27783 and calls <= 3.2 * visited
+
+
+def assert_paths_agree(model, cxs, window):
+    """`check_tw_dg` decides the same on the circle model (winding
+    translation) as on its full-path wrapper, with the same witness and
+    counts, and linkage certifies whole translation orbits."""
+    reduced = check_tw_dg(model, cxs, window=window)
+    full = check_tw_dg(full_path(model), cxs, window=window)
+    assert (reduced.ok, reduced.witness) == (full.ok, full.witness)
+    if full.ok:
+        assert reduced.details["tuples_checked"] == full.details["tuples_checked"]
+        for d, counts in full.details["per_arity"].items():
+            mine = reduced.details["per_arity"][d]
+            assert counts["certified_by_translation"] == 0
+            assert mine["certified_zero_by_linkage"] == counts["certified_zero_by_linkage"]
+            assert mine["certified_by_translation"] > 0
+
+
+def test_translation_agrees_with_full_path_on_acceptance_target(three_fibers):
+    _F, model, objs = functor_F(three_fibers, 3)
+    assert_paths_agree(model, list(objs) + synthetic_twisted_complexes(model, tag="syn"), 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_translation_agrees_with_full_path_on_battery(n):
+    cm = circle_model(n)
+    assert_paths_agree(cm, synthetic_twisted_complexes(cm, f"b{n}"), 1)
+
+
+def flipped_block_mu(ops, block, windings=None):
+    """The keyed mu with mu_2 negated on pairs of two morphisms at `block`
+    (a (name1, i1, name2, i2) summand pair), read off the decoded gids: at
+    every winding, or only when the two base windings are `windings`."""
+    def mu(keys):
+        out = ops.mu(keys)
+        if len(keys) == 2:
+            g1, g2 = (ops.decode(key).gid for key in keys)
+            if g1[1:5] == block == g2[1:5] and windings in (None, (g1[5][3], g2[5][3])):
+                return tuple((key, -c) for key, c in out)
+        return out
+    return mu
+
+
+@pytest.mark.parametrize("windings, reduced_fails", [(None, True), ((1, 1), False)])
+def test_translation_under_keyed_corruptions(windings, reduced_fails):
+    # a flip on one block triple at every winding keeps translation symmetry
+    # and both paths report it; a flip at winding +1 only breaks it, and
+    # only the full path sees it: the stated limit of the certificate
+    cm = circle_model(2)
+    cxs = synthetic_twisted_complexes(cm, "c")
+    reports = []
+    for model in (full_path(cm), cm):
+        cat = tw_category(model, cxs, window=1)
+        mu = flipped_block_mu(cat.keyed, ("c-pair-0", 0, "c-pair-0", 0), windings)
+        cat = dataclasses.replace(cat, mu_fn=None, keyed=dataclasses.replace(cat.keyed, mu=mu))
+        reports.append(check_ainfty(cat, 2))
+    full, reduced = reports
+    assert not full.ok and full.witness["d"] == 2
+    assert reduced.ok != reduced_fails
+    if reduced_fails:
+        assert reduced.witness == full.witness
 
 
 WITNESS_GIDS = ("u", "a", "b", "c", "ab")
