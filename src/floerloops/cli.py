@@ -44,6 +44,7 @@ from .cylinder import (
 from .gradedalg import Chain, Generator, sign_pow
 from .moduli import (
     ModuliConsistencyError,
+    StratifiedModuli,
     choose_fundamental_chains,
     moduli_to_json,
     synthetic_dataset_battery,
@@ -349,8 +350,14 @@ def _timed(fn, *args, **kwargs) -> Report:
 
 
 def _moduli_pipeline(datasets: list) -> CheckReport:
-    """Choose and verify fundamental chains on every dataset."""
+    """Choose and verify fundamental chains on every distinct dataset; one
+    with the kind, cells and boundary of an earlier one (names do not count)
+    would end as that one does, so it is counted in `duplicate_datasets`."""
+    firsts: dict[tuple, StratifiedModuli] = {}
     for ds in datasets:
+        key = (ds.kind, frozenset(ds.cells.items()), frozenset(ds.boundary.items()))
+        firsts.setdefault(key, ds)
+    for ds in firsts.values():
         try:
             chains = choose_fundamental_chains(ds)
         except ModuliConsistencyError as exc:
@@ -358,7 +365,8 @@ def _moduli_pipeline(datasets: list) -> CheckReport:
         rep = verify_boundary_consistency(ds, chains)
         if not rep.ok:
             return failed("fundamental-chains", {"dataset": ds.name, **rep.witness})
-    return passed("fundamental-chains", datasets=len(datasets))
+    return passed("fundamental-chains", datasets=len(firsts),
+                  duplicate_datasets=len(datasets) - len(firsts))
 
 
 def _build_reports(cfg: RunConfig, imported_category=None) -> list[Report]:
@@ -496,6 +504,9 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    """Write the export bundle.  Its `functor_f1` rows record F^1 with its
+    half-disc signs, untwisted whatever the config's twist; the category's
+    tables carry the twist, and the fibre complexes do not depend on it."""
     cfg = load_run_config(args)
     g = cfg.geometry()
     hom_basis_map, mu_tables = _export_tables(
@@ -504,8 +515,6 @@ def cmd_export(args: argparse.Namespace) -> int:
     cat = category_from_tables(
         "cylinder-export", tuple(range(g.nfibers())), hom_basis_map, mu_tables
     )
-    # the bundle records F^1 with its half-disc signs, without the
-    # background twist; the fibre complexes do not depend on the twist
     F, _model, f_objs = functor_F(g, cfg.winding_bound)
     chords = sorted((x for basis in F.source.hom_basis_map.values() for x in basis),
                     key=lambda x: repr(x.gid))

@@ -25,7 +25,7 @@ from .ainfty import (
     mu2_shifted,
 )
 from .gradedalg import Chain, Generator, accumulate
-from .pontryagin import CirclePathModel, PathModel
+from .pontryagin import CirclePathModel, PathModel, path_model_category
 from .report import CheckReport, failed, passed
 
 SCHEMA_VERSION = 1
@@ -203,22 +203,21 @@ def tw_category(
     mu_1 and mu_2 are the twisted operations, so the arity support is
     {1, 2}; on elementary matrices they agree with `tw_mu1`/`tw_mu2`.
 
-    Interned tables.  Everything is built once on integers.  A model
-    generator gets a base index the first time it is seen: in
-    `model.hom_basis`, in a connection entry or in a product output.  Every
-    summand of every complex gets a global summand index, and the block of
-    the summand pair (Ta, i1, Tb, i2) packs the two indices (s1, s2) into
-    one int.  The elementary matrix with base generator b at block (s1, s2)
-    is the key packing (b, s1, s2); its degree is the base degree plus the
-    block shift m_s2 - m_s1.  Blocks (s1, s2) and (s2', s3) compose only
-    when s2 == s2', to block (s1, s3) with the shift parity of
-    `mu2_shifted`, m_s2 - m_s1 mod 2: block composition is arithmetic on
-    the keys.  Base products are cached per (base1, base2, parity) and mu_1
-    rows per key, as tuples of (key, coeff); mu_1 of a key is mu_1 of its
-    base plus mu_2 against the connection entries of Ta ending at i1 and of
-    Tb starting at i2.  The category is these keys (`keyed`); `decode` and
-    `encode` translate them to and from the basis generators with gid
-    ("m", name1, i1, name2, i2, base_gid), which witnesses name.
+    Interned tables.  Everything is built once on integers.  A key packs
+    (b, s1, s2): b a key of `path_model_category(model, window)`, whose
+    keyed mu gives the base products and differentials from the model's
+    hooks, and s1, s2 the global indices of its summands (Ta, i1) and
+    (Tb, i2), its block.  Its degree is the base degree plus the block
+    shift m_s2 - m_s1.  Blocks (s1, s2) and (s2', s3) compose only when
+    s2 == s2', to block (s1, s3) with shift parity p = m_s2 - m_s1 mod 2,
+    and the product of (b1, b2) there is the base product times the sign
+    (-1)**((|b2| + 1) p) of `mu2_shifted`.  These products are cached per
+    (b1, b2, p) and mu_1 rows per key, as (key, coeff) tuples; mu_1 of a
+    key is mu_1 of its base plus mu_2 against the connection entries of Ta
+    ending at i1 and of Tb starting at i2.  The category is these keys
+    (`keyed`); `decode` and `encode` translate them to and from the basis
+    generators with gid ("m", name1, i1, name2, i2, base_gid), which
+    witnesses name.
 
     Summand linkage.  Take g1 at summands (i1, i2) of Hom(Ta, Tb) and g2 at
     (j1, j2) of Hom(Tb, Tc).  The d = 2 relation on (g1, g2) is a signed sum
@@ -266,15 +265,10 @@ def tw_category(
     if len(set(names)) != len(names):
         raise ValueError("twisted complexes need distinct names")
 
-    base_index: dict[Generator, int] = {}
-    bases: list[Generator] = []
-
-    def intern(gen: Generator) -> int:
-        idx = base_index.get(gen)
-        if idx is None:
-            idx = base_index[gen] = len(bases)
-            bases.append(gen)
-        return idx
+    # the base model's keys, products and mu_1 rows
+    paths = path_model_category(model, window)
+    base = paths.keyed
+    base_mu, base_degree = base.mu, base.degree
 
     # key = (base << 2 * sbits) | (s1 << sbits) | s2 for summand indices s1, s2
     summands = [(T, i) for T in cxs for i in range(T.nsummands())]
@@ -289,15 +283,12 @@ def tw_category(
     def block(n1, i1, n2, i2) -> int:
         return (summand_of[(n1, i1)] << sbits) | summand_of[(n2, i2)]
 
-    def keyed_terms(chain: Chain, blk: int) -> list[tuple[int, int]]:
-        return [((intern(g) << bbits) | blk, c) for g, c in chain.items()]
-
     # cells[(Ta, Tb)][i1][i2]: the keys of Hom(Ta, Tb) at summands (i1, i2)
     cells = {
         (Ta.name, Tb.name): [
             [
-                tuple((intern(g) << bbits) | block(Ta.name, i1, Tb.name, i2)
-                      for g in model.hom_basis(Ta.point_of(i1), Tb.point_of(i2), window))
+                tuple((base.encode(b) << bbits) | block(Ta.name, i1, Tb.name, i2)
+                      for b in paths.hom_basis(Ta.point_of(i1), Tb.point_of(i2)))
                 for i2 in range(Tb.nsummands())
             ]
             for i1 in range(Ta.nsummands())
@@ -308,15 +299,11 @@ def tw_category(
         pair: tuple(key for row in rows for cell in row for key in cell)
         for pair, rows in cells.items()
     }
-    links = {
-        (T.name, i): tuple(j for j in range(T.nsummands()) if j == i or (i, j) in T.D)
-        for T in cxs for i in range(T.nsummands())
-    }
     # follow[(Tb, Tc)][i2]: the keys of Hom(Tb, Tc) whose first summand is
     # linked to i2, in basis order
     follow = {
         (Tb.name, Tc.name): [
-            tuple(key for j1 in links[(Tb.name, i2)]
+            tuple(key for j1 in range(Tb.nsummands()) if j1 == i2 or (i2, j1) in Tb.D
                   for cell in cells[(Tb.name, Tc.name)][j1] for key in cell)
             for i2 in range(Tb.nsummands())
         ]
@@ -324,7 +311,8 @@ def tw_category(
     }
     connection = {
         T.name: [
-            (i, j, keyed_terms(entry, block(T.name, i, T.name, j)))
+            (i, j, [((base.encode(g) << bbits) | block(T.name, i, T.name, j), c)
+                    for g, c in entry.items()])
             for (i, j), entry in T.D.items()
         ]
         for T in cxs
@@ -344,7 +332,8 @@ def tw_category(
             pkey = (k1 >> bbits, k2 >> bbits, parity)
             terms = products.get(pkey)
             if terms is None:
-                terms = products[pkey] = base_product(*pkey)
+                sgn = -1 if (base_degree(pkey[1]) + 1) * parity & 1 else 1
+                terms = products[pkey] = tuple((b << bbits, sgn * c) for b, c in base_mu(pkey[:2]))
             out = (k1 & first_mask) | (k2 & smask)
             res = []  # a loop: cheaper than a list comprehension here
             for b, c in terms:
@@ -357,18 +346,11 @@ def tw_category(
             return row
         return ()
 
-    def base_product(b1: int, b2: int, parity: int) -> tuple[tuple[int, int], ...]:
-        prod = mu2_shifted(
-            model.mu2, Chain.of(bases[b2]), Chain.of(bases[b1]), (0, parity, parity + 1)
-        )
-        return tuple((intern(g) << bbits, c) for g, c in prod.items())
-
     def mu1_row(key: int) -> tuple[tuple[int, int], ...]:
         Ta, i1 = summands[(key >> sbits) & smask]
         Tb, i2 = summands[key & smask]
         acc: dict[int, int] = {}
-        under = model.mu1(Chain.of(bases[key >> bbits]))
-        accumulate(acc, keyed_terms(under, key & bmask), 1)
+        accumulate(acc, (((b << bbits) | key & bmask, c) for b, c in base_mu((key >> bbits,))), 1)
         for _, j, entry in connection[Ta.name]:
             if j == i1:
                 for e, c in entry:
@@ -380,7 +362,7 @@ def tw_category(
         return tuple(acc.items())
 
     def degree(key: int) -> int:
-        return bases[key >> bbits].degree + shifts[key & smask] - shifts[(key >> sbits) & smask]
+        return base_degree(key >> bbits) + shifts[key & smask] - shifts[(key >> sbits) & smask]
 
     # one representative per translation orbit: every stride-th key of a
     # cell or slice, i.e. the first of each cell
@@ -407,9 +389,8 @@ def tw_category(
         if gen is None:
             Ta, i1 = summands[(key >> sbits) & smask]
             Tb, i2 = summands[key & smask]
-            under = bases[key >> bbits]
             gen = decoded[key] = Generator(
-                ("m", Ta.name, i1, Tb.name, i2, under.gid), degree(key)
+                ("m", Ta.name, i1, Tb.name, i2, base.decode(key >> bbits).gid), degree(key)
             )
             encoded[gen] = key
         return gen
@@ -419,8 +400,8 @@ def tw_category(
         if key is None:
             _, n1, i1, n2, i2, base_gid = gen.gid
             shift = shifts[summand_of[(n2, i2)]] - shifts[summand_of[(n1, i1)]]
-            base = intern(Generator(base_gid, gen.degree - shift))
-            key = encoded[gen] = (base << bbits) | block(n1, i1, n2, i2)
+            b = base.encode(Generator(base_gid, gen.degree - shift))
+            key = encoded[gen] = (b << bbits) | block(n1, i1, n2, i2)
         return key
 
     hom_basis_map = {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()}
@@ -439,17 +420,27 @@ def check_tw_dg(
 ) -> CheckReport:
     """Validate Maurer-Cartan on all samples, then verify that mu_1 of the
     twisted category squares to zero and satisfies Leibniz against mu_2 on
-    all windowed basis morphisms (max_d=3 adds composition associativity)."""
+    all windowed basis morphisms (max_d=3 adds composition associativity).
+
+    A complex equal to an earlier one (same model, summands and connection;
+    names do not count) is skipped and counted in `duplicate_complexes`:
+    its relations are the earlier copy's renamed, which come first in
+    `composable_tuples` order, so the verdict and the witness are the same."""
     cxs = list(complexes)
+    firsts: dict[tuple, TwistedComplex] = {}
     for T in cxs:
+        firsts.setdefault((T.model, T.summands, frozenset(T.D.items())), T)
+    distinct = list(firsts.values())
+    for T in distinct:
         rep = validate_twisted(T)
         if not rep.ok:
             return failed(name, {"complex": T.name, **rep.witness})
-    cat = tw_category(model, cxs, window=window)
+    cat = tw_category(model, distinct, window=window)
     rep = check_ainfty(cat, max_d=max_d, name=name)
     if not rep.ok:
         return rep
-    return passed(name, complexes=len(cxs), **rep.details)
+    return passed(name, complexes=len(distinct), duplicate_complexes=len(cxs) - len(distinct),
+                  **rep.details)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -276,6 +277,30 @@ def test_export_at_max_d_2_round_trips(tmp_path):
     assert proc.returncode == 0, proc.stderr
     proc = run_cli("check-all", "--config", str(bundle))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_export_records_untwisted_f1_signs(tmp_path):
+    # the seed-0 bundle-roundtrip geometry has twist constant; its
+    # functor_f1 rows are the untwisted F^1, which differs from the twisted
+    # one on some chord
+    from floerloops.cli import _f1_image, main
+    from floerloops.cylinder import CylinderGeometry, functor_F
+
+    cfg = write_config(tmp_path, c="1/2", fibers=["0", "2/5"], winding_bound=4,
+                       twist="constant")
+    bundle = tmp_path / "bundle.json"
+    assert main(["export", "--config", cfg, "--out", str(bundle)]) == 0
+    recorded = {tuple(row["chord"]): (row["path_winding"], row["sign"])
+                for row in json.loads(bundle.read_text())["functor_f1"]}
+    g = CylinderGeometry(Fraction(1, 2), (Fraction(0), Fraction(2, 5)))
+    untwisted, twisted = functor_F(g, 4)[0], functor_F(g, 4, twist="constant")[0]
+    chords = [x for basis in untwisted.source.hom_basis_map.values() for x in basis]
+    expected = {}
+    for x in chords:
+        path_gid, sign = _f1_image(untwisted, x)
+        expected[x.gid] = (path_gid[3], sign)
+    assert recorded == expected
+    assert any(_f1_image(twisted, x)[1] != expected[x.gid][1] for x in chords)
 
 
 def test_export_monotone_in_winding(tmp_path):

@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from floerloops import cli
+from floerloops.cylinder import chord_pairs, half_disc_d2_family
 from floerloops.gradedalg import sign_pow
 from floerloops.moduli import (
     ModuliCell,
@@ -103,6 +106,51 @@ def test_every_single_sign_mutation_detected():
                 continue
             rep = verify_boundary_consistency(mutated, chains)
             assert not rep.ok, f"{ds.name} stratum {idx} undetected"
+
+
+def test_pipeline_chooses_each_distinct_dataset_once(three_fibers, monkeypatch):
+    # check-all's fundamental-chains input on the acceptance geometry: every
+    # half-disc family has the cells and boundary of a battery dataset
+    datasets = synthetic_dataset_battery() + [
+        half_disc_d2_family(three_fibers, x1, x2)[0] for x1, x2 in chord_pairs(three_fibers, 2)
+    ]
+    chosen = []
+
+    def counting_choose(ds):
+        chosen.append(ds.name)
+        return choose_fundamental_chains(ds)
+
+    monkeypatch.setattr(cli, "choose_fundamental_chains", counting_choose)
+    rep = cli._moduli_pipeline(datasets)
+    assert rep.ok and len(datasets) == 687
+    assert (rep.details["datasets"], rep.details["duplicate_datasets"]) == (12, 675)
+    assert chosen == [ds.name for ds in synthetic_dataset_battery()]
+
+
+def test_duplicate_dataset_witness_names_the_first_copy():
+    # a flat-sign-mutated dataset listed twice under two names: the witness
+    # is the one it has alone, naming whichever copy comes first
+    battery = synthetic_dataset_battery()
+    mutated = cli.MUTATIONS["flat-sign"][1](battery)[0]
+    alone = repr(cli._moduli_pipeline([mutated]).witness)
+    for first, second in ((mutated, dataclasses.replace(mutated, name="later")),
+                          (dataclasses.replace(mutated, name="early"), mutated)):
+        rep = cli._moduli_pipeline(battery[1:] + [first, second])
+        assert not rep.ok
+        assert repr(rep.witness) == alone.replace(mutated.name, first.name)
+        assert second.name not in repr(rep.witness)
+
+
+def test_datasets_differing_in_kind_or_cells_are_checked():
+    # neither is a copy of chain4: a count flipped on one rigid cell (which
+    # fails), and the same cells and boundary under another kind
+    ds = synthetic_strip_dataset("chain4")
+    recount = dataclasses.replace(ds, name="recount",
+                                  cells={**ds.cells, "H02": ModuliCell("H02", 0, 1)})
+    rep = cli._moduli_pipeline([ds, recount])
+    assert not rep.ok and rep.witness["dataset"] == "recount"
+    rep = cli._moduli_pipeline([ds, dataclasses.replace(ds, kind="disc", name="rekind")])
+    assert (rep.details["datasets"], rep.details["duplicate_datasets"]) == (2, 0)
 
 
 def test_verify_empty_dataset_vacuous():

@@ -408,6 +408,50 @@ def test_flipped_composition_fails_at_a_tw_relation():
     ]
 
 
+def renamed(T, name):
+    return TwistedComplex(T.model, T.summands, T.D, name=name)
+
+
+@pytest.mark.parametrize("case", ["maurer-cartan", "relation"])
+def test_duplicate_complex_witness_names_the_first_copy(case):
+    # a failing complex listed twice under two names: the witness is the one
+    # it has alone, naming whichever copy comes first
+    if case == "maurer-cartan":
+        model, (T,), window = MUTATIONS["twisted-mc"][1](None)
+    else:
+        (model, (T,)), window = flipped_battery(2, {8}, (0, 1, 1, 2, 0)), 1
+    alone = repr(check_tw_dg(model, [T], window=window).witness)
+    for first, second in ((T, renamed(T, "later")), (renamed(T, "early"), T)):
+        rep = check_tw_dg(model, [first, second], window=window)
+        assert not rep.ok
+        assert repr(rep.witness) == alone.replace(f"'{T.name}'", f"'{first.name}'")
+        assert f"'{second.name}'" not in repr(rep.witness)
+
+
+def test_duplicate_complexes_are_counted():
+    cm = circle_model(2)
+    battery = synthetic_twisted_complexes(cm, "dup")
+    once = check_tw_dg(cm, battery, window=1)
+    twice = check_tw_dg(cm, battery + [renamed(T, T.name + "-copy") for T in battery], window=1)
+    assert once.ok and twice.ok
+    assert (once.details["complexes"], once.details["duplicate_complexes"]) == (len(battery), 0)
+    assert (twice.details["complexes"], twice.details["duplicate_complexes"]) == (len(battery),) * 2
+    assert twice.details["per_arity"] == once.details["per_arity"]
+
+
+def test_complexes_differing_in_connection_or_model_are_checked():
+    # same summands as a valid complex, but another connection or another
+    # model: neither is a copy, and each fails Maurer-Cartan
+    model, (bad,), window = MUTATIONS["twisted-mc"][1](None)
+    good = TwistedComplex(model, bad.summands, {**bad.D, (0, 2): -bad.D[(0, 2)]}, name="good")
+    flipped = TwistedComplex(MutatedPathModel(model, ("a", "b")), good.summands, good.D,
+                             name="flipped")
+    assert check_tw_dg(model, [good], window=window).ok
+    for other in (bad, flipped):
+        rep = check_tw_dg(model, [good, other], window=window)
+        assert not rep.ok and rep.witness["complex"] == other.name
+
+
 def flattened_groups(cat, d):
     ops = cat.kernel_ops()
     return [tuple(map(ops.decode, prefix + (last,)))
@@ -432,6 +476,14 @@ def test_grouped_enumeration_flattens_to_composable_order(three_fibers):
             assert flattened_groups(cat, d) == list(cat.composable_tuples(d))
 
 
+def visited_tuples(details):
+    """The tuples a passing check visited, from its `per_arity` counts."""
+    return sum(
+        c["enumerated"] - c["certified_zero_by_linkage"] - c["certified_by_translation"]
+        for c in details["per_arity"].values()
+    )
+
+
 def counted_visits(cat, max_d):
     """(keyed mu calls, visited tuples) of one passing `check_ainfty` run."""
     ops = cat.kernel_ops()
@@ -445,23 +497,29 @@ def counted_visits(cat, max_d):
     cat.keyed = dataclasses.replace(ops, mu=counting_mu)
     rep = check_ainfty(cat, max_d)
     assert rep.ok
-    return calls, sum(
-        c["enumerated"] - c["certified_zero_by_linkage"] - c["certified_by_translation"]
-        for c in rep.details["per_arity"].values()
-    )
+    return calls, visited_tuples(rep.details)
 
 
 def test_grouped_kernel_work_on_acceptance_objects(three_fibers):
-    # the tw-dg and ainfty rows of an acceptance check-all; a kernel that
+    # the tw-dg and ainfty inputs of an acceptance check-all; a kernel that
     # recomputed the per-prefix work per tuple made 6.05 and 4.0 calls
     _F, model, objs = functor_F(three_fibers, 3)
     cxs = list(objs) + synthetic_twisted_complexes(model, tag="syn")
     calls, visited = counted_visits(tw_category(full_path(model), cxs, window=1), 2)
     assert visited == 221052 and calls <= 5.2 * visited
     # winding translation: one representative of each orbit of 3 keys (d=1)
-    # and 9 pairs (d=2), as check-all runs the tw-dg row
+    # and 9 pairs (d=2), on all 13 complexes
     calls, visited = counted_visits(tw_category(model, cxs, window=1), 2)
     assert visited == 25012 and calls == 133952
+    # as check-all runs the tw-dg row: each fibre object F_a equals the
+    # battery's single-a, so 10 of the 13 complexes are checked
+    rep = check_tw_dg(model, cxs, window=1)
+    assert (rep.details["complexes"], rep.details["duplicate_complexes"]) == (10, 3)
+    distinct = [T for k, T in enumerate(cxs)
+                if all((T.summands, T.D) != (U.summands, U.D) for U in cxs[:k])]
+    assert [T.name for T in distinct] == [T.name for T in cxs if "single" not in T.name]
+    calls, visited = counted_visits(tw_category(model, distinct, window=1), 2)
+    assert visited == visited_tuples(rep.details) == 17986 and calls == 99176
     calls, visited = counted_visits(cylinder_category(three_fibers, 3), 4)
     assert visited == 27783 and calls <= 3.2 * visited
 

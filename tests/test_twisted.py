@@ -2,7 +2,7 @@ import pytest
 
 from floerloops.ainfty import check_ainfty
 from floerloops.gradedalg import Chain
-from floerloops.pontryagin import circle_model, leibniz_witness_model
+from floerloops.pontryagin import MutatedPathModel, circle_model, leibniz_witness_model
 from floerloops.twisted import (
     ShiftedObject,
     TwistedComplex,
@@ -184,15 +184,31 @@ def test_tw_category_adapter_is_dg_and_checks():
     assert check_ainfty(cat, 3).ok
 
 
+def over(model, cxs):
+    return [TwistedComplex(model, T.summands, T.D, name=T.name) for T in cxs]
+
+
 def test_adapter_agrees_with_matrix_operations():
     # the specialised elementary paths of tw_category must compute exactly
-    # tw_mu1 / tw_mu2 on the corresponding one-entry matrices
+    # tw_mu1 / tw_mu2 on the corresponding one-entry matrices: on the
+    # Leibniz witness model (a nonzero differential, odd degrees, and with
+    # S odd shift differences), on the circle, and on each behind a wrapper
+    # flipping one product (the full linked path)
     from floerloops.twisted import matrix_entry_degree
 
-    model, W, _ = witness_complex()
+    model, W, gens = witness_complex()
+    S = TwistedComplex(model, [ShiftedObject(0, 0), ShiftedObject(0, 1)],
+                       {(0, 1): Chain.of(gens["u"])}, name="S")
     cm = circle_model(2)
     shifted = [T for T in synthetic_twisted_complexes(cm, "adp") if T.nsummands() == 2]
-    for base_model, cxs, window in ((model, [W], 0), (cm, shifted[:2], 1)):
+    flipped_model = MutatedPathModel(model, ("a", "b"))
+    flipped_cm = MutatedPathModel(cm, (cm.gen(0, 1, 1).gid, cm.gen(1, 0, -1).gid))
+    for base_model, cxs, window in (
+        (model, [W, S], 0),
+        (cm, shifted[:2], 1),
+        (flipped_model, over(flipped_model, [W, S]), 0),
+        (flipped_cm, over(flipped_cm, shifted[:2]), 1),
+    ):
         cat = tw_category(base_model, cxs, window=window)
         by_name = {T.name: T for T in cxs}
 
