@@ -51,10 +51,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
+from .documents import SCHEMA_VERSION, Document, DocumentError, check, generator_id
 from .gradedalg import Chain, Generator, accumulate, sign_pow
 from .report import CheckReport, failed, passed
-
-SCHEMA_VERSION = 1
 
 
 class CompositionError(ValueError):
@@ -574,24 +573,38 @@ def category_to_json(
     return doc
 
 
-def category_from_json(data: dict) -> tuple[AInftyCategory, dict[int, dict[tuple, Chain]]]:
-    if data.get("kind") != "ainfty_category":
-        raise ValueError("not an ainfty_category document")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {data.get('schema_version')}")
+CHAIN = [{"gen": generator_id, "degree": int, "coeff": int}]
+CATEGORY = Document("ainfty_category", {
+    "name": str, "is_dg?": bool, "objects": [generator_id],
+    "basis": [{"source": int, "target": int,
+               "generators": [{"id": generator_id, "degree": int}]}],
+    "mu": [{"d": int, "inputs": [generator_id], "output": CHAIN}],
+})
+
+
+def category_from_json(
+    data: dict, where: str = "ainfty_category"
+) -> tuple[AInftyCategory, dict[int, dict[tuple, Chain]]]:
+    """An ainfty_category document's category and tables; what the document
+    or `category_from_tables` rejects raises `DocumentError` at `where`."""
+    check(data, CATEGORY, where)
     objects = tuple(gid_from_json(o) for o in data["objects"])
     hom_basis_map: dict[tuple, tuple[Generator, ...]] = {}
-    for row in data["basis"]:
-        pair = (objects[row["source"]], objects[row["target"]])
-        hom_basis_map[pair] = tuple(
+    for i, row in enumerate(data["basis"]):
+        ends = (row["source"], row["target"])
+        if not all(0 <= end < len(objects) for end in ends):
+            raise DocumentError(f"{where}.basis[{i}]: names an unknown object")
+        hom_basis_map[tuple(objects[end] for end in ends)] = tuple(
             Generator(gid_from_json(g["id"]), g["degree"]) for g in row["generators"]
         )
     mu_tables: dict[int, dict[tuple, Chain]] = {}
     for row in data["mu"]:
-        d = row["d"]
         key = tuple(gid_from_json(g) for g in row["inputs"])
-        mu_tables.setdefault(d, {})[key] = chain_from_json(row["output"])
-    cat = category_from_tables(
-        data["name"], objects, hom_basis_map, mu_tables, is_dg=data.get("is_dg", False)
-    )
+        mu_tables.setdefault(row["d"], {})[key] = chain_from_json(row["output"])
+    try:
+        cat = category_from_tables(
+            data["name"], objects, hom_basis_map, mu_tables, is_dg=data.get("is_dg", False)
+        )
+    except ValueError as exc:
+        raise DocumentError(f"{where}: {exc}") from exc
     return cat, mu_tables

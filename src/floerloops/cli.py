@@ -19,6 +19,7 @@ from fractions import Fraction
 from .ainfty import (
     AInftyCategory,
     AInftyFunctor,
+    CompositionError,
     category_from_json,
     category_from_tables,
     category_to_json,
@@ -34,15 +35,17 @@ from .cylinder import (
     cylinder_category,
     enumerate_chords,
     functor_F,
-    half_disc_d2_family,
+    half_disc_d2_families,
     mu_d,
     pontryagin_target,
     ring_isomorphism_report,
     twist_fn,
     TWISTS,
 )
+from .documents import SCHEMA_VERSION, Document, DocumentError, check, generator_id, read
 from .gradedalg import Chain, Generator, sign_pow
 from .moduli import (
+    STRATIFIED_MODULI,
     ModuliConsistencyError,
     StratifiedModuli,
     choose_fundamental_chains,
@@ -53,19 +56,18 @@ from .moduli import (
 from .pontryagin import (
     MutatedPathModel,
     leibniz_witness_model,
-    load_path_model,
+    path_model_from_json,
     validate_path_model,
 )
 from .report import CheckReport, failed, passed
 from .twisted import (
+    TWISTED_COMPLEX,
     TwistedComplex,
     ShiftedObject,
     check_tw_dg,
     synthetic_twisted_complexes,
     twisted_to_json,
 )
-
-SCHEMA_VERSION = 1
 
 # what the mutations corrupt: mu2-sign and f1-zero the chord of winding 1 on
 # fibre 0, pontryagin-compose the product of the loops of winding 1 and 2
@@ -131,17 +133,8 @@ class RunConfig:
     out: str | None
     mutation: str | None
     timings: bool
-    # the parsed --config file, read once
-    document: dict | None = field(default=None, repr=False, compare=False)
-
-    def validate(self) -> None:
-        if self.winding_bound < 1:
-            raise CylinderConfigError("winding_bound must be >= 1")
-        if not 2 <= self.max_d <= 4:
-            raise CylinderConfigError("max_d must lie in 2..4")
-        twist_fn(self.twist)
-        if self.mutation is not None and self.mutation not in MUTATIONS:
-            raise CylinderConfigError(f"unknown mutation {self.mutation!r}")
+    # the parsed --config export bundle, read once
+    bundle: dict | None = field(default=None, repr=False, compare=False)
 
     def geometry(self) -> CylinderGeometry:
         return CylinderGeometry(self.c, self.fibers)
@@ -192,120 +185,57 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _parse_fraction(text: str | int) -> Fraction:
-    """A rational from a string such as "1/3" or from an integer; a JSON
-    float is refused rather than read as its binary expansion."""
-    if not isinstance(text, (str, int)) or isinstance(text, bool):
-        raise CylinderConfigError(f"bad rational {text!r}: give a string or an integer")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CylinderConfigError(f"bad rational {text!r}: {exc}") from exc
-
-
-def _parse_int(doc: dict, key: str) -> int:
-    value = doc[key]
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+def _parsed_by(parse, what: str):
+    """A string or an integer that `parse` reads; a JSON float is refused
+    rather than read as its binary expansion."""
+    def check_value(value):
         try:
-            return int(value)
-        except ValueError:
+            if type(value) is str or type(value) is int:
+                parse(value)
+                return
+        except (ValueError, ZeroDivisionError):
             pass
-    raise CylinderConfigError(f"{key} must be an integer, got {value!r}")
+        raise DocumentError(f"bad {what} {value!r}")
+    return check_value
 
 
-def _geometry_doc(doc) -> dict:
-    """The geometry_config document `doc` (or the one inside an export
-    bundle), checked for kind, schema version and required keys."""
-    if isinstance(doc, dict) and doc.get("kind") == "export_bundle":
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise CylinderConfigError(
-                f"unsupported export_bundle schema_version {doc.get('schema_version')!r}"
-            )
-        doc = doc.get("config")
-    if not isinstance(doc, dict) or doc.get("kind") != "geometry_config":
-        raise CylinderConfigError("config file is not a geometry_config document")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise CylinderConfigError(
-            f"unsupported schema_version {doc.get('schema_version')!r}"
-        )
-    missing = [k for k in ("c", "fibers", "winding_bound", "max_d") if k not in doc]
-    if missing:
-        raise CylinderConfigError(f"geometry_config lacks {', '.join(missing)}")
-    if not isinstance(doc["fibers"], list):
-        raise CylinderConfigError("fibers must be a list of rationals")
-    return doc
-
-
-def _is_gid(obj) -> bool:
-    """A JSON generator id: a string, an integer or a list of ids."""
-    if isinstance(obj, list):
-        return all(_is_gid(x) for x in obj)
-    return isinstance(obj, str) or _is_int(obj)
-
-
-def _is_int(obj) -> bool:
-    return isinstance(obj, int) and not isinstance(obj, bool)
-
-
-def _is_list(obj) -> bool:
-    return isinstance(obj, list)
-
-
-def _rows(parent: dict, key: str, fields: dict) -> list[dict]:
-    """parent[key], checked to be a list of objects whose `fields` (name ->
-    predicate) are present and valid."""
-    rows = parent.get(key)
-    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-        raise CylinderConfigError(f"bundle category {key} must be a list of objects")
-    for row in rows:
-        for name, ok in fields.items():
-            if name not in row:
-                raise CylinderConfigError(f"bundle category {key} row lacks {name}")
-            if not ok(row[name]):
-                raise CylinderConfigError(f"bundle category {key} row has bad {name} {row[name]!r}")
-    return rows
+_rational, _integer = _parsed_by(Fraction, "rational"), _parsed_by(int, "integer")
+GEOMETRY_CONFIG = Document("geometry_config", {
+    "c": _rational, "fibers": [_rational], "winding_bound": _integer, "max_d": _integer,
+    "twist?": str,
+})
+# the category's tables are checked by `category_from_json` when check-all
+# re-checks them; its recorded bounds are read here
+EXPORT_BUNDLE = Document("export_bundle", {
+    "config": GEOMETRY_CONFIG,
+    "category": {"enumeration_bound": int, "max_d": int},
+    "twisted_complexes?": [TWISTED_COMPLEX],
+    "functor_f1?": [{"chord": generator_id, "path_winding": int, "sign": int}],
+    "moduli?": [STRATIFIED_MODULI],
+})
 
 
 def _bundle_category(cfg: RunConfig) -> AInftyCategory:
-    """The export bundle's table-backed category as the ainfty row re-checks
-    it: its enumeration restricted to the config's chords within the winding
-    bound.  The `category` document is checked first for every key and type
-    `category_from_json` reads; a re-check above the recorded
-    `enumeration_bound` or `max_d`, where the tables lack rows, is refused."""
-    doc = cfg.document.get("category")
-    if not isinstance(doc, dict):
-        raise CylinderConfigError("export_bundle lacks a category object")
-    objects = doc.get("objects")
-    if not isinstance(objects, list) or not all(_is_gid(o) for o in objects):
-        raise CylinderConfigError("bundle category objects must be a list of ids")
-    if not isinstance(doc.get("name"), str):
-        raise CylinderConfigError("bundle category name must be a string")
+    """The export bundle's category as the ainfty row re-checks it: its
+    enumeration restricted to the config's chords within the winding bound.
+    Refused: a re-check above the recorded `enumeration_bound` or `max_d`,
+    where the tables lack rows, and a basis without the config's chords."""
+    doc = cfg.bundle["category"]
     for key, label, value in (("enumeration_bound", "winding bound", cfg.winding_bound),
                               ("max_d", "max_d", cfg.max_d)):
-        if not _is_int(doc.get(key)):
-            raise CylinderConfigError(f"bundle category {key} must be an integer")
         if value > doc[key]:
             raise CylinderConfigError(f"{label} {value} exceeds the bundle's {key} {doc[key]}")
-    for row in _rows(doc, "basis", {"source": _is_int, "target": _is_int,
-                                    "generators": _is_list}):
-        if not (0 <= row["source"] < len(objects) and 0 <= row["target"] < len(objects)):
-            raise CylinderConfigError("bundle category basis row names an unknown object")
-        _rows(row, "generators", {"id": _is_gid, "degree": _is_int})
-    for row in _rows(doc, "mu", {"d": _is_int, "inputs": _is_list, "output": _is_list}):
-        if not all(_is_gid(g) for g in row["inputs"]):
-            raise CylinderConfigError(f"bundle category mu row has bad inputs {row['inputs']!r}")
-        _rows(row, "output", {"gen": _is_gid, "degree": _is_int, "coeff": _is_int})
+    cat = category_from_json(doc, "export_bundle.category")[0]
+    ops = cat.kernel_ops()
     g = cfg.geometry()
-    try:  # kind, schema version, arity, composability or a gid in no basis
-        cat = category_from_json(doc)[0]
-        ops = cat.kernel_ops()
+    try:
         hom_keys = {
             (a, b): tuple(ops.encode(x.generator())
                           for x in enumerate_chords(g, a, b, cfg.winding_bound))
             for a in range(g.nfibers()) for b in range(g.nfibers())
         }
-    except ValueError as exc:
-        raise CylinderConfigError(f"bad bundle category: {exc}") from exc
+    except CompositionError as exc:
+        raise DocumentError(f"export_bundle.category: {exc}") from exc
     return replace(
         cat, name="imported",
         hom_basis_map={pair: tuple(map(ops.decode, keys)) for pair, keys in hom_keys.items()},
@@ -314,33 +244,33 @@ def _bundle_category(cfg: RunConfig) -> AInftyCategory:
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
-    c = Fraction(1)
-    fibers: tuple[Fraction, ...] = (Fraction(0),)
-    winding = 3
-    max_d = 4
-    twist = "none"
-    document = None
+    """The defaults, then the --config geometry_config (or export bundle),
+    then the flags; the ranges are checked on the result."""
+    fields = {"c": 1, "fibers": [0], "winding_bound": 3, "max_d": 4, "twist": "none"}
+    bundle = None
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-        doc = _geometry_doc(document)
-        c = _parse_fraction(doc["c"])
-        fibers = tuple(_parse_fraction(f) for f in doc["fibers"])
-        winding = _parse_int(doc, "winding_bound")
-        max_d = _parse_int(doc, "max_d")
-        twist = doc.get("twist", "none")
-    if args.winding is not None:
-        winding = args.winding
-    if args.max_d is not None:
-        max_d = args.max_d
-    if args.twist is not None:
-        twist = args.twist
-    cfg = RunConfig(
-        c=c, fibers=fibers, winding_bound=winding, max_d=max_d, twist=twist,
-        out=args.out, mutation=args.mutate, timings=args.timings, document=document,
+        doc = read(args.config)
+        if isinstance(doc, dict) and doc.get("kind") == "export_bundle":
+            check(doc, EXPORT_BUNDLE)
+            bundle, doc = doc, doc["config"]
+        else:
+            check(doc, GEOMETRY_CONFIG)
+        fields.update(doc)
+    for key, flag in (("winding_bound", args.winding), ("max_d", args.max_d),
+                      ("twist", args.twist)):
+        if flag is not None:
+            fields[key] = flag
+    winding, max_d = int(fields["winding_bound"]), int(fields["max_d"])
+    if winding < 1:
+        raise CylinderConfigError("winding_bound must be >= 1")
+    if not 2 <= max_d <= 4:
+        raise CylinderConfigError("max_d must lie in 2..4")
+    twist_fn(fields["twist"])
+    return RunConfig(
+        c=Fraction(fields["c"]), fibers=tuple(map(Fraction, fields["fibers"])),
+        winding_bound=winding, max_d=max_d, twist=fields["twist"],
+        out=args.out, mutation=args.mutate, timings=args.timings, bundle=bundle,
     )
-    cfg.validate()
-    return cfg
 
 
 def _timed(fn, *args, **kwargs) -> Report:
@@ -393,12 +323,20 @@ def _build_reports(cfg: RunConfig, imported_category=None) -> list[Report]:
     reports.append(_timed(check_tw_dg, tw_model, complexes, window, "tw-dg"))
 
     # the synthetic battery and the cylinder's two-input half-disc families
-    datasets = synthetic_dataset_battery() + [
-        half_disc_d2_family(g, x1, x2)[0] for x1, x2 in chord_pairs(g, min(cfg.winding_bound, 2))
-    ]
+    datasets = synthetic_dataset_battery() + half_disc_d2_families(g, min(cfg.winding_bound, 2))
     reports.append(_timed(_moduli_pipeline, row_input("fundamental-chains", datasets)))
     reports.append(_timed(check_functor, row_input("functor", F), cfg.max_d, "functor"))
     return reports
+
+
+def _write(doc: dict, out: str | None, stream) -> None:
+    """`doc` as compact sorted JSON, to the file `out` if given, else to `stream`."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        stream.write(text)
 
 
 def _emit(cfg: RunConfig, reports: list[Report], stream) -> int:
@@ -409,12 +347,7 @@ def _emit(cfg: RunConfig, reports: list[Report], stream) -> int:
         "config": cfg.as_json(),
         "reports": [r.as_json(cfg.timings) for r in reports],
     }
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        stream.write(text)
+    _write(doc, cfg.out, stream)
     for r in reports:
         print(f"[{r.status:4s}] {r.name} ({r.seconds * 1000.0:.1f} ms)", file=sys.stderr)
     return 0 if all(r.status == "pass" for r in reports) else 1
@@ -422,11 +355,8 @@ def _emit(cfg: RunConfig, reports: list[Report], stream) -> int:
 
 def cmd_check_all(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    imported = None
-    if cfg.document is not None and cfg.document.get("kind") == "export_bundle":
-        imported = _bundle_category(cfg)
-    reports = _build_reports(cfg, imported_category=imported)
-    return _emit(cfg, reports, sys.stdout)
+    imported = _bundle_category(cfg) if cfg.bundle is not None else None
+    return _emit(cfg, _build_reports(cfg, imported_category=imported), sys.stdout)
 
 
 def cmd_demo_s1(args: argparse.Namespace) -> int:
@@ -534,25 +464,12 @@ def cmd_export(args: argparse.Namespace) -> int:
         "functor_f1": f1_rows,
         "moduli": [moduli_to_json(ds) for ds in synthetic_dataset_battery()],
     }
-    text = json.dumps(bundle, sort_keys=True, separators=(",", ":")) + "\n"
-    if not cfg.out:
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
-        return 2
+    _write(bundle, cfg.out, sys.stdout)
     return 0
 
 
 def cmd_import_model(args: argparse.Namespace) -> int:
-    try:
-        model = load_path_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load model: {exc}", file=sys.stderr)
-        return 2
+    model = path_model_from_json(read(args.model))
     rep = validate_path_model(model, window=0, name="imported-path-model")
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -560,7 +477,7 @@ def cmd_import_model(args: argparse.Namespace) -> int:
         "seed": os.environ.get("FLOERLOOPS_SEED"),
         "reports": [Report.from_check(rep, 0.0).as_json(timings=False)],
     }
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    _write(doc, None, sys.stdout)
     return 0 if rep.ok else 1
 
 
@@ -570,7 +487,7 @@ FLAGS = {
     "max-d": {"type": int, "help": "largest arity the A-infinity check covers (2..4)"},
     "twist": {"choices": sorted(TWISTS)},
     "out": {"help": "output path (default stdout)"},
-    "mutate": {"metavar": "NAME", "help": "corrupt one row's input: " + ", ".join(MUTATIONS)},
+    "mutate": {"choices": sorted(MUTATIONS), "help": "corrupt one row's input"},
     "timings": {"action": "store_true", "help": "include wall-clock in JSON"},
     "model": {"required": True, "help": "path model JSON"},
 }
@@ -605,13 +522,11 @@ def main(argv: list[str] | None = None) -> int:
     seed = os.environ.get("FLOERLOOPS_SEED")
     if seed is not None:
         print(f"FLOERLOOPS_SEED={seed} (reserved; core is deterministic)", file=sys.stderr)
+    # every malformed, unsupported or unreadable input ends here, on one line
     try:
         return args.fn(args)
-    except CylinderConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+    except (DocumentError, CylinderConfigError, OSError) as exc:
+        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
 
 

@@ -63,12 +63,10 @@ from typing import Callable, Iterator, Mapping
 from . import _kernels
 from .ainfty import AInftyCategory, AInftyFunctor, CompositionError, KeyedOps, composable_paths
 from .gradedalg import Chain, Generator, accumulate, sign_pow
-from .moduli import StratifiedModuli, ModuliCell, make_stratum
+from .moduli import StratifiedModuli, synthetic_half_disc_d2_dataset
 from .pontryagin import CirclePathModel
 from .report import CheckReport, failed, passed
 from .twisted import ShiftedObject, TwistedComplex, tw_category
-
-SCHEMA_VERSION = 1
 
 
 class CylinderConfigError(ValueError):
@@ -494,42 +492,31 @@ def half_disc_d2_family(
     Its interval ends are the outgoing-segment break (two one-input
     half-discs, flat sign) and the disc bubble (a one-input half-disc on the
     product chord together with the mu_2 triangle, sharp sign).  All strata
-    evaluate with the same total displacement, so the family's evaluation is
+    evaluate with the same total displacement (the triangle's output corner
+    closes up, which `_mu2_entry` checks), so the family's evaluation is
     constant: its image is degenerate in normalised chains.
     """
     _check_composable((x1, x2))
     y = chord(g, x1.source, x2.target, x1.winding + x2.winding)
     ((_, triangle_sign),) = g.mu2_terms(_key(g, x1), _key(g, x2))
-    if g.delta(x1) + g.delta(x2) != g.delta(y):
-        raise AssertionError("half-disc family evaluation is not constant")
-
-    name = f"hdfam-{x1.gid}-{x2.gid}"
-    cells = {
-        "Hleft": ModuliCell("Hleft", 0, 1),
-        "Hright": ModuliCell("Hright", 0, 1),
-        "Hy": ModuliCell("Hy", 0, 1),
-        "R2": ModuliCell("R2", 0, triangle_sign),
-        "fam": ModuliCell("fam", 1),
-    }
-    boundary = {
-        "fam": (
-            make_stratum(
-                "Hleft", "Hright", "flat",
-                d1=1, d2=1, deg_q0=0, deg_qmid=0, deg_xs=(x1.degree,),
-            ),
-            make_stratum(
-                "Hy", "R2", "sharp",
-                d=2, d2=2, k=0, deg_q0=0, deg_xs=(x1.degree, x2.degree),
-            ),
-        ),
-    }
-    dataset = StratifiedModuli("half_disc", name, cells, boundary)
+    dataset = synthetic_half_disc_d2_dataset(0, x1.degree, x2.degree, -x1.degree - x2.degree,
+                                             triangle_sign, f"hdfam-{x1.gid}-{x2.gid}")
     ev = {
         "total_displacement": half_disc_d1(g, y).displacement,
         "total_winding": x1.winding + x2.winding,
         "constant_evaluation": True,
     }
     return dataset, ev
+
+
+def half_disc_d2_families(g: CylinderGeometry, bound: int) -> list[StratifiedModuli]:
+    """One two-input half-disc family per (x1 degree, x2 degree, triangle
+    sign), all a family depends on, first seen in `chord_pairs(g, bound)`."""
+    firsts: dict[tuple, tuple[Chord, Chord]] = {}
+    for x1, x2 in chord_pairs(g, bound):
+        ((_, sign),) = g.mu2_terms(_key(g, x1), _key(g, x2))
+        firsts.setdefault((x1.degree, x2.degree, sign), (x1, x2))
+    return [half_disc_d2_family(g, x1, x2)[0] for x1, x2 in firsts.values()]
 
 
 # ---------------------------------------------------------------------------

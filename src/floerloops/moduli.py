@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from .documents import SCHEMA_VERSION, Document, DocumentError, check
 from .gradedalg import Chain, Generator, sign_pow
 from .report import CheckReport, failed, passed
-
-SCHEMA_VERSION = 1
 
 STRATUM_RULES = (
     "strip",
@@ -438,11 +437,13 @@ def synthetic_half_disc_d1_dataset(variant: str, deg_q0: int = 1) -> StratifiedM
 
 
 def synthetic_half_disc_d2_dataset(
-    deg_q0: int = 0, deg_x1: int = 0, deg_x2: int = 0, deg_qd: int = 0
+    deg_q0: int = 0, deg_x1: int = 0, deg_x2: int = 0, deg_qd: int = 0,
+    disc_count: int | None = None, name: str | None = None,
 ) -> StratifiedModuli:
     """Two-input half-disc family of dimension 1 whose interval ends are the
-    outgoing break (flat) and the interior disc bubble (sharp), mirroring
-    the cylinder pipeline."""
+    outgoing break (flat) and the interior disc bubble (sharp).  The rigid
+    disc R2 counts `disc_count`, by default the sign that makes the boundary
+    a cycle; the cylinder's families give it their triangle's sign."""
     dim = 2 - 1 + deg_q0 - deg_qd - deg_x1 - deg_x2
     if dim != 1:
         raise ValueError("degree pattern does not give a 1-dimensional family")
@@ -455,11 +456,13 @@ def synthetic_half_disc_d2_dataset(
         "sharp",
         {"d": 2, "d2": 2, "k": 0, "deg_q0": deg_q0, "deg_xs": (deg_x1, deg_x2)},
     )
+    if disc_count is None:
+        disc_count = 1 if flat != sharp else -1
     cells = {
         "Hleft": ModuliCell("Hleft", 0, 1),    # H(q0, x1, q')
         "Hright": ModuliCell("Hright", 0, 1),  # H(q', x2, qd)
         "Hy": ModuliCell("Hy", 0, 1),          # H(q0, y, qd)
-        "R2": ModuliCell("R2", 0, 1 if flat != sharp else -1),
+        "R2": ModuliCell("R2", 0, disc_count),
         "fam": ModuliCell("fam", 1),
     }
     boundary = {
@@ -474,7 +477,7 @@ def synthetic_half_disc_d2_dataset(
             ),
         ),
     }
-    name = f"hd2-q{deg_q0}x{deg_x1}{deg_x2}q{deg_qd}"
+    name = name or f"hd2-q{deg_q0}x{deg_x1}{deg_x2}q{deg_qd}"
     return StratifiedModuli("half_disc", name, cells, boundary)
 
 
@@ -537,9 +540,21 @@ def moduli_to_json(m: StratifiedModuli) -> dict:
     }
 
 
+def _datum(value) -> None:
+    if type(value) is not list or len(value) != 2 or type(value[0]) is not str:
+        raise DocumentError("not a [name, value] pair")
+
+
+STRATIFIED_MODULI = Document("stratified_moduli", {
+    "moduli_kind": str, "name": str,
+    "cells": [{"id": str, "dim": int, "count?": int}],
+    "boundary": [{"cell": str, "left": str, "right": str, "sign": int, "rule": str,
+                  "data?": [_datum]}],
+})
+
+
 def moduli_from_json(data: dict) -> StratifiedModuli:
-    if data.get("kind") != "stratified_moduli":
-        raise ValueError("not a stratified_moduli document")
+    check(data, STRATIFIED_MODULI)
     cells = {
         row["id"]: ModuliCell(row["id"], row["dim"], row.get("count", 1))
         for row in data["cells"]

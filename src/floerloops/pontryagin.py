@@ -12,15 +12,13 @@ by the same exhaustive checks.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
 from .ainfty import AInftyCategory, KeyedOps, check_ainfty, composable_paths
+from .documents import Document, DocumentError, check
 from .gradedalg import Chain, Generator, GradedComplex, accumulate, sign_pow
 from .report import CheckReport, failed, passed
-
-SCHEMA_VERSION = 1
 
 
 class PathModel:
@@ -264,88 +262,36 @@ def validate_path_model(
 
 
 # ---------------------------------------------------------------------------
-# JSON ingestion / export of table-backed models.
+# JSON ingestion of table-backed models.
 # ---------------------------------------------------------------------------
 
-def path_model_to_json(model: FinitePathModel) -> dict:
-    gens = []
-    for g in model.all_gens():
-        src, tgt = model.gen_endpoints(g)
-        gens.append({"id": str(g.gid), "source": src, "target": tgt, "degree": g.degree})
-    comp = []
-    for (gid1, gid2), chain in sorted(model._compose.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-        comp.append({
-            "first": str(gid1),
-            "second": str(gid2),
-            "result": {str(g.gid): c for g, c in chain.sorted_items()},
-        })
-    diff = {
-        str(gid): {str(g.gid): c for g, c in chain.sorted_items()}
-        for gid, chain in sorted(model._diff.items(), key=lambda kv: str(kv[0]))
-        if not chain.is_zero()
-    }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "path_model",
-        "points": [str(p) for p in model.points],
-        "generators": gens,
-        "units": {str(i): str(gid) for i, gid in sorted(model._units.items())},
-        "differential": diff,
-        "composition": comp,
-    }
-
-
-def _is_int(obj) -> bool:
-    return isinstance(obj, int) and not isinstance(obj, bool)
-
-
-def _is_str(obj) -> bool:
-    return isinstance(obj, str)
-
-
-def _is_map(obj, ok=_is_int) -> bool:
-    """A JSON object whose values all pass `ok` (default: coefficients)."""
-    return isinstance(obj, dict) and all(map(ok, obj.values()))
-
-
-def _is_rows(rows, **fields) -> bool:
-    """A JSON list of objects whose named fields pass their predicates."""
-    return isinstance(rows, list) and all(
-        isinstance(r, dict) and all(ok(r.get(k)) for k, ok in fields.items()) for r in rows
-    )
+PATH_MODEL = Document("path_model", {
+    "points": list,
+    "generators": [{"id": str, "source": int, "target": int, "degree": int}],
+    "units": {str: str},
+    "composition": [{"first": str, "second": str, "result": {str: int}}],
+    "differential?": {str: {str: int}},
+})
 
 
 def path_model_from_json(data: dict) -> FinitePathModel:
-    """The table-backed model of a path_model document; a section of the
-    wrong type raises ValueError."""
-    if not isinstance(data, dict) or data.get("kind") != "path_model":
-        raise ValueError("not a path_model document")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {data.get('schema_version')}")
-    gens, units = data.get("generators"), data.get("units")
-    composition, differential = data.get("composition"), data.get("differential", {})
-    sections = {
-        "points": isinstance(data.get("points"), list),
-        "generators": _is_rows(gens, id=_is_str, source=_is_int, target=_is_int, degree=_is_int),
-        "units": _is_map(units, _is_str),
-        "composition": _is_rows(composition, first=_is_str, second=_is_str, result=_is_map),
-        "differential": _is_map(differential, _is_map),
-    }
-    bad = [name for name, ok in sections.items() if not ok]
-    if bad:
-        raise ValueError(f"path_model has malformed {', '.join(bad)}")
-    return FinitePathModel(
-        tuple(data["points"]),
-        {g["id"]: (g["source"], g["target"], g["degree"]) for g in gens},
-        {int(i): gid for i, gid in units.items()},
-        {(r["first"], r["second"]): r["result"] for r in composition},
-        differential,
-    )
-
-
-def load_path_model(path: str) -> FinitePathModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return path_model_from_json(json.load(fh))
+    """The table-backed model of a path_model document; what the document
+    or `FinitePathModel` rejects raises `DocumentError`."""
+    check(data, PATH_MODEL)
+    gens = {}
+    for g in data["generators"]:
+        if g["id"] in gens:
+            raise DocumentError(f"path_model: generator {g['id']!r} is listed twice")
+        gens[g["id"]] = (g["source"], g["target"], g["degree"])
+    try:
+        return FinitePathModel(
+            tuple(data["points"]), gens,
+            {int(i): gid for i, gid in data["units"].items()},
+            {(r["first"], r["second"]): r["result"] for r in data["composition"]},
+            data.get("differential", {}),
+        )
+    except ValueError as exc:
+        raise DocumentError(f"path_model: {exc}") from exc
 
 
 def path_model_category(model: PathModel, window: int = 2, name: str = "P") -> AInftyCategory:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .ainfty import (
+    CHAIN,
     AInftyCategory,
     KeyedOps,
     chain_from_json,
@@ -24,11 +25,10 @@ from .ainfty import (
     composable_paths,
     mu2_shifted,
 )
+from .documents import SCHEMA_VERSION, Document, check
 from .gradedalg import Chain, Generator, accumulate
 from .pontryagin import CirclePathModel, PathModel, path_model_category
 from .report import CheckReport, failed, passed
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -497,9 +497,14 @@ def twisted_to_json(T: TwistedComplex) -> dict:
     }
 
 
+TWISTED_COMPLEX = Document("twisted_complex", {
+    "name": str, "summands": [{"point": int, "shift": int}],
+    "D": [{"from": int, "to": int, "chain": CHAIN}],
+})
+
+
 def twisted_from_json(model: PathModel, data: dict) -> TwistedComplex:
-    if data.get("kind") != "twisted_complex":
-        raise ValueError("not a twisted_complex document")
+    check(data, TWISTED_COMPLEX)
     summands = [ShiftedObject(row["point"], row["shift"]) for row in data["summands"]]
     D = {
         (row["from"], row["to"]): chain_from_json(row["chain"])

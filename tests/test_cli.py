@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from path_models import path_model_to_json
+
 CLI = [sys.executable, "-m", "floerloops.cli"]
 
 
@@ -16,6 +18,14 @@ def run_cli(*args, env_extra=None, timeout=300):
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def run_main(capsys, *args):
+    """Exit code and standard-error lines of the CLI run in this process."""
+    from floerloops import cli
+
+    code = cli.main(list(args))
+    return code, capsys.readouterr().err.splitlines()
 
 
 def write_config(tmp_path, **overrides):
@@ -78,10 +88,9 @@ def test_demo_defaults_full_winding():
         assert f"x_{k} -> " in proc.stdout
 
 
-def test_max_d_out_of_range_exits_2():
-    proc = run_cli("check-all", "--max-d", "5")
-    assert proc.returncode == 2
-    assert "config error" in proc.stderr
+def test_max_d_out_of_range_exits_2(capsys):
+    assert run_main(capsys, "check-all", "--max-d", "5") == (
+        2, ["error: max_d must lie in 2..4"])
 
 
 def test_winding_zero_exits_2():
@@ -99,23 +108,22 @@ def test_empty_fibers_exits_2(tmp_path):
     "overrides,drop,message",
     [
         ({}, "fibers", "lacks fibers"),
-        ({"winding_bound": "x"}, None, "winding_bound must be an integer"),
+        ({"winding_bound": "x"}, None, "geometry_config.winding_bound: bad integer 'x'"),
         ({"schema_version": 99}, None, "unsupported schema_version 99"),
         ({"fibers": ["0", 0.1]}, None, "bad rational 0.1"),
         ({"c": 0.1}, None, "bad rational 0.1"),
     ],
 )
-def test_malformed_geometry_config_exits_2(tmp_path, overrides, drop, message):
+def test_malformed_geometry_config_exits_2(tmp_path, capsys, overrides, drop, message):
     path = pathlib.Path(write_config(tmp_path, **overrides))
     if drop:
         doc = json.loads(path.read_text())
         del doc[drop]
         path.write_text(json.dumps(doc))
-    proc = run_cli("check-all", "--config", str(path))
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert message in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
+    code, err = run_main(capsys, "check-all", "--config", str(path))
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith("error: geometry_config")
+    assert message in err[0]
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +158,10 @@ def _unknown_mu_output(doc):
     doc["category"]["mu"][0]["output"][0]["gen"] = "nowhere"
 
 
+def _newline_in_mu_input(doc):
+    doc["category"]["mu"][0]["inputs"][0] = "a\nb"
+
+
 def _mu_output_degree(doc):
     doc["category"]["mu"][0]["output"][0]["degree"] = 1
 
@@ -163,39 +175,82 @@ def _max_d_above_recorded(doc):
     doc["category"]["max_d"] = 2
 
 
+def _list_twisted_complexes(doc):
+    doc["twisted_complexes"] = [[1]]
+
+
+def _list_functor_f1(doc):
+    doc["functor_f1"] = [[1]]
+
+
+def _list_moduli(doc):
+    doc["moduli"] = [[1]]
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (_drop_category, "export_bundle lacks a category object"),
-        (_drop_mu_inputs, "bundle category mu row lacks inputs"),
-        (_string_basis_source, "bundle category basis row has bad source"),
-        (_unknown_mu_input, "bad bundle category: gid nowhere not in any hom basis"),
-        (_list_bundle_version, "unsupported export_bundle schema_version [[1]]"),
-        (_unknown_mu_output, "bad bundle category: mu output nowhere of degree 0 is not a basis"),
+        (_drop_category, "export_bundle: lacks category"),
+        (_drop_mu_inputs, "export_bundle.category.mu[0]: lacks inputs"),
+        (_string_basis_source, "export_bundle.category.basis[0].source: not an integer"),
+        (_unknown_mu_input, "export_bundle.category: gid nowhere not in any hom basis"),
+        (_list_bundle_version, "export_bundle: unsupported schema_version [[1]]"),
+        (_unknown_mu_output,
+         "export_bundle.category: mu output nowhere of degree 0 is not a basis generator"),
         (_mu_output_degree, "of degree 1 is not a basis generator"),
         (_winding_above_bound, "winding bound 2 exceeds the bundle's enumeration_bound 1"),
         (_max_d_above_recorded, "max_d 4 exceeds the bundle's max_d 2"),
+        (_list_twisted_complexes,
+         "export_bundle.twisted_complexes[0]: not a twisted_complex document"),
+        (_list_functor_f1, "export_bundle.functor_f1[0]: not an object"),
+        (_list_moduli, "export_bundle.moduli[0]: not a stratified_moduli document"),
+        (_newline_in_mu_input, "export_bundle.category: gid a\\nb not in any hom basis"),
     ],
 )
-def test_malformed_bundle_category_exits_2(tmp_path, small_bundle, corrupt, message):
+def test_malformed_bundle_category_exits_2(tmp_path, capsys, small_bundle, corrupt, message):
     doc = json.loads(json.dumps(small_bundle))
     extra = corrupt(doc) or ()
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
-    proc = run_cli("check-all", "--config", str(path), *extra)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert message in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
+    code, err = run_main(capsys, "check-all", "--config", str(path), *extra)
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith("error: ") and err[0].endswith(message)
 
 
-def test_json_array_config_exits_2(tmp_path):
+def test_json_array_config_exits_2(tmp_path, capsys):
     path = tmp_path / "array.json"
     path.write_text(json.dumps([{"kind": "geometry_config", "schema_version": 1}]))
-    proc = run_cli("check-all", "--config", str(path))
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "not a geometry_config document" in proc.stderr
+    assert run_main(capsys, "check-all", "--config", str(path)) == (
+        2, ["error: geometry_config: not a geometry_config document"])
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "bundle.json"
+    code, err = run_main(capsys, "export", "--winding", "1", "--out", str(out))
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith("error: [Errno 2] No such file or directory")
+
+
+# files that are not JSON the decoder can read
+UNREADABLE = {
+    "nested 100,000 deep": "[" * 100_000 + "]" * 100_000,
+    "a 5,000-digit integer": "1" * 5000,
+    "not UTF-8": b"\xff\xfe{}",
+}
+
+
+@pytest.mark.parametrize("flag", ["check-all --config", "import-model --model"])
+@pytest.mark.parametrize("content", list(UNREADABLE), ids=list(UNREADABLE))
+def test_unreadable_input_file_exits_2(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
+    text = UNREADABLE[content]
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    code, err = run_main(capsys, *flag.split(), str(path))
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith(f"error: {path}: not a JSON document: ")
 
 
 # the witness each mutation's one failing row gives at --winding 1
@@ -340,7 +395,7 @@ def test_seed_env_echoed(tmp_path):
 
 
 def test_import_model_valid(tmp_path):
-    from floerloops.pontryagin import leibniz_witness_model, path_model_to_json
+    from floerloops.pontryagin import leibniz_witness_model
 
     path = tmp_path / "model.json"
     path.write_text(json.dumps(path_model_to_json(leibniz_witness_model())))
@@ -350,7 +405,7 @@ def test_import_model_valid(tmp_path):
 
 
 def test_import_model_invalid_algebra(tmp_path):
-    from floerloops.pontryagin import leibniz_witness_model, path_model_to_json
+    from floerloops.pontryagin import leibniz_witness_model
 
     doc = path_model_to_json(leibniz_witness_model())
     for row in doc["composition"]:
@@ -376,27 +431,23 @@ def test_import_model_garbage_exits_2(tmp_path):
     "key,value,section",
     [("generators", 5, "generators"), ("units", [], "units"), ("points", 5, "points")],
 )
-def test_import_model_malformed_section_exits_2(tmp_path, key, value, section):
-    from floerloops.pontryagin import leibniz_witness_model, path_model_to_json
+def test_import_model_malformed_section_exits_2(tmp_path, capsys, key, value, section):
+    from floerloops.pontryagin import leibniz_witness_model
 
     doc = path_model_to_json(leibniz_witness_model())
     doc[key] = value
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    proc = run_cli("import-model", "--model", str(path))
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [
-        f"error: cannot load model: path_model has malformed {section}"
-    ]
+    expected = "not an object" if section == "units" else "not a list"
+    assert run_main(capsys, "import-model", "--model", str(path)) == (
+        2, [f"error: path_model.{section}: {expected}"])
 
 
-def test_import_model_json_array_exits_2(tmp_path):
+def test_import_model_json_array_exits_2(tmp_path, capsys):
     path = tmp_path / "array.json"
     path.write_text("[1,2]")
-    proc = run_cli("import-model", "--model", str(path))
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.strip() == "error: cannot load model: not a path_model document"
+    assert run_main(capsys, "import-model", "--model", str(path)) == (
+        2, ["error: path_model: not a path_model document"])
 
 
 def _generator_off_the_points(doc):
@@ -416,6 +467,10 @@ def _no_points_no_units(doc):
     doc["units"] = {}
 
 
+def _generator_listed_twice(doc):
+    doc["generators"].append({"id": "a", "source": 0, "target": 0, "degree": 5})
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -423,18 +478,18 @@ def _no_points_no_units(doc):
         (_row_with_unknown_second, "path model row names unknown generator 'zz'"),
         (_no_points, "path model has no points"),
         (_no_points_no_units, "path model has no points"),
+        (_generator_listed_twice, "generator 'a' is listed twice"),
     ],
 )
-def test_import_model_open_tables_exit_2(tmp_path, corrupt, message):
-    from floerloops.pontryagin import leibniz_witness_model, path_model_to_json
+def test_import_model_open_tables_exit_2(tmp_path, capsys, corrupt, message):
+    from floerloops.pontryagin import leibniz_witness_model
 
     doc = path_model_to_json(leibniz_witness_model())
     corrupt(doc)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    proc = run_cli("import-model", "--model", str(path))
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [f"error: cannot load model: {message}"]
+    assert run_main(capsys, "import-model", "--model", str(path)) == (
+        2, [f"error: path_model: {message}"])
 
 
 def test_bundle_check_all_parses_the_bundle_once(tmp_path, small_bundle, monkeypatch, capsys):

@@ -13,9 +13,9 @@ from floerloops.pontryagin import (
     leibniz_witness_model,
     path_model_category,
     path_model_from_json,
-    path_model_to_json,
     validate_path_model,
 )
+from path_models import path_model_to_json
 
 
 def test_circle_model_one_point_is_laurent_ring():
