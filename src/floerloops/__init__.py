@@ -4,16 +4,13 @@ moduli sign rules, and a combinatorial wrapped Fukaya model of T*S^1 with its
 comparison functor to loops on the circle.
 """
 
-from .gradedalg import Chain, Generator, GradedComplex, check_d_squared, koszul_sign
+from .gradedalg import Chain, Generator
 from .report import CheckReport
 
 __all__ = [
     "Chain",
     "CheckReport",
     "Generator",
-    "GradedComplex",
-    "check_d_squared",
-    "koszul_sign",
 ]
 
 __version__ = "0.1.0"

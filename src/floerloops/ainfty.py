@@ -14,10 +14,10 @@ the right-hand side is mu_1(F_d) plus the sum of mu_2(F_{d_2}, F_{d_1}) over
 splittings.
 
 Arity support.  A category may declare `arities`, the set of d for which
-mu_d can be nonzero; `mu` returns zero outside it, so the declaration is
-authoritative.  A split (d_2, k) of an arity-d relation is admissible when
-d_2 and d_1 = d - d_2 + 1 both lie in the support; the other terms vanish
-identically.  An arity with no admissible split has a zero relation on every
+mu_d can be nonzero; the checkers never consult mu outside it, so the
+declaration is authoritative.  A split (d_2, k) of an arity-d relation is
+admissible when d_2 and d_1 = d - d_2 + 1 both lie in the support; the
+other terms vanish identically.  An arity with no admissible split has a zero relation on every
 tuple: `check_ainfty` does not enumerate it but counts its composable tuples
 from the hom-basis sizes and reports them per arity as "certified zero by
 support" (the cylinder, with support {2}, enumerates only d = 3).  The
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .documents import SCHEMA_VERSION, Document, DocumentError, check, generator_id
@@ -70,7 +70,7 @@ class KeyedOps:
     and a sequence of last keys, whose tuples prefix + (last,) are the
     composable length-d key tuples not certified zero by linkage, flattened
     in `composable_tuples` order; `decode(key)` is the basis generator a
-    key stands for, and `encode(gen)` the key of a token-(+1) generator.
+    key stands for, and `encode(gen)` the key of a basis generator.
 
     `orbit` is the number of keys per slot that each key `linked_groups`
     yields stands for: a category whose relations commute with a
@@ -93,10 +93,11 @@ class AInftyCategory:
     """Objects, based hom complexes and structure maps on interned keys.
 
     `keyed` is the structure the checkers run, and `hom_basis_map` lists
-    per object pair the token-(+1) basis generators its keys decode to.
-    `arities` is the support of mu (None: unrestricted); mu is zero outside
-    it.  `mu_fn` is mu on basis generators in composition order, returning
-    a Chain; when not given it is derived from `keyed`.
+    per object pair the basis generators its keys decode to.
+    `arities` is the support of mu (None: unrestricted); the checkers never
+    consult mu outside it.  `mu_fn` is mu on basis generators in
+    composition order, returning a Chain; when not given it is derived from
+    `keyed`.
     """
 
     name: str
@@ -106,7 +107,6 @@ class AInftyCategory:
     is_dg: bool = False
     arities: frozenset[int] | None = None
     mu_fn: Callable[[tuple[Generator, ...]], Chain] | None = None
-    _gen_hom: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         if self.arities is not None:
@@ -116,59 +116,13 @@ class AInftyCategory:
             self.mu_fn = lambda gens: Chain(
                 {ops.decode(k): c for k, c in ops.mu(tuple(map(ops.encode, gens)))}
             )
-        for pair, basis in self.hom_basis_map.items():
-            for gen in basis:
-                if gen.orientation != 1:
-                    raise ValueError("basis generators must carry token +1")
-                if gen in self._gen_hom and self._gen_hom[gen] != pair:
-                    raise ValueError(f"generator {gen.gid} listed in two hom spaces")
-                self._gen_hom[gen] = pair
 
     def hom_basis(self, a, b) -> tuple[Generator, ...]:
         return self.hom_basis_map.get((a, b), ())
 
-    def gen_hom(self, gen: Generator) -> tuple:
-        pair = self._gen_hom.get(gen.key)
-        if pair is None:
-            raise CompositionError(f"unknown generator {gen.gid}")
-        return pair
-
-    def tuple_path(self, gens: tuple[Generator, ...]) -> tuple:
-        """Object path (L_0, ..., L_d); raises if consecutive homs mismatch."""
-        if not gens:
-            raise CompositionError("empty tuple")
-        pairs = [self.gen_hom(g) for g in gens]
-        for (_, tgt), (src, _) in zip(pairs, pairs[1:]):
-            if tgt != src:
-                raise CompositionError(
-                    f"non-composable tuple {[g.gid for g in gens]}"
-                )
-        return tuple(p[0] for p in pairs) + (pairs[-1][1],)
-
     def supports(self, d: int) -> bool:
         """Whether mu_d can be nonzero."""
         return self.arities is None or d in self.arities
-
-    def mu(self, gens: tuple[Generator, ...]) -> Chain:
-        """Evaluate mu on a basis tuple, normalising orientation tokens and
-        asserting degree 2 - d + sum of input degrees on the output."""
-        self.tuple_path(gens)
-        if not self.supports(len(gens)):
-            return Chain.zero()
-        token = 1
-        keys = []
-        for g in gens:
-            token *= g.orientation
-            keys.append(g.key)
-        out = self.mu_fn(tuple(keys))
-        if not out.is_zero():
-            expected = 2 - len(keys) + sum(g.degree for g in keys)
-            got = out.degree()
-            if got != expected:
-                raise ValueError(
-                    f"{self.name}: mu_{len(keys)} output degree {got}, expected {expected}"
-                )
-        return out if token == 1 else out.scale(token)
 
     def composable_tuples(self, d: int) -> Iterator[tuple]:
         """All length-d composable basis tuples, lexicographic in the object
@@ -221,12 +175,14 @@ def category_from_tables(
     nonzero entry.  A basis generator's key is its position in the basis,
     and a row is kept as the (key, coeff) terms of its output.  Rejected
     here: a gid listed twice, rows that are non-composable or name a gid in
-    no basis, and outputs that are not basis generators.
+    no basis, outputs that are not basis generators, and outputs that break
+    the degree rule |mu_d(x_1, ..., x_d)| = 2 - d + |x_1| + ... + |x_d|.
     """
     by_key = [gen for basis in hom_basis_map.values() for gen in basis]
     key_of = {gen.gid: key for key, gen in enumerate(by_key)}
     if len(key_of) != len(by_key):
         raise ValueError("a generator gid is listed twice in the hom bases")
+    pair_of = [pair for pair, basis in hom_basis_map.items() for _ in basis]
     hom_keys = {
         pair: tuple(key_of[gen.gid] for gen in basis) for pair, basis in hom_basis_map.items()
     }
@@ -237,22 +193,24 @@ def category_from_tables(
             raise CompositionError(f"gid {gid} not in any hom basis")
         return key
 
+    def encode(gen: Generator) -> int:
+        key = key_for(gen.gid)
+        if by_key[key] != gen:
+            raise CompositionError(
+                f"generator {gen.gid} of degree {gen.degree} is not a basis generator"
+            )
+        return key
+
     terms: dict[tuple, tuple[tuple[int, int], ...]] = {}
-    cat = AInftyCategory(
-        name, objects, hom_basis_map,
-        KeyedOps(
-            lambda keys: terms.get(keys, ()), lambda key: by_key[key].degree,
-            lambda d: composable_paths(objects, hom_keys, d), by_key.__getitem__,
-            lambda gen: key_for(gen.gid),
-        ),
-        is_dg,
-    )
     for d, table in mu_tables.items():
         for gids, chain in table.items():
             if len(gids) != d:
                 raise ValueError(f"arity-{d} table entry with {len(gids)} inputs")
             keys = tuple(map(key_for, gids))
-            cat.tuple_path(tuple(map(by_key.__getitem__, keys)))
+            if not keys or any(pair_of[k1][1] != pair_of[k2][0]
+                               for k1, k2 in zip(keys, keys[1:])):
+                raise CompositionError(f"non-composable tuple {list(gids)}")
+            expected = 2 - d + sum(by_key[key].degree for key in keys)
             out = []
             for gen, coeff in chain.items():
                 key = key_of.get(gen.gid)
@@ -260,10 +218,20 @@ def category_from_tables(
                     raise CompositionError(
                         f"mu output {gen.gid} of degree {gen.degree} is not a basis generator"
                     )
+                if gen.degree != expected:
+                    raise ValueError(
+                        f"mu_{d} output {gen.gid} has degree {gen.degree}, expected {expected}"
+                    )
                 out.append((key, coeff))
             terms[keys] = tuple(out)
-    cat.arities = frozenset(len(keys) for keys, out in terms.items() if out)
-    return cat
+    return AInftyCategory(
+        name, objects, hom_basis_map,
+        KeyedOps(
+            lambda keys: terms.get(keys, ()), lambda key: by_key[key].degree,
+            lambda d: composable_paths(objects, hom_keys, d), by_key.__getitem__, encode,
+        ),
+        is_dg, frozenset(len(keys) for keys, out in terms.items() if out),
+    )
 
 
 def mu2_shifted(
@@ -360,9 +328,8 @@ def _relation_terms(mu, degree, prefix: tuple, lasts: Iterable, splits):
 
 
 def ainfty_residual(cat: AInftyCategory, gens: tuple[Generator, ...]) -> Chain:
-    """The quadratic A-infinity residual on one composable tuple, validated
-    and summed over the splits admissible for the category's support."""
-    cat.tuple_path(gens)
+    """The quadratic A-infinity residual on one composable tuple, summed
+    over the splits admissible for the category's support."""
     ops = cat.kernel_ops()
     keys = tuple(map(ops.encode, gens))
     splits = admissible_splits(len(gens), cat.arities, cat.arities)

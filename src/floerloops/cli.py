@@ -215,11 +215,14 @@ EXPORT_BUNDLE = Document("export_bundle", {
 })
 
 
-def _bundle_category(cfg: RunConfig) -> AInftyCategory:
-    """The export bundle's category as the ainfty row re-checks it: its
-    enumeration restricted to the config's chords within the winding bound.
-    Refused: a re-check above the recorded `enumeration_bound` or `max_d`,
-    where the tables lack rows, and a basis without the config's chords."""
+def _bundle_category(cfg: RunConfig) -> AInftyCategory | None:
+    """The export bundle's category as the ainfty row re-checks it (None
+    without a bundle): its enumeration restricted to the config's chords
+    within the winding bound.  Refused: a re-check above the recorded
+    `enumeration_bound` or `max_d`, where the tables lack rows, and a basis
+    whose generators differ from the config's chords in gid or degree."""
+    if cfg.bundle is None:
+        return None
     doc = cfg.bundle["category"]
     for key, label, value in (("enumeration_bound", "winding bound", cfg.winding_bound),
                               ("max_d", "max_d", cfg.max_d)):
@@ -355,12 +358,12 @@ def _emit(cfg: RunConfig, reports: list[Report], stream) -> int:
 
 def cmd_check_all(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    imported = _bundle_category(cfg) if cfg.bundle is not None else None
-    return _emit(cfg, _build_reports(cfg, imported_category=imported), sys.stdout)
+    return _emit(cfg, _build_reports(cfg, imported_category=_bundle_category(cfg)), sys.stdout)
 
 
 def cmd_demo_s1(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
+    _bundle_category(cfg)  # a bundle's tables are refused as check-all refuses them
     g = cfg.geometry()
     bound = cfg.winding_bound
     fiber = 0
@@ -438,6 +441,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     half-disc signs, untwisted whatever the config's twist; the category's
     tables carry the twist, and the fibre complexes do not depend on it."""
     cfg = load_run_config(args)
+    _bundle_category(cfg)  # a bundle's tables are refused as check-all refuses them
     g = cfg.geometry()
     hom_basis_map, mu_tables = _export_tables(
         g, cfg.winding_bound, cfg.max_d, cfg.twist

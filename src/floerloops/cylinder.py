@@ -37,7 +37,7 @@ keys to the (output key, polygon sign) terms.  `_mu2_entry` fills each entry
 in one integer pass that makes every check of the triangle model, with no
 polygon object or `Fraction`; `mu_polygons` returns its terms.  The
 categories, the functor, the oracles and the export built on one geometry
-read that table; each applies its own twist and orientation tokens on top.
+read that table; each applies its own twist on top.
 The comparison functor keeps one more table, F^1 from a chord key to its one
 term on the target's keys, filled the first time the functor equation meets
 the chord.  F^2 has no table: it is zero on every pair (see `functor_F`).
@@ -48,8 +48,9 @@ mu_2 triangle on an r-fold refinement of the lattice and requires Pick's
 theorem to hold exactly; the Maslov oracle follows the flowed tangent
 direction through integer dot and cross products.
 
-Signs of individual polygons come from the orientation-token bookkeeping
-and the closed sign formulas; there is no independent geometric sign.
+Signs of individual polygons come from the closed sign formulas (the
+dagger sign and the background twist); there is no independent geometric
+sign.
 """
 
 from __future__ import annotations
@@ -178,8 +179,8 @@ class Chord:
     def gid(self) -> tuple:
         return ("x", self.source, self.target, self.winding)
 
-    def generator(self, orientation: int = 1) -> Generator:
-        return Generator(self.gid, self.degree, orientation)
+    def generator(self) -> Generator:
+        return Generator(self.gid, self.degree)
 
 
 def chord(g: CylinderGeometry, a: int, b: int, winding: int) -> Chord:
@@ -376,37 +377,26 @@ def twist_fn(name: str) -> TwistFn:
 
 
 def _signed_mu2(
-    g: CylinderGeometry, k1: int, k2: int, twist: TwistFn, tokens: Mapping[tuple, int] | None
+    g: CylinderGeometry, k1: int, k2: int, twist: TwistFn
 ) -> tuple[tuple[int, int], ...]:
     """mu_2 on two chord keys as (output key, coeff) terms: the geometry's
-    table with the dagger sign, the background twist and the orientation
-    tokens applied on top."""
+    table with the dagger sign and the background twist applied on top."""
     x1, x2 = g.chord_at(k1), g.chord_at(k2)
     dagger = sign_pow(x1.degree + 2 * x2.degree)
     out = []
     for key, sign in g.mu2_terms(k1, k2):
-        y = g.chord_at(key)
-        coeff = dagger * sign * sign_pow(twist(y.winding))
-        if tokens:
-            coeff *= tokens.get(x1.gid, 1) * tokens.get(x2.gid, 1) * tokens.get(y.gid, 1)
-        out.append((key, coeff))
+        out.append((key, dagger * sign * sign_pow(twist(g.chord_at(key).winding))))
     return tuple(out)
 
 
-def mu_d(
-    g: CylinderGeometry,
-    chords: tuple[Chord, ...],
-    tokens: Mapping[tuple, int] | None = None,
-    twist: TwistFn = twist_none,
-) -> Chain:
+def mu_d(g: CylinderGeometry, chords: tuple[Chord, ...], twist: TwistFn = twist_none) -> Chain:
     """The d-input product on chords: signed rigid polygon count, with the
-    dagger sign sum_k k |x_k| and orientation tokens, as a chain on the
-    unrescaled output chord."""
+    dagger sign sum_k k |x_k|, as a chain on the unrescaled output chord."""
     if len(chords) != 2:
         mu_polygons(g, chords)  # raises below d = 2; no rigid polygon above
         return Chain.zero()
     acc: dict[Generator, int] = {}
-    for key, coeff in _signed_mu2(g, _key(g, chords[0]), _key(g, chords[1]), twist, tokens):
+    for key, coeff in _signed_mu2(g, _key(g, chords[0]), _key(g, chords[1]), twist):
         accumulate(acc, ((g.chord_at(key).generator(), coeff),), 1)
     return Chain.from_sums(acc)
 
@@ -524,10 +514,7 @@ def half_disc_d2_families(g: CylinderGeometry, bound: int) -> list[StratifiedMod
 # ---------------------------------------------------------------------------
 
 def cylinder_category(
-    g: CylinderGeometry,
-    winding_bound: int,
-    twist: str = "none",
-    tokens: Mapping[tuple, int] | None = None,
+    g: CylinderGeometry, winding_bound: int, twist: str = "none"
 ) -> AInftyCategory:
     """The wrapped category on the marked fibres: hom bases are chords with
     |winding| <= bound; operations are evaluated exactly and are defined on
@@ -544,7 +531,7 @@ def cylinder_category(
     (`mu_polygons` returns no polygon there).
 
     The checker runs on chord keys (`keyed`): mu_2 of a key pair is the
-    geometry's shared table with this category's twist and tokens applied,
+    geometry's shared table with this category's twist applied,
     kept per pair as (key, coeff) terms."""
     if winding_bound < 1:
         raise CylinderConfigError("winding_bound must be >= 1")
@@ -563,7 +550,7 @@ def cylinder_category(
             return ()
         out = terms.get(keys)
         if out is None:
-            out = terms[keys] = _signed_mu2(g, keys[0], keys[1], n_b, tokens)
+            out = terms[keys] = _signed_mu2(g, keys[0], keys[1], n_b)
         return out
 
     def degree(key: int) -> int:
@@ -603,7 +590,7 @@ def structure_constants(
         (x1.gid, x2.gid): {
             # a table entry has one term, so this is mu_d's sorted chain
             g.chord_at(key).gid: coeff
-            for key, coeff in _signed_mu2(g, _key(g, x1), _key(g, x2), n_b, None)
+            for key, coeff in _signed_mu2(g, _key(g, x1), _key(g, x2), n_b)
         }
         for x1, x2 in chord_pairs(g, winding_bound)
     }
@@ -615,10 +602,7 @@ def pontryagin_target(g: CylinderGeometry) -> CirclePathModel:
 
 
 def functor_F(
-    g: CylinderGeometry,
-    winding_bound: int,
-    twist: str = "none",
-    tokens: Mapping[tuple, int] | None = None,
+    g: CylinderGeometry, winding_bound: int, twist: str = "none"
 ) -> tuple[AInftyFunctor, CirclePathModel, list[TwistedComplex]]:
     """The comparison functor from the wrapped category into twisted
     complexes over the circle's path category, on the two categories' keys.
@@ -637,7 +621,7 @@ def functor_F(
     model = pontryagin_target(g)
     objects = list(range(g.nfibers()))
     f_objs = [build_F_object(g, L, model) for L in objects]
-    source = cylinder_category(g, winding_bound, twist=twist, tokens=tokens)
+    source = cylinder_category(g, winding_bound, twist=twist)
     target = tw_category(model, f_objs, window=winding_bound, name="TwP")
     object_map = {L: f_objs[L].name for L in objects}
     encode = target.keyed.encode
@@ -649,8 +633,6 @@ def functor_F(
         deg_q0 = deg_q1 = 0
         coeff = sign_pow(x.degree + (deg_q0 + 1) * (x.degree + deg_q1))
         coeff *= sign_pow(n_b(disc.winding))
-        if tokens:
-            coeff *= tokens.get(x.gid, 1)
         path_gid = ("p", x.source, x.target, disc.winding)
         out = Generator(("m", object_map[x.source], 0, object_map[x.target], 0, path_gid), 0)
         return ((encode(out), coeff),)
@@ -671,9 +653,8 @@ def ring_isomorphism_report(F: AInftyFunctor, fiber: int = 0) -> CheckReport:
     """Theorem check at the circle: the comparison functor's F^1 restricted
     to one fibre is a degree-0 basis bijection onto the circle's loop
     classes that preserves winding and sends the unit chord to the constant
-    loop (up to the global token gauge).  That it intertwines mu_2 with
-    concatenation is the d = 2 functor equation, which `check_functor`
-    decides."""
+    loop (up to sign).  That it intertwines mu_2 with concatenation is the
+    d = 2 functor equation, which `check_functor` decides."""
     name = "ring-isomorphism"
     encode, decode = F.source.kernel_ops().encode, F.target.kernel_ops().decode
     basis = F.source.hom_basis(fiber, fiber)

@@ -1,10 +1,9 @@
-"""Exact graded Z-linear algebra: generators, sparse chains, complexes, Koszul signs.
+"""Exact graded Z-linear algebra: generators and sparse chains.
 
 Grading is cohomological throughout; chain-level (homological) data is stored
-with negated degree.  A generator carries an orientation token in {+1, -1}:
-the generator with token -1 is, as a chain, the negative of the one with
-token +1, and chains canonicalise tokens to +1 by folding the sign into the
-coefficient.  Coefficients are arbitrary-precision integers.
+with negated degree.  Coefficients are arbitrary-precision integers, and a
+sign change of a basis element is a coefficient: there is no other sign
+mechanism.
 
 All values are immutable after construction; every operation is pure.
 """
@@ -12,10 +11,8 @@ All values are immutable after construction; every operation is pure.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
-
-from .report import CheckReport, failed, passed
 
 
 def sign_pow(exponent: int) -> int:
@@ -23,69 +20,25 @@ def sign_pow(exponent: int) -> int:
     return -1 if exponent & 1 else 1
 
 
-def koszul_sign(left_degrees: Iterable[int], right_degrees: Iterable[int]) -> int:
-    """Sign for moving a block of graded factors past another.
-
-    Each element of degree a from the left block moved past an element of
-    degree b from the right block contributes (-1)**(a*b); the total is the
-    product over all such pairs.
-    """
-    left_odd = sum(1 for a in left_degrees if a & 1)
-    right_odd = sum(1 for b in right_degrees if b & 1)
-    return sign_pow(left_odd * right_odd)
-
-
 @dataclass(frozen=True)
 class Generator:
-    """A graded basis element with an orientation token.
-
-    `gid` is an opaque hashable identifier.  Two generators differing only in
-    the token are negatives of each other as chains.
-    """
+    """A graded basis element; `gid` is an opaque hashable identifier."""
 
     gid: Hashable
     degree: int
-    orientation: int = 1
-
-    def __post_init__(self):
-        if self.orientation not in (1, -1):
-            raise ValueError(f"orientation token must be +1 or -1, got {self.orientation}")
-
-    @property
-    def key(self) -> "Generator":
-        """The token-(+1) representative used as the canonical chain key."""
-        if self.orientation == 1:
-            return self
-        return Generator(self.gid, self.degree, 1)
-
-    def flipped(self) -> "Generator":
-        return Generator(self.gid, self.degree, -self.orientation)
 
 
 class Chain:
     """A finite Z-linear combination of generators in canonical form.
 
-    Canonical form stores no zero coefficients and only token-(+1)
-    generators.  Instances are immutable by convention; all arithmetic
-    returns fresh chains.
+    Canonical form stores no zero coefficients.  Instances are immutable by
+    convention; all arithmetic returns fresh chains.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Generator, int] | None = None):
-        canon: dict[Generator, int] = {}
-        if terms:
-            for gen, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                c = coeff * gen.orientation
-                k = gen.key
-                new = canon.get(k, 0) + c
-                if new:
-                    canon[k] = new
-                else:
-                    canon.pop(k, None)
-        self._terms = canon
+        self._terms = {gen: coeff for gen, coeff in terms.items() if coeff} if terms else {}
 
     @classmethod
     def zero(cls) -> "Chain":
@@ -98,8 +51,8 @@ class Chain:
     @classmethod
     def from_sums(cls, acc: dict[Generator, int]) -> "Chain":
         """The chain of a dict that `accumulate` summed from chains' items:
-        its keys are token-(+1) and its coefficients nonzero, so it is
-        adopted as it is, without canonicalising it again."""
+        its coefficients are nonzero, so it is adopted as it is, without
+        canonicalising it again."""
         res = cls.__new__(cls)
         res._terms = acc
         return res
@@ -196,41 +149,3 @@ def accumulate(acc: dict, terms: Iterable[tuple[Hashable, int]], scale: int) -> 
             acc[key] = new
         else:
             acc.pop(key, None)
-
-
-# ---------------------------------------------------------------------------
-# Graded complexes.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GradedComplex:
-    """A complex with a chosen basis and a degree +1 differential on it."""
-
-    basis: tuple[Generator, ...]
-    d_table: Mapping[Generator, Chain] = field(default_factory=dict)
-
-    def d(self, chain: Chain) -> Chain:
-        table = self.d_table
-        acc: dict[Generator, int] = {}
-        for gen, coeff in chain.items():
-            accumulate(acc, table.get(gen, _ZERO).items(), coeff)
-        return Chain.from_sums(acc)
-
-    def d_gen(self, gen: Generator) -> Chain:
-        return self.d_table.get(gen.key, Chain.zero()).scale(gen.orientation)
-
-
-def check_d_squared(complex_: GradedComplex, name: str = "d-squared") -> CheckReport:
-    """Pass, or the first basis element g with d(d(g)) != 0 plus the residual."""
-    for gen in complex_.basis:
-        dd = complex_.d(complex_.d_gen(gen))
-        if not dd.is_zero():
-            return failed(name, {"generator": gen.gid, "residual": repr(dd)})
-        dgen = complex_.d_gen(gen)
-        deg = dgen.degree()
-        if deg is not None and deg != gen.degree + 1:
-            return failed(
-                name,
-                {"generator": gen.gid, "residual": f"d has degree {deg - gen.degree}"},
-            )
-    return passed(name, basis_size=len(complex_.basis))

@@ -28,7 +28,7 @@ consistently, which the chooser enforces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 from .documents import SCHEMA_VERSION, Document, DocumentError, check
 from .gradedalg import Chain, Generator, sign_pow

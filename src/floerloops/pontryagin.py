@@ -17,7 +17,7 @@ from typing import Hashable, Iterable, Mapping
 
 from .ainfty import AInftyCategory, KeyedOps, check_ainfty, composable_paths
 from .documents import Document, DocumentError, check
-from .gradedalg import Chain, Generator, GradedComplex, accumulate, sign_pow
+from .gradedalg import Chain, Generator, accumulate, sign_pow
 from .report import CheckReport, failed, passed
 
 
@@ -51,16 +51,6 @@ class PathModel:
     def npoints(self) -> int:
         return len(self.points)
 
-    def unit_chain(self, i: int) -> Chain:
-        return Chain.of(self.unit_gen(i))
-
-    def concat(self, chain1: Chain, chain2: Chain) -> Chain:
-        acc: dict[Generator, int] = {}
-        for g1, c1 in chain1.items():
-            for g2, c2 in chain2.items():
-                accumulate(acc, self.concat_gens(g1, g2).items(), c1 * c2)
-        return Chain.from_sums(acc)
-
     def mu1(self, chain: Chain) -> Chain:
         acc: dict[Generator, int] = {}
         for gen, coeff in chain.items():
@@ -75,10 +65,6 @@ class PathModel:
             for g2, c2 in chain2.items():
                 accumulate(acc, self.concat_gens(g1, g2).items(), s * c1 * c2)
         return Chain.from_sums(acc)
-
-    def hom_complex(self, i: int, j: int, window: int) -> GradedComplex:
-        basis = self.hom_basis(i, j, window)
-        return GradedComplex(basis, {g: self.d_gen(g) for g in basis})
 
 
 class CirclePathModel(PathModel):
@@ -129,8 +115,7 @@ class CirclePathModel(PathModel):
         _, j2, l, k2 = g2.gid
         if j != j2:
             raise ValueError(f"paths not composable: {g1.gid} then {g2.gid}")
-        sgn = g1.orientation * g2.orientation
-        return Chain.of(self.gen(i, l, k1 + k2), sgn)
+        return Chain.of(self.gen(i, l, k1 + k2))
 
     def d_gen(self, gen: Generator) -> Chain:
         return Chain.zero()
@@ -202,11 +187,10 @@ class FinitePathModel(PathModel):
     def concat_gens(self, g1: Generator, g2: Generator) -> Chain:
         if self._endpoints[g1.gid][1] != self._endpoints[g2.gid][0]:
             raise ValueError(f"paths not composable: {g1.gid} then {g2.gid}")
-        sgn = g1.orientation * g2.orientation
-        return self._compose.get((g1.gid, g2.gid), Chain.zero()).scale(sgn)
+        return self._compose.get((g1.gid, g2.gid), Chain.zero())
 
     def d_gen(self, gen: Generator) -> Chain:
-        return self._diff.get(gen.gid, Chain.zero()).scale(gen.orientation)
+        return self._diff.get(gen.gid, Chain.zero())
 
 
 class MutatedPathModel(PathModel):
@@ -283,11 +267,17 @@ def path_model_from_json(data: dict) -> FinitePathModel:
         if g["id"] in gens:
             raise DocumentError(f"path_model: generator {g['id']!r} is listed twice")
         gens[g["id"]] = (g["source"], g["target"], g["degree"])
+    composition = {}
+    for r in data["composition"]:
+        pair = (r["first"], r["second"])
+        if pair in composition:
+            raise DocumentError(f"path_model: composition {pair[0]!r}.{pair[1]!r} is listed twice")
+        composition[pair] = r["result"]
     try:
         return FinitePathModel(
             tuple(data["points"]), gens,
             {int(i): gid for i, gid in data["units"].items()},
-            {(r["first"], r["second"]): r["result"] for r in data["composition"]},
+            composition,
             data.get("differential", {}),
         )
     except ValueError as exc:

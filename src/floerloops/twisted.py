@@ -119,29 +119,6 @@ def validate_twisted(T: TwistedComplex, name: str | None = None) -> CheckReport:
     return passed(name, summands=n)
 
 
-def mc_product_stratum_parity(deg_qi: int, deg_qk: int, deg_qj: int) -> int:
-    """Total parity with which a product stratum enters the Maurer-Cartan
-    residual of a connection built from strip moduli, re-derived from its
-    constituents rather than transcribed.
-
-    The contributions are: the connection signs |q^i|(|q^k|+1) and
-    |q^k|(|q^j|+1) on the two factors, the shifted-composition sign
-    (dim H(q^k,q^j) + 1)(|q^k| - |q^i|), the chain-level Leibniz sign
-    dim H(q^i,q^k), and the connection sign |q^i|(|q^j|+1) on the target
-    entry; strip moduli have dim H(q^a,q^b) = |q^a| - |q^b| - 1.
-    """
-    dim_ik = deg_qi - deg_qk - 1
-    dim_kj = deg_qk - deg_qj - 1
-    total = (
-        deg_qi * (deg_qk + 1)
-        + deg_qk * (deg_qj + 1)
-        + (dim_kj + 1) * (deg_qk - deg_qi)
-        + dim_ik
-        + deg_qi * (deg_qj + 1)
-    )
-    return total % 2
-
-
 # ---------------------------------------------------------------------------
 # Morphism matrices.
 # ---------------------------------------------------------------------------

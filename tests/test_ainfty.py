@@ -23,6 +23,7 @@ from floerloops.pontryagin import (
     leibniz_witness_model,
     path_model_category,
 )
+from gauges import gauged
 
 
 def witness_category():
@@ -91,7 +92,6 @@ def small_table_category():
     a = Generator("a", 0)
     b = Generator("b", 1)
     hom = {("O", "O"): (a, b)}
-    mu = {1: {(("a",),): None}}
     # d(a) = b, all products zero: a two-term complex as a category
     tables = {1: {("a",): Chain.of(b)}}
     return category_from_tables("S", ("O",), hom, tables, is_dg=True)
@@ -100,7 +100,7 @@ def small_table_category():
 def test_table_category_and_checks():
     cat = small_table_category()
     assert check_ainfty(cat, 3).ok
-    assert cat.mu((Generator("a", 0),)) == Chain.of(Generator("b", 1))
+    assert cat.mu_fn((Generator("a", 0),)) == Chain.of(Generator("b", 1))
 
 
 def test_noncomposable_rejected():
@@ -111,20 +111,16 @@ def test_noncomposable_rejected():
         category_from_tables(
             "bad", ("O", "P"), hom, {2: {("a", "a"): Chain.of(a)}}
         )
-    cat = category_from_tables("ok", ("O", "P"), hom, {})
     with pytest.raises(CompositionError):
-        cat.mu((a, a))
-    with pytest.raises(CompositionError):
-        cat.tuple_path(())
+        category_from_tables("empty", ("O", "P"), hom, {0: {(): Chain.of(a)}})
 
 
 def test_degree_bookkeeping_enforced():
     a = Generator("a", 0)
     wrong = Generator("w", 5)
     hom = {("O", "O"): (a, wrong)}
-    cat = category_from_tables("deg", ("O",), hom, {1: {("a",): Chain.of(wrong)}})
-    with pytest.raises(ValueError):
-        cat.mu((a,))
+    with pytest.raises(ValueError, match="mu_1 output w has degree 5, expected 1"):
+        category_from_tables("deg", ("O",), hom, {1: {("a",): Chain.of(wrong)}})
 
 
 def test_duplicate_generator_rejected():
@@ -134,11 +130,16 @@ def test_duplicate_generator_rejected():
 
 
 def test_token_normalisation_in_mu():
+    # a token on one input of a.b = ab flips the product; on every factor
+    # and the output it cancels, and the gauged category still passes
     model = leibniz_witness_model()
     cat = witness_category()
     gens = {g.gid: g for g in model.all_gens()}
-    flipped = gens["a"].flipped()
-    assert cat.mu((flipped, gens["b"])) == -cat.mu((gens["a"], gens["b"]))
+    ab = (gens["a"], gens["b"])
+    assert gauged(cat, {"a": -1}).mu_fn(ab) == -cat.mu_fn(ab)
+    assert gauged(cat, {"a": -1, "b": -1, "ab": -1}).mu_fn(ab) == -cat.mu_fn(ab)
+    assert gauged(cat, {"a": -1, "ab": -1}).mu_fn(ab) == cat.mu_fn(ab)
+    assert check_ainfty(gauged(cat, {"a": -1, "c": -1}), 3).ok
 
 
 def test_identity_functor_of_dga_passes():
@@ -188,4 +189,4 @@ def test_category_json_round_trip_lossless():
     cat2, tables2 = category_from_json(json.loads(text))
     assert category_to_json(cat2, tables2) == doc
     assert check_ainfty(cat2, 2).ok == check_ainfty(cat, 2).ok
-    assert cat2.mu((a, a)) == Chain.of(a, -2)
+    assert cat2.mu_fn((a, a)) == Chain.of(a, -2)

@@ -187,6 +187,27 @@ def _list_moduli(doc):
     doc["moduli"] = [[1]]
 
 
+def _relabel_degrees(doc, degree_of):
+    """Give each chord gid the degree `degree_of(gid)` in the basis and in
+    every mu output that names it."""
+    for row in doc["category"]["basis"]:
+        for gen in row["generators"]:
+            gen["degree"] = degree_of(gen["id"])
+    for row in doc["category"]["mu"]:
+        for term in row["output"]:
+            term["degree"] = degree_of(term["gen"])
+
+
+def _unit_chord_of_degree_2(doc):
+    # the tables then break |mu_2(x, y)| = |x| + |y|
+    _relabel_degrees(doc, lambda gid: 2 if gid == ["x", 0, 0, 0] else 0)
+
+
+def _chord_degree_is_its_winding(doc):
+    # consistent tables, but not the geometry's chords, which have degree 0
+    _relabel_degrees(doc, lambda gid: gid[3])
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -205,6 +226,10 @@ def _list_moduli(doc):
         (_list_functor_f1, "export_bundle.functor_f1[0]: not an object"),
         (_list_moduli, "export_bundle.moduli[0]: not a stratified_moduli document"),
         (_newline_in_mu_input, "export_bundle.category: gid a\\nb not in any hom basis"),
+        (_unit_chord_of_degree_2,
+         "export_bundle.category: mu_2 output ('x', 0, 0, -1) has degree 0, expected 2"),
+        (_chord_degree_is_its_winding, "export_bundle.category: generator ('x', 0, 0, -1) "
+                                       "of degree 0 is not a basis generator"),
     ],
 )
 def test_malformed_bundle_category_exits_2(tmp_path, capsys, small_bundle, corrupt, message):
@@ -212,9 +237,11 @@ def test_malformed_bundle_category_exits_2(tmp_path, capsys, small_bundle, corru
     extra = corrupt(doc) or ()
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
-    code, err = run_main(capsys, "check-all", "--config", str(path), *extra)
-    assert code == 2 and len(err) == 1
-    assert err[0].startswith("error: ") and err[0].endswith(message)
+    # every command that reads a bundle refuses it as check-all does
+    for command in ("check-all", "export", "demo-s1"):
+        code, err = run_main(capsys, command, "--config", str(path), *extra)
+        assert code == 2 and len(err) == 1, command
+        assert err[0].startswith("error: ") and err[0].endswith(message), command
 
 
 def test_json_array_config_exits_2(tmp_path, capsys):
@@ -471,6 +498,10 @@ def _generator_listed_twice(doc):
     doc["generators"].append({"id": "a", "source": 0, "target": 0, "degree": 5})
 
 
+def _composition_listed_twice(doc):
+    doc["composition"].append({"first": "a", "second": "b", "result": {"ab": 7}})
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -479,6 +510,7 @@ def _generator_listed_twice(doc):
         (_no_points, "path model has no points"),
         (_no_points_no_units, "path model has no points"),
         (_generator_listed_twice, "generator 'a' is listed twice"),
+        (_composition_listed_twice, "composition 'a'.'b' is listed twice"),
     ],
 )
 def test_import_model_open_tables_exit_2(tmp_path, capsys, corrupt, message):
@@ -538,8 +570,9 @@ def test_subcommands_refuse_flags_they_do_not_read(argv, capsys):
 
 
 def test_no_public_parameter_is_a_mutation_hook():
-    # mutations wrap a report row's input (cli.MUTATIONS); no production
-    # signature carries a switch for them
+    # mutations wrap a report row's input (cli.MUTATIONS), and sign gauges
+    # wrap a category (tests/gauges.py); no production signature carries a
+    # switch for either
     import importlib
     import inspect
     import pkgutil
@@ -562,8 +595,31 @@ def test_no_public_parameter_is_a_mutation_hook():
                 except (TypeError, ValueError):
                     continue
                 hooks += [f"{module.__name__}.{name}({p})" for p in params
-                          if p.startswith("mutate")]
+                          if p.startswith("mutate") or p == "tokens"]
     assert hooks == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__` imports only to re-export; every other module reads each
+    # name it imports
+    import ast
+
+    import floerloops
+
+    unused = []
+    for path in sorted(pathlib.Path(floerloops.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 TRACED_RUN = """

@@ -40,6 +40,7 @@ from floerloops.cylinder import (
 from floerloops.gradedalg import Chain, Generator
 from floerloops.moduli import choose_fundamental_chains, verify_boundary_consistency
 from floerloops.twisted import validate_twisted
+from gauges import gauged, gauged_functor
 
 
 def f1_image(F, x):
@@ -247,16 +248,13 @@ def test_parity_twist_outcome_recorded(one_fiber):
 
 def test_token_gauge_invariance(one_fiber):
     tokens = {("x", 0, 0, 1): -1, ("x", 0, 0, -2): -1}
-    cat = cylinder_category(one_fiber, 2, tokens=tokens)
+    cat = gauged(cylinder_category(one_fiber, 2), tokens)
     assert check_ainfty(cat, 4).ok
+    x0, x1, x2 = (chord(one_fiber, 0, 0, w).generator() for w in (0, 1, 2))
     # x_1 occurs once in mu_2(x_2, x_1) -> x_3, so its flip is visible
-    flipped = mu_d(one_fiber, (chord(one_fiber, 0, 0, 1), chord(one_fiber, 0, 0, 2)),
-                   tokens=tokens)
-    assert flipped == Chain.of(Generator(("x", 0, 0, 3), 0), -1)
+    assert cat.mu_fn((x1, x2)) == Chain.of(Generator(("x", 0, 0, 3), 0), -1)
     # x_1 occurs twice in mu_2(x_0, x_1) -> x_1, so the flips cancel
-    unit_prod = mu_d(one_fiber, (chord(one_fiber, 0, 0, 1), chord(one_fiber, 0, 0, 0)),
-                     tokens=tokens)
-    assert unit_prod == Chain.of(Generator(("x", 0, 0, 1), 0), 1)
+    assert cat.mu_fn((x1, x0)) == Chain.of(Generator(("x", 0, 0, 1), 0), 1)
 
 
 def test_mutated_mu2_detected(one_fiber):
@@ -355,18 +353,17 @@ def test_ring_isomorphism(one_fiber):
 
 
 def test_f1_token_gauge_changes_signs_coherently(one_fiber):
-    tokens = {("x", 0, 0, 1): -1}
-    F, _model, _objs = functor_F(one_fiber, 1, tokens=tokens)
+    F = gauged_functor(functor_F(one_fiber, 1)[0], {("x", 0, 0, 1): -1})
     assert f1_image(F, chord(one_fiber, 0, 0, 1))[1] == -1
     assert f1_image(F, chord(one_fiber, 0, 0, 0))[1] == 1
     assert check_functor(F, 2).ok
 
 
 def test_cw_hom_complex_d_squared(one_fiber):
-    from floerloops.gradedalg import GradedComplex, check_d_squared
-
-    basis = tuple(x.generator() for x in enumerate_chords(one_fiber, 0, 0, 3))
-    assert check_d_squared(GradedComplex(basis, {})).ok
+    # mu_1 is zero by the support {2}: d squared is certified, not enumerated
+    rep = check_ainfty(cylinder_category(one_fiber, 3), 1)
+    assert rep.ok
+    assert rep.details["per_arity"][1]["certified_zero_by_support"] == 7
 
 
 def test_raster_oracle_small(three_fibers):

@@ -1,64 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from floerloops.gradedalg import (
-    Chain,
-    Generator,
-    GradedComplex,
-    check_d_squared,
-    koszul_sign,
-    sign_pow,
-)
-
-
-def koszul_oracle(left, right):
-    """Independent oracle: bubble every right symbol past every left symbol
-    one adjacent transposition at a time, multiplying (-1)**(a*b) per swap."""
-    word = [("L", i, d) for i, d in enumerate(left)]
-    word += [("R", i, d) for i, d in enumerate(right)]
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(word) - 1):
-            if word[i][0] == "L" and word[i + 1][0] == "R":
-                sign *= sign_pow(word[i][2] * word[i + 1][2])
-                word[i], word[i + 1] = word[i + 1], word[i]
-                changed = True
-    assert [w[0] for w in word] == ["R"] * len(right) + ["L"] * len(left)
-    return sign
-
-
-@pytest.mark.parametrize(
-    "left,right,expected",
-    [
-        ([1], [1], -1),      # two odd lines commute with -1
-        ([2], [3], 1),       # even factor
-        ([1, 1], [1], 1),    # frozen from the transposition oracle
-        ([1, 2, 3], [1, 1], 1),  # two odd lines on each side
-    ],
-)
-def test_koszul_examples(left, right, expected):
-    assert koszul_sign(left, right) == expected
-    assert koszul_oracle(left, right) == koszul_sign(left, right)
-
-
-@given(
-    st.lists(st.integers(0, 4), max_size=5),
-    st.lists(st.integers(0, 4), max_size=5),
-    st.lists(st.integers(0, 4), max_size=5),
-)
-def test_koszul_multiplicative(a, b, c):
-    assert koszul_sign(a + b, c) == koszul_sign(a, c) * koszul_sign(b, c)
-    assert koszul_sign(a, b + c) == koszul_sign(a, b) * koszul_sign(a, c)
-
-
-@given(
-    st.lists(st.integers(0, 4), max_size=4),
-    st.lists(st.integers(0, 4), max_size=4),
-)
-def test_koszul_matches_oracle(a, b):
-    assert koszul_sign(a, b) == koszul_oracle(a, b)
+from floerloops.ainfty import category_from_tables, check_ainfty
+from floerloops.gradedalg import Chain, Generator
 
 
 GENS = [Generator(f"g{i}", i % 3) for i in range(4)]
@@ -82,11 +26,13 @@ def test_canonical_form_idempotent(a):
 
 
 def test_orientation_token_is_sign():
+    # a sign change of a basis element is a coefficient; a generator is
+    # only a gid and a degree
     g = Generator("x", 1)
-    assert Chain.of(g.flipped()) == -Chain.of(g)
-    assert Chain.of(g) + Chain.of(g.flipped()) == Chain.zero()
-    with pytest.raises(ValueError):
-        Generator("x", 0, 2)
+    assert Chain.of(g, -1) == -Chain.of(g)
+    assert Chain.of(g) + Chain.of(g, -1) == Chain.zero()
+    with pytest.raises(TypeError):
+        Generator("x", 0, -1)
 
 
 def test_chain_degree():
@@ -97,32 +43,35 @@ def test_chain_degree():
         mixed.degree()
 
 
-# -- graded complexes ---------------------------------------------------------
+# -- differentials: d squared is the d = 1 A-infinity relation -------------
+
+def complex_category(basis, differential):
+    """One object, the basis, and mu_1 the differential table."""
+    return category_from_tables("C", ("O",), {("O", "O"): basis}, {1: differential})
+
 
 def test_check_d_squared_zero_differential():
     basis = tuple(Generator(f"z{i}", 0) for i in range(3))
-    assert check_d_squared(GradedComplex(basis, {})).ok
+    assert check_ainfty(complex_category(basis, {}), 1).ok
 
 
 def test_check_d_squared_circle_model_homs():
-    from floerloops.pontryagin import circle_model
+    from floerloops.pontryagin import circle_model, path_model_category
 
-    model = circle_model(1)
-    cx = model.hom_complex(0, 0, window=3)
-    assert check_d_squared(cx).ok
+    rep = check_ainfty(path_model_category(circle_model(1), window=3), 1)
+    assert rep.ok and rep.details["per_arity"][1]["enumerated"] == 7
 
 
 def test_check_d_squared_corrupted_two_step():
     # Z -> Z -> Z with both maps the identity: d squared is the identity
     a, b, c = Generator("a", 0), Generator("b", 1), Generator("c", 2)
-    bad = GradedComplex((a, b, c), {a: Chain.of(b), b: Chain.of(c)})
-    rep = check_d_squared(bad)
+    bad = complex_category((a, b, c), {("a",): Chain.of(b), ("b",): Chain.of(c)})
+    rep = check_ainfty(bad, 1)
     assert not rep.ok
-    assert rep.witness["generator"] == "a"
+    assert rep.witness == {"tuple": ["a"], "d": 1, "residual": "Chain(1*c)"}
 
 
 def test_check_d_squared_flags_wrong_degree():
     a, b = Generator("a", 0), Generator("b", 2)
-    bad = GradedComplex((a, b), {a: Chain.of(b)})
-    assert not check_d_squared(bad).ok
-
+    with pytest.raises(ValueError, match="mu_1 output b has degree 2, expected 1"):
+        complex_category((a, b), {("a",): Chain.of(b)})

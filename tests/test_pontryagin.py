@@ -22,9 +22,9 @@ def test_circle_model_one_point_is_laurent_ring():
     model = circle_model(1)
     for i in range(-3, 4):
         for j in range(-3, 4):
-            prod = model.concat(Chain.of(model.gen(0, 0, i)), Chain.of(model.gen(0, 0, j)))
+            prod = model.concat_gens(model.gen(0, 0, i), model.gen(0, 0, j))
             assert prod == Chain.of(model.gen(0, 0, i + j))
-    assert model.unit_chain(0) == Chain.of(model.gen(0, 0, 0))
+    assert model.unit_gen(0) == model.gen(0, 0, 0)
 
 
 def test_circle_model_one_point_commutative():
@@ -38,8 +38,8 @@ def test_circle_model_one_point_commutative():
 def test_mu2_sign_on_degree_zero_is_plus():
     # the product sign exponent is the degree of the first factor
     model = circle_model(2)
-    s1, s2 = Chain.of(model.gen(0, 1, 0)), Chain.of(model.gen(1, 0, 1))
-    assert model.mu2(s2, s1) == model.concat(s1, s2)
+    g1, g2 = model.gen(0, 1, 0), model.gen(1, 0, 1)
+    assert model.mu2(Chain.of(g2), Chain.of(g1)) == model.concat_gens(g1, g2)
 
 
 def test_circle_model_offsets_compose_to_integer_winding():
@@ -60,12 +60,10 @@ def test_circle_model_offsets_compose_to_integer_winding():
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
 def test_circle_concat_associative(i, j, k):
     model = circle_model(3)
-    a = Chain.of(model.gen(0, 1, i))
-    b = Chain.of(model.gen(1, 2, j))
-    c = Chain.of(model.gen(2, 0, k))
-    lhs = model.concat(model.concat(a, b), c)
-    rhs = model.concat(a, model.concat(b, c))
-    assert lhs == rhs
+    a, b, c = model.gen(0, 1, i), model.gen(1, 2, j), model.gen(2, 0, k)
+    ((ab, c1),) = model.concat_gens(a, b).items()
+    ((bc, c2),) = model.concat_gens(b, c).items()
+    assert model.concat_gens(ab, c).scale(c1) == model.concat_gens(a, bc).scale(c2)
 
 
 @pytest.mark.parametrize("n", [1, 3])

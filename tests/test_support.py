@@ -47,6 +47,7 @@ from floerloops.twisted import (
     tw_mu2,
     validate_twisted,
 )
+from gauges import gauged, gauged_functor
 
 
 def exhaustive_residual(cat, gens):
@@ -103,8 +104,7 @@ def small_geometries(draw):
 def test_support_checker_matches_exhaustive_reference(g, twist, flips):
     n = g.nfibers()
     tokens = {("x", a, b, w): -1 for a, b, w in flips if a < n and b < n}
-    cat = cylinder_category(g, 1, twist=twist, tokens=tokens)
-    assert_agrees(cat, 4)
+    assert_agrees(gauged(cylinder_category(g, 1, twist=twist), tokens), 4)
 
 
 def test_mu2_sign_witness_matches_reference():
@@ -187,8 +187,8 @@ def test_functor_checker_matches_exhaustive_reference(g, twist, flips, mutation)
     # the interned tables the keyed checker reads
     n = g.nfibers()
     tokens = {("x", a, b, w): -1 for a, b, w in flips if a < n and b < n}
-    F, model, objs = functor_F(g, 1, twist=twist, tokens=tokens)
-    F = FUNCTOR_MUTATIONS[mutation](F)
+    F, model, objs = functor_F(g, 1, twist=twist)
+    F = FUNCTOR_MUTATIONS[mutation](gauged_functor(F, tokens))
     rep = check_functor(F, 3)
     witness, count = exhaustive_functor_check(F, matrix_category(model, objs, 1).mu_fn, 3)
     assert rep.witness == witness
@@ -255,13 +255,22 @@ def test_linkage_skips_only_zero_relations():
 
 
 def test_declared_support_is_authoritative():
-    a = Generator("a", 0)
-    b = Generator("b", 1)
-    hom = {("O", "O"): (a, b)}
-    tables = {1: {("a",): Chain.of(b)}, 2: {("a", "a"): Chain.zero()}}
+    # a d = 1 relation fails on the table's mu_1; declared {2}, the
+    # category passes, and check_ainfty never consults its mu_1
+    a, b, c = Generator("a", 0), Generator("b", 1), Generator("c", 2)
+    hom = {("O", "O"): (a, b, c)}
+    tables = {1: {("a",): Chain.of(b), ("b",): Chain.of(c)}, 2: {("a", "a"): Chain.zero()}}
     cat = category_from_tables("t", ("O",), hom, tables)
-    assert cat.arities == {1} and cat.mu((a,)) == Chain.of(b)
-    assert dataclasses.replace(cat, arities={2}).mu((a,)).is_zero()
+    assert cat.arities == {1} and not check_ainfty(cat, 3).ok
+    ops, arities = cat.kernel_ops(), []
+
+    def mu(keys):
+        arities.append(len(keys))
+        return ops.mu(keys)
+
+    declared = dataclasses.replace(cat, arities={2}, keyed=dataclasses.replace(ops, mu=mu))
+    assert check_ainfty(declared, 3).ok
+    assert set(arities) == {2}
 
 
 @st.composite

@@ -7,7 +7,6 @@ from floerloops.twisted import (
     ShiftedObject,
     TwistedComplex,
     check_tw_dg,
-    mc_product_stratum_parity,
     synthetic_twisted_complexes,
     tw_category,
     tw_mu1,
@@ -93,7 +92,7 @@ def test_tw_mu1_of_connection_is_mu2_DD():
 def test_tw_mu2_elementary_and_units():
     model = circle_model(1)
     one = TwistedComplex(model, [ShiftedObject(0, 0)], {}, name="one")
-    unit = {(0, 0): model.unit_chain(0)}
+    unit = {(0, 0): Chain.of(model.unit_gen(0))}
     assert tw_mu2(one, one, one, unit, unit) == unit
 
     # incompatible indices give zero
@@ -127,7 +126,7 @@ def test_identity_like_morphism_differential_term_by_term():
     T = TwistedComplex(
         model, [ShiftedObject(0, 0), ShiftedObject(0, 1)], {(0, 1): delta}, name="T",
     )
-    S = {(0, 0): model.unit_chain(0), (1, 1): model.unit_chain(0)}
+    S = {(0, 0): Chain.of(model.unit_gen(0)), (1, 1): Chain.of(model.unit_gen(0))}
     term_SD = tw_mu2(T, T, T, S, dict(T.D))
     term_DS = tw_mu2(T, T, T, dict(T.D), S)
     assert term_SD == {(0, 1): -delta}
@@ -147,15 +146,6 @@ def test_global_shift_leaves_operations_invariant():
     assert tw_mu1(T, T, S) == tw_mu1(T1, T1, S)
     assert tw_mu2(T, T, T, S, S) == tw_mu2(T1, T1, T1, S, S)
     assert validate_twisted(T1).ok
-
-
-def test_mc_product_stratum_parity_rederivation():
-    # the unresolved sign in the twisted-complex construction must total
-    # 1 + |q^i| + |q^k| for every degree pattern
-    for qi in range(4):
-        for qk in range(4):
-            for qj in range(4):
-                assert mc_product_stratum_parity(qi, qk, qj) == (1 + qi + qk) % 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -233,7 +223,7 @@ def test_adapter_agrees_with_matrix_operations():
         for g1 in all_gens:
             Ta, i1, Tb, i2, base = parse(g1)
             expected = to_chain(Ta, Tb, tw_mu1(Ta, Tb, {(i1, i2): Chain.of(base)}))
-            assert cat.mu((g1,)) == expected
+            assert cat.mu_fn((g1,)) == expected
         for g1 in all_gens:
             for g2 in all_gens:
                 Ta, i1, Tb, i2, b1 = parse(g1)
@@ -243,7 +233,7 @@ def test_adapter_agrees_with_matrix_operations():
                 S1 = {(i1, i2): Chain.of(b1)}
                 S2 = {(j1, j2): Chain.of(b2)}
                 expected = to_chain(Ta, Tc, tw_mu2(Ta, Tb, Tc, S2, S1))
-                assert cat.mu((g1, g2)) == expected
+                assert cat.mu_fn((g1, g2)) == expected
 
 
 def test_twisted_json_round_trip():
