@@ -32,18 +32,16 @@ from .cylinder import (
     CylinderGeometry,
     chord,
     chord_pairs,
-    cylinder_category,
     enumerate_chords,
     functor_F,
     half_disc_d2_families,
     mu_d,
-    pontryagin_target,
     ring_isomorphism_report,
-    twist_fn,
+    twist_sign,
     TWISTS,
 )
 from .documents import SCHEMA_VERSION, Document, DocumentError, check, generator_id, read
-from .gradedalg import Chain, Generator, sign_pow
+from .gradedalg import Chain, Generator
 from .moduli import (
     STRATIFIED_MODULI,
     ModuliConsistencyError,
@@ -202,7 +200,7 @@ def _parsed_by(parse, what: str):
 _rational, _integer = _parsed_by(Fraction, "rational"), _parsed_by(int, "integer")
 GEOMETRY_CONFIG = Document("geometry_config", {
     "c": _rational, "fibers": [_rational], "winding_bound": _integer, "max_d": _integer,
-    "twist?": str,
+    "twist?": _parsed_by(twist_sign, "twist"),
 })
 # the category's tables are checked by `category_from_json` when check-all
 # re-checks them; its recorded bounds are read here
@@ -268,7 +266,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         raise CylinderConfigError("winding_bound must be >= 1")
     if not 2 <= max_d <= 4:
         raise CylinderConfigError("max_d must lie in 2..4")
-    twist_fn(fields["twist"])
     return RunConfig(
         c=Fraction(fields["c"]), fibers=tuple(map(Fraction, fields["fibers"])),
         winding_bound=winding, max_d=max_d, twist=fields["twist"],
@@ -309,16 +306,12 @@ def _build_reports(cfg: RunConfig, imported_category=None) -> list[Report]:
     def row_input(row: str, value):
         return wrap(value) if row == mutated_row else value
 
-    model = row_input("path-model", pontryagin_target(g))
+    F, target_model, f_objs = functor_F(g, cfg.winding_bound, twist=cfg.twist)
+    model = row_input("path-model", target_model)
     reports = [_timed(validate_path_model, model, min(cfg.winding_bound, 2), "path-model")]
-
-    cat = imported_category
-    if cat is None:
-        cat = cylinder_category(g, cfg.winding_bound, twist=cfg.twist)
-    cat = row_input("ainfty", cat)
+    cat = row_input("ainfty", imported_category or F.source)
     reports.append(_timed(check_ainfty, cat, cfg.max_d, "ainfty"))
 
-    F, target_model, f_objs = functor_F(g, cfg.winding_bound, twist=cfg.twist)
     samples = list(f_objs) + synthetic_twisted_complexes(target_model, tag="syn")
     # window 1: on the circle model winding translation already covers every
     # winding in Z, so a wider window would add no coverage
@@ -374,13 +367,12 @@ def cmd_demo_s1(args: argparse.Namespace) -> int:
         print(f"{x.winding:>8} {str(x.momentum):>10} {str(x.action):>10} {x.degree:>7}")
 
     F, _model, _objs = functor_F(g, bound, twist=cfg.twist)
-    n_b = twist_fn(cfg.twist)
+    sign = twist_sign(cfg.twist)
     print("\n# linear comparison map: chord -> loop class")
     for x in sorted(chords, key=lambda x: x.winding):
         path_gid, coeff = _f1_image(F, x.generator())
         # the half-disc sign, without the background twist
-        sign = "+" if coeff * sign_pow(n_b(x.winding)) > 0 else "-"
-        print(f"  x_{x.winding} -> {sign}t^{path_gid[3]}")
+        print(f"  x_{x.winding} -> {'+' if coeff * sign > 0 else '-'}t^{path_gid[3]}")
 
     print("\n# product table: mu_2(x_j, x_i) vs loop concatenation t^i.t^j")
     windings = [x.winding for x in sorted(chords, key=lambda x: x.winding)]
@@ -389,8 +381,7 @@ def cmd_demo_s1(args: argparse.Namespace) -> int:
         floer_row = []
         loop_row = []
         for j in windings:
-            prod = mu_d(g, (chord(g, fiber, fiber, i), chord(g, fiber, fiber, j)),
-                        twist=n_b)
+            prod = mu_d(g, (chord(g, fiber, fiber, i), chord(g, fiber, fiber, j)), sign)
             ((gen, coeff),) = list(prod.items())
             floer_row.append(f"{'+' if coeff > 0 else '-'}x_{gen.gid[3]}")
             loop_row.append(f"t^{i + j}")
@@ -423,14 +414,14 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
         (a, b): tuple(x.generator() for x in enumerate_chords(g, a, b, closure))
         for a in range(n) for b in range(n)
     }
-    n_b = twist_fn(twist)
+    sign = twist_sign(twist)
     table: dict[tuple, Chain] = {}
     for x1, x2 in chord_pairs(g, min(2 * winding_bound, closure)):
         if abs(x1.winding + x2.winding) > closure:
             continue
         if min(abs(x1.winding), abs(x2.winding)) > winding_bound:
             continue
-        val = mu_d(g, (x1, x2), twist=n_b)
+        val = mu_d(g, (x1, x2), sign)
         if not val.is_zero():
             table[(x1.gid, x2.gid)] = val
     return hom_basis_map, {2: table}

@@ -37,7 +37,7 @@ keys to the (output key, polygon sign) terms.  `_mu2_entry` fills each entry
 in one integer pass that makes every check of the triangle model, with no
 polygon object or `Fraction`; `mu_polygons` returns its terms.  The
 categories, the functor, the oracles and the export built on one geometry
-read that table; each applies its own twist on top.
+read that table; a twist multiplies it by one sign (see `TWISTS`).
 The comparison functor keeps one more table, F^1 from a chord key to its one
 term on the target's keys, filled the first time the functor equation meets
 the chord.  F^2 has no table: it is zero on every pair (see `functor_F`).
@@ -59,7 +59,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from . import _kernels
 from .ainfty import AInftyCategory, AInftyFunctor, CompositionError, KeyedOps, composable_paths
@@ -345,53 +345,37 @@ def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[tuple[in
     return list(g.mu2_terms(_key(g, chords[0]), _key(g, chords[1])))
 
 
-TwistFn = Callable[[int], int]
-"""N_b of a polygon or half-disc, from the winding of its output."""
+# A background class b twists each polygon's sign by (-1)^(N_b).  On T*S^1,
+# H^2(M; Z/2) = 0, and a twist is one global sign on mu_2 and F^1.  A sign
+# read from the output winding alone could do no more: the d = 3 relation on
+# (x_w1, x_w2, x_w3) weighs its two terms by N_b(w1 + w2) and N_b(w2 + w3),
+# so it holds in every window only for a constant N_b.  A genuine cocycle
+# such as (-1)^(w1 w2) reads the input windings instead.
+TWISTS: dict[str, int] = {"none": 1, "constant": -1}
 
 
-def twist_none(_winding: int) -> int:
-    return 0
-
-
-def twist_constant(_winding: int) -> int:
-    return 1
-
-
-def twist_winding_parity(winding: int) -> int:
-    return winding % 2
-
-
-TWISTS: dict[str, TwistFn] = {
-    "none": twist_none,
-    "constant": twist_constant,
-    "parity": twist_winding_parity,
-}
-
-
-def twist_fn(name: str) -> TwistFn:
-    """The twist called `name`; any other value is a config error."""
-    fn = TWISTS.get(name) if isinstance(name, str) else None
-    if fn is None:
+def twist_sign(name: str) -> int:
+    """The sign of the twist called `name`; any other value is a config error."""
+    sign = TWISTS.get(name) if isinstance(name, str) else None
+    if sign is None:
         raise CylinderConfigError(f"unknown twist {name!r}")
-    return fn
+    return sign
 
 
-def _signed_mu2(
-    g: CylinderGeometry, k1: int, k2: int, twist: TwistFn
-) -> tuple[tuple[int, int], ...]:
+def _signed_mu2(g: CylinderGeometry, k1: int, k2: int, twist: int) -> tuple[tuple[int, int], ...]:
     """mu_2 on two chord keys as (output key, coeff) terms: the geometry's
-    table with the dagger sign and the background twist applied on top."""
+    table times the dagger sign and the twist's sign."""
     x1, x2 = g.chord_at(k1), g.chord_at(k2)
-    dagger = sign_pow(x1.degree + 2 * x2.degree)
-    out = []
-    for key, sign in g.mu2_terms(k1, k2):
-        out.append((key, dagger * sign * sign_pow(twist(g.chord_at(key).winding))))
-    return tuple(out)
+    sign = twist * sign_pow(x1.degree + 2 * x2.degree)
+    # a list, not a generator: tuple() of a generator allocates 10 slots and
+    # shrinks, which costs the oracle sweep about 90 KB of traced peak
+    return tuple([(key, sign * s) for key, s in g.mu2_terms(k1, k2)])
 
 
-def mu_d(g: CylinderGeometry, chords: tuple[Chord, ...], twist: TwistFn = twist_none) -> Chain:
+def mu_d(g: CylinderGeometry, chords: tuple[Chord, ...], twist: int = 1) -> Chain:
     """The d-input product on chords: signed rigid polygon count, with the
-    dagger sign sum_k k |x_k|, as a chain on the unrescaled output chord."""
+    dagger sign sum_k k |x_k| and the twist's sign, as a chain on the
+    unrescaled output chord."""
     if len(chords) != 2:
         mu_polygons(g, chords)  # raises below d = 2; no rigid polygon above
         return Chain.zero()
@@ -535,7 +519,7 @@ def cylinder_category(
     kept per pair as (key, coeff) terms."""
     if winding_bound < 1:
         raise CylinderConfigError("winding_bound must be >= 1")
-    n_b = twist_fn(twist)
+    sign = twist_sign(twist)
 
     n = g.nfibers()
     objects = tuple(range(n))
@@ -550,7 +534,7 @@ def cylinder_category(
             return ()
         out = terms.get(keys)
         if out is None:
-            out = terms[keys] = _signed_mu2(g, keys[0], keys[1], n_b)
+            out = terms[keys] = _signed_mu2(g, keys[0], keys[1], sign)
         return out
 
     def degree(key: int) -> int:
@@ -585,12 +569,12 @@ def structure_constants(
 ) -> dict[tuple, dict[tuple, int]]:
     """All mu_2 structure constants within the winding bound, keyed by input
     gids; used by the rescaling-invariance and twist comparisons."""
-    n_b = twist_fn(twist)
+    sign = twist_sign(twist)
     return {
         (x1.gid, x2.gid): {
             # a table entry has one term, so this is mu_d's sorted chain
             g.chord_at(key).gid: coeff
-            for key, coeff in _signed_mu2(g, _key(g, x1), _key(g, x2), n_b)
+            for key, coeff in _signed_mu2(g, _key(g, x1), _key(g, x2), sign)
         }
         for x1, x2 in chord_pairs(g, winding_bound)
     }
@@ -608,21 +592,24 @@ def functor_F(
     complexes over the circle's path category, on the two categories' keys.
 
     F^1 sends a chord to the evaluation of its unique half-disc, with the
-    sign (-1)**(|x| + (|q_0|+1)(|x| + |q_1|)).  F^2 is the evaluation of
-    the two-input half-disc family (`half_disc_d2_family`), constant because
-    the product chord's delta is the sum of the inputs': the closure
-    identity `_mu2_entry` asserts for every pair the functor equation reads.
+    sign (-1)**(|x| + (|q_0|+1)(|x| + |q_1|)) times the twist's sign.  F^2
+    is the evaluation of the two-input half-disc family
+    (`half_disc_d2_family`), constant because the product chord's delta is
+    the sum of the inputs': the closure identity `_mu2_entry` asserts for
+    every pair the functor equation reads.
     A constant family pushes forward to a degenerate cube, which vanishes in
     normalised chains, so F^2 = 0.  F^d for d > 2 lands in negative degrees
     of a degree-0 target.  So F's support is {1}, and F^1 is one table on
     chord keys, filled on first use.
     """
-    n_b = twist_fn(twist)
+    sign = twist_sign(twist)
     model = pontryagin_target(g)
     objects = list(range(g.nfibers()))
     f_objs = [build_F_object(g, L, model) for L in objects]
     source = cylinder_category(g, winding_bound, twist=twist)
-    target = tw_category(model, f_objs, window=winding_bound, name="TwP")
+    # any window: nothing enumerates the target, and `encode` interns the
+    # loop of any winding on first use
+    target = tw_category(model, f_objs, name="TwP")
     object_map = {L: f_objs[L].name for L in objects}
     encode = target.keyed.encode
     f1: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -632,7 +619,7 @@ def functor_F(
         disc = half_disc_d1(g, x)
         deg_q0 = deg_q1 = 0
         coeff = sign_pow(x.degree + (deg_q0 + 1) * (x.degree + deg_q1))
-        coeff *= sign_pow(n_b(disc.winding))
+        coeff *= sign
         path_gid = ("p", x.source, x.target, disc.winding)
         out = Generator(("m", object_map[x.source], 0, object_map[x.target], 0, path_gid), 0)
         return ((encode(out), coeff),)

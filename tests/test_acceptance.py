@@ -18,8 +18,6 @@ from floerloops.cylinder import (
     raster_cross_check,
     ring_isomorphism_report,
     structure_constants,
-    twist_constant,
-    twist_none,
 )
 from floerloops.moduli import (
     ModuliConsistencyError,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from floerloops.cylinder import TWISTS
 from path_models import path_model_to_json
 
 CLI = [sys.executable, "-m", "floerloops.cli"]
@@ -112,6 +113,7 @@ def test_empty_fibers_exits_2(tmp_path):
         ({"schema_version": 99}, None, "unsupported schema_version 99"),
         ({"fibers": ["0", 0.1]}, None, "bad rational 0.1"),
         ({"c": 0.1}, None, "bad rational 0.1"),
+        ({"twist": "parity"}, None, "geometry_config.twist: bad twist 'parity'"),
     ],
 )
 def test_malformed_geometry_config_exits_2(tmp_path, capsys, overrides, drop, message):
@@ -187,6 +189,10 @@ def _list_moduli(doc):
     doc["moduli"] = [[1]]
 
 
+def _parity_twist(doc):
+    doc["config"]["twist"] = "parity"
+
+
 def _relabel_degrees(doc, degree_of):
     """Give each chord gid the degree `degree_of(gid)` in the basis and in
     every mu output that names it."""
@@ -225,6 +231,7 @@ def _chord_degree_is_its_winding(doc):
          "export_bundle.twisted_complexes[0]: not a twisted_complex document"),
         (_list_functor_f1, "export_bundle.functor_f1[0]: not an object"),
         (_list_moduli, "export_bundle.moduli[0]: not a stratified_moduli document"),
+        (_parity_twist, "export_bundle.config.twist: bad twist 'parity'"),
         (_newline_in_mu_input, "export_bundle.category: gid a\\nb not in any hom basis"),
         (_unit_chord_of_degree_2,
          "export_bundle.category: mu_2 output ('x', 0, 0, -1) has degree 0, expected 2"),
@@ -339,6 +346,21 @@ def test_demo_constant_twist_same_verdict():
     proc = run_cli("demo-s1", "--winding", "1", "--twist", "constant")
     assert proc.returncode == 0
     assert "ring isomorphism: yes" in proc.stdout
+
+
+@pytest.mark.parametrize("twist", sorted(TWISTS))
+def test_every_twist_passes_check_all(capsys, twist):
+    assert run_main(capsys, "check-all", "--winding", "1", "--twist", twist)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["check-all", "demo-s1"])
+def test_parity_twist_is_not_a_choice(capsys, command):
+    from floerloops.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--twist", "parity"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'parity'" in capsys.readouterr().err
 
 
 def test_export_import_round_trip(tmp_path):

@@ -32,15 +32,12 @@ from floerloops.cylinder import (
     raster_cross_check,
     ring_isomorphism_report,
     structure_constants,
-    twist_constant,
-    twist_fn,
-    twist_none,
-    twist_winding_parity,
+    twist_sign,
 )
 from floerloops.gradedalg import Chain, Generator
 from floerloops.moduli import choose_fundamental_chains, verify_boundary_consistency
 from floerloops.twisted import validate_twisted
-from gauges import gauged, gauged_functor
+from gauges import gauged, gauged_functor, winding_parity, winding_parity_functor
 
 
 def f1_image(F, x):
@@ -226,10 +223,8 @@ def test_rescaling_invariance(three_fibers):
 
 def test_background_twists(one_fiber):
     x1, x2 = chord(one_fiber, 0, 0, 1), chord(one_fiber, 0, 0, 2)
-    plain = mu_d(one_fiber, (x1, x2), twist=twist_none)
-    assert mu_d(one_fiber, (x1, x2), twist=twist_constant) == -plain
-    parity = mu_d(one_fiber, (x1, x2), twist=twist_winding_parity)
-    assert parity == -plain  # total winding 3 is odd
+    plain = mu_d(one_fiber, (x1, x2), twist=twist_sign("none"))
+    assert mu_d(one_fiber, (x1, x2), twist=twist_sign("constant")) == -plain
 
 
 def test_constant_twist_preserves_ainfty(one_fiber):
@@ -238,12 +233,28 @@ def test_constant_twist_preserves_ainfty(one_fiber):
 
 
 def test_parity_twist_outcome_recorded(one_fiber):
-    # the winding-parity hook is not an intersection number with a cycle;
-    # the checker reports the computed failure with a valid witness
-    cat = cylinder_category(one_fiber, 1, twist="parity")
-    rep = check_ainfty(cat, 4)
+    # a sign read from the output winding is not an intersection number with
+    # a cycle; the checkers report the computed failure with a valid witness
+    rep = check_ainfty(winding_parity(cylinder_category(one_fiber, 1)), 4)
     assert not rep.ok
-    assert rep.witness["d"] == 3
+    assert rep.witness == {
+        "tuple": [("x", 0, 0, -1), ("x", 0, 0, -1), ("x", 0, 0, 0)],
+        "d": 3,
+        "residual": "Chain(2*('x', 0, 0, -2))",
+    }
+    rep = check_ainfty(winding_parity(cylinder_category(one_fiber, 3)), 4)
+    assert rep.witness == {
+        "tuple": [("x", 0, 0, -3), ("x", 0, 0, -3), ("x", 0, 0, -2)],
+        "d": 3,
+        "residual": "Chain(2*('x', 0, 0, -8))",
+    }
+    F, _model, _objs = functor_F(one_fiber, 3)
+    rep = check_functor(winding_parity_functor(F), 4)
+    assert rep.witness == {
+        "tuple": [("x", 0, 0, -3), ("x", 0, 0, -2)],
+        "d": 2,
+        "residual": "Chain(2*('m', 'F0', 0, 'F0', 0, ('p', 0, 0, -5)))",
+    }
 
 
 def test_token_gauge_invariance(one_fiber):
@@ -436,11 +447,12 @@ def test_category_config_validation(one_fiber):
 
 
 @pytest.mark.parametrize("lookup", [
-    lambda g: twist_fn("bogus"),
-    lambda g: twist_fn(["none"]),
+    lambda g: twist_sign("bogus"),
+    lambda g: twist_sign(["none"]),
     lambda g: structure_constants(g, 1, twist="bogus"),
     lambda g: functor_F(g, 1, twist="bogus"),
     lambda g: cylinder_category(g, 1, twist="bogus"),
+    lambda g: twist_sign("parity"),
 ])
 def test_unknown_twist_is_a_config_error(one_fiber, lookup):
     with pytest.raises(CylinderConfigError, match="unknown twist"):

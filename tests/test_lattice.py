@@ -135,10 +135,10 @@ def test_structure_constants_read_the_table_as_mu_d_would(c, fibers, bound):
     """The table-read structure constants against a reference built from
     mu_d Chains, key order of the outer and inner dicts included."""
     g = CylinderGeometry(c, tuple(fibers))
-    for twist, twist_fn in TWISTS.items():
+    for twist, sign in TWISTS.items():
         reference = {
             (x1.gid, x2.gid): {
-                gen.gid: coeff for gen, coeff in mu_d(g, (x1, x2), twist=twist_fn).sorted_items()
+                gen.gid: coeff for gen, coeff in mu_d(g, (x1, x2), twist=sign).sorted_items()
             }
             for x1, x2 in chord_pairs(g, bound)
         }

@@ -47,7 +47,7 @@ from floerloops.twisted import (
     tw_mu2,
     validate_twisted,
 )
-from gauges import gauged, gauged_functor
+from gauges import gauged, gauged_functor, winding_parity, winding_parity_functor
 
 
 def exhaustive_residual(cat, gens):
@@ -99,12 +99,17 @@ def small_geometries(draw):
 @given(
     g=small_geometries(),
     twist=st.sampled_from(sorted(TWISTS)),
+    parity=st.booleans(),
     flips=st.sets(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-4, 4))),
 )
-def test_support_checker_matches_exhaustive_reference(g, twist, flips):
+def test_support_checker_matches_exhaustive_reference(g, twist, parity, flips):
     n = g.nfibers()
     tokens = {("x", a, b, w): -1 for a, b, w in flips if a < n and b < n}
-    assert_agrees(gauged(cylinder_category(g, 1, twist=twist), tokens), 4)
+    cat = cylinder_category(g, 1, twist=twist)
+    if parity:
+        cat = winding_parity(cat)
+    rep = assert_agrees(gauged(cat, tokens), 4)
+    assert rep.ok == (not parity)
 
 
 def test_mu2_sign_witness_matches_reference():
@@ -175,24 +180,29 @@ FUNCTOR_MUTATIONS = {
 @given(
     g=small_geometries(),
     twist=st.sampled_from(sorted(TWISTS)),
+    parity=st.booleans(),
     flips=st.sets(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-4, 4))),
     mutation=st.sampled_from(sorted(FUNCTOR_MUTATIONS)),
 )
-@example(g=CylinderGeometry(Fraction(1), (Fraction(0),)), twist="none", flips=set(),
-         mutation="f1-zero")
+@example(g=CylinderGeometry(Fraction(1), (Fraction(0),)), twist="none", parity=False,
+         flips=set(), mutation="f1-zero")
 @example(g=CylinderGeometry(Fraction(1, 2), (Fraction(0), Fraction(1, 3))), twist="constant",
-         flips={(0, 1, 1)}, mutation="f1-flip")
-def test_functor_checker_matches_exhaustive_reference(g, twist, flips, mutation):
+         parity=False, flips={(0, 1, 1)}, mutation="f1-flip")
+@example(g=CylinderGeometry(Fraction(1), (Fraction(0),)), twist="none", parity=True,
+         flips=set(), mutation="none")
+def test_functor_checker_matches_exhaustive_reference(g, twist, parity, flips, mutation):
     # the target's mu in the reference is the matrix one, independent of
     # the interned tables the keyed checker reads
     n = g.nfibers()
     tokens = {("x", a, b, w): -1 for a, b, w in flips if a < n and b < n}
     F, model, objs = functor_F(g, 1, twist=twist)
+    if parity:
+        F = winding_parity_functor(F)
     F = FUNCTOR_MUTATIONS[mutation](gauged_functor(F, tokens))
     rep = check_functor(F, 3)
     witness, count = exhaustive_functor_check(F, matrix_category(model, objs, 1).mu_fn, 3)
     assert rep.witness == witness
-    assert rep.ok == (twist != "parity" and mutation == "none")
+    assert rep.ok == (not parity and mutation == "none")
     if rep.ok:
         assert rep.details["tuples_checked"] == count
 
