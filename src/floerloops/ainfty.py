@@ -26,6 +26,26 @@ to be zero, e.g. by summand, are reported as "certified zero by linkage",
 and those it leaves out because a visited translate decides them (see
 `KeyedOps.orbit`) as "certified by translation".
 
+Verified translation.  Keyed ops may declare a winding on their keys
+(`KeyedOps.translation`: the cylinder's chords, the circle's path classes).
+For such a category with support in {1, 2}, `check_ainfty` checks the
+premise mu(t^k1 x1, ..., t^kd xd) = t^(k1+...+kd) mu(x1, ..., xd) before
+using it.  Through the category's own keyed mu it computes every entry the
+full enumeration reads, as the splits of the arities up to max_d ask: mu on
+the window's keys and composable pairs, and on each of their outputs alone
+or beside a window key.  Each must equal the winding translate of its
+normalised entry, mu on the winding-0 translates of its inputs.  The
+window's keys must fall into orbits of one size m, each holding its
+winding-0 key at the same degree, and each output's winding-0 translate
+must lie in its hom's window.  Then the relation on a window tuple is the
+translate of the relation on its winding-0 tuple, so one tuple per object
+path and orbit is visited, with `orbit` m: on the acceptance geometry 81 of
+27,783 d = 3 tuples, after 3,591 mu_2 entries, and the work grows as W^2,
+not W^3.  An entry out of class (a `--mutate` flip, a sign read from the
+output winding, a gauge not of the form t_ab chi(w)) or a failing
+representative falls back to the full enumeration, so the verdict and the
+witness are always the full path's.
+
 Keys.  Every category is given on interned keys (`KeyedOps`): a keyed mu (a
 key tuple to its (key, coeff) terms), a degree lookup, the grouped
 enumeration of the tuples to visit, and `decode` and `encode` between keys
@@ -48,7 +68,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .documents import SCHEMA_VERSION, Document, DocumentError, check, generator_id
@@ -78,6 +98,11 @@ class KeyedOps:
     representative per translation orbit of those tuples, and a visited
     length-d tuple then decides orbit**d tuples.  It is 1 when every
     yielded tuple stands for itself.
+
+    `translation`, when given, declares a winding on the keys:
+    `translation(key)` is (k, key0) with key = t^k key0 and key0 the
+    winding-0 translate.  The declaration is a premise for `check_ainfty`
+    to verify on the entries it reads, not a fact it assumes.
     """
 
     mu: Callable[[tuple], Iterable[tuple[Hashable, int]]]
@@ -86,6 +111,7 @@ class KeyedOps:
     decode: Callable[[Hashable], Generator]
     encode: Callable[[Generator], Hashable]
     orbit: int = 1
+    translation: Callable[[Hashable], tuple[int, Hashable]] | None = None
 
 
 @dataclass
@@ -337,6 +363,89 @@ def ainfty_residual(cat: AInftyCategory, gens: tuple[Generator, ...]) -> Chain:
     return Chain({ops.decode(k): c for k, c in found[1].items()} if found else None)
 
 
+def _in_winding_class(terms, translation, shift: int) -> dict:
+    """Terms on keys as terms on (winding-0 key, winding - shift)."""
+    out: dict = {}
+    for key, coeff in terms:
+        k, key0 = translation(key)
+        cls = key0, k - shift
+        out[cls] = out.get(cls, 0) + coeff
+    return {cls: c for cls, c in out.items() if c} if 0 in out.values() else out
+
+
+def _verified_translation(cat: AInftyCategory, ops: KeyedOps, max_d: int):
+    """(ops visiting one representative per translation orbit, the number of
+    entries verified), or None when the premise fails; see `check_ainfty`."""
+    translation, mu = ops.translation, ops.mu
+    if translation is None or cat.arities is None or not cat.arities <= {1, 2}:
+        return None
+    hom = {pair: tuple(map(ops.encode, basis)) for pair, basis in cat.hom_basis_map.items()}
+    reps, sizes = {}, set()
+    for pair, keys in hom.items():
+        orbits: dict = {}
+        for key in keys:
+            key0 = translation(key)[1]
+            if ops.degree(key0) != ops.degree(key):
+                return None
+            orbits[key0] = orbits.get(key0, 0) + 1
+        if not set(orbits) <= set(keys):
+            return None
+        reps[pair] = tuple(orbits)
+        sizes.update(orbits.values())
+    if len(sizes) > 1:
+        return None
+
+    read: dict[tuple, tuple] = {}  # each entry read, to its terms
+    classes: dict[tuple, dict] = {}  # each normalised entry, to its class
+
+    def in_class(entry: tuple) -> bool:
+        """Whether mu of `entry` is the translate of its normalised entry."""
+        terms = read[entry] = tuple(mu(entry))
+        shift, normal = 0, ()
+        for key in entry:
+            k, key0 = translation(key)
+            shift += k
+            normal += (key0,)
+        want = classes.get(normal)
+        if want is None:
+            want = classes[normal] = _in_winding_class(mu(normal), translation, 0)
+        return _in_winding_class(terms, translation, shift) == want
+
+    # the inner entries on the window, with their outputs per hom pair
+    used = {(d2, d - d2 + 1) for d in range(1, max_d + 1)
+            for d2, _k in admissible_splits(d, cat.arities, cat.arities)}
+    inner = {d2 for d2, _d1 in used}
+    outputs: dict[tuple[int, tuple], dict] = {}  # (inner arity, hom pair) -> keys
+    for (a, b), keys in hom.items():
+        entries = [((x,), (a, b)) for x in keys] if 1 in inner else []
+        if 2 in inner:
+            entries += [((x1, x2), (a, c)) for c in cat.objects
+                        for x2 in hom.get((b, c), ()) for x1 in keys]
+        for entry, pair in entries:
+            if not in_class(entry):
+                return None
+            outputs.setdefault((len(entry), pair), {}).update(
+                dict.fromkeys(y for y, _c in read[entry]))
+    # the outer entries: each output alone or beside a window key
+    for (d2, (a, b)), ys in outputs.items():
+        if not {translation(y)[1] for y in ys} <= set(reps.get((a, b), ())):
+            return None
+        for d1 in {d1 for i, d1 in used if i == d2}:
+            if d1 == 1:
+                entries = [(y,) for y in ys]
+            else:
+                entries = [(y, x) for c in cat.objects for x in hom.get((b, c), ()) for y in ys]
+                entries += [(x, y) for c in cat.objects for x in hom.get((c, a), ()) for y in ys]
+            for entry in entries:
+                if entry not in read and not in_class(entry):
+                    return None
+
+    def linked_groups(d: int):
+        return composable_paths(cat.objects, reps, d)
+
+    return replace(ops, linked_groups=linked_groups, orbit=max(sizes, default=1)), len(read)
+
+
 def check_ainfty(
     cat: AInftyCategory, max_d: int, name: str | None = None
 ) -> CheckReport:
@@ -352,9 +461,25 @@ def check_ainfty(
     (`KeyedOps.orbit`): the translates not visited are given as
     `certified_by_translation`, and the tuples in no visited orbit as
     `certified_zero_by_linkage`.
+
+    A category whose keyed ops declare a `translation` is first offered
+    the verified-translation certificate (see the module docstring);
+    `verified_entries` counts the entries it checked, 0 when the full
+    enumeration ran.
     """
     name = name or f"ainfty({cat.name})"
     ops = cat.kernel_ops()
+    certified = _verified_translation(cat, ops, max_d)
+    if certified is not None:
+        rep = _check_keyed(cat, *certified, max_d, name)
+        if rep.ok:
+            return rep
+    return _check_keyed(cat, ops, 0, max_d, name)
+
+
+def _check_keyed(cat: AInftyCategory, ops: KeyedOps, verified: int, max_d: int,
+                 name: str) -> CheckReport:
+    """`check_ainfty` on the groups of `ops`, `verified` entries behind them."""
     mu, degree = ops.mu, ops.degree
     checked = 0
     per_arity: dict[int, dict[str, int]] = {}
@@ -386,7 +511,8 @@ def check_ainfty(
         per_arity[d] = {"enumerated": composable, "certified_zero_by_support": 0,
                         "certified_zero_by_linkage": composable - covered,
                         "certified_by_translation": covered - visited}
-    return passed(name, tuples_checked=checked, max_d=max_d, per_arity=per_arity)
+    return passed(name, tuples_checked=checked, max_d=max_d, per_arity=per_arity,
+                  verified_entries=verified)
 
 
 @dataclass

@@ -516,7 +516,10 @@ def cylinder_category(
 
     The checker runs on chord keys (`keyed`): mu_2 of a key pair is the
     geometry's shared table with this category's twist applied,
-    kept per pair as (key, coeff) terms."""
+    kept per pair as (key, coeff) terms.  Translating a chord by winding k
+    adds k n^2 to its key; the keys declare that `translation`, and
+    `check_ainfty` verifies that mu_2 commutes with it on every entry the
+    d = 3 relation reads before it visits one tuple per fibre path."""
     if winding_bound < 1:
         raise CylinderConfigError("winding_bound must be >= 1")
     sign = twist_sign(twist)
@@ -555,11 +558,14 @@ def cylinder_category(
         _tag, a, b, w = gen.gid
         return g.key(a, b, w)
 
+    def translation(key: int) -> tuple[int, int]:
+        return divmod(key, n * n)  # (winding, the winding-0 chord's key)
+
     return AInftyCategory(
         f"CW(c={g.c},fibres={len(g.fibers)},w<={winding_bound})",
         objects,
         {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()},
-        KeyedOps(mu, degree, linked_groups, decode, encode),
+        KeyedOps(mu, degree, linked_groups, decode, encode, translation=translation),
         arities={2},
     )
 

@@ -524,6 +524,14 @@ def _composition_listed_twice(doc):
     doc["composition"].append({"first": "a", "second": "b", "result": {"ab": 7}})
 
 
+def _product_off_degree(doc):
+    doc["composition"].append({"first": "a", "second": "a", "result": {"c": 1}})
+
+
+def _differential_off_degree(doc):
+    doc["differential"]["ab"] = {"c": 1}
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -533,6 +541,8 @@ def _composition_listed_twice(doc):
         (_no_points_no_units, "path model has no points"),
         (_generator_listed_twice, "generator 'a' is listed twice"),
         (_composition_listed_twice, "composition 'a'.'b' is listed twice"),
+        (_product_off_degree, "composition 'a'.'a' result 'c' has degree 1, expected 2"),
+        (_differential_off_degree, "differential of 'ab' result 'c' has degree 1, expected 3"),
     ],
 )
 def test_import_model_open_tables_exit_2(tmp_path, capsys, corrupt, message):

@@ -153,3 +153,19 @@ def test_finite_model_requires_units():
 def test_finite_model_rows_name_known_generators(composition, differential, unknown):
     with pytest.raises(ValueError, match=f"unknown generator '{unknown}'"):
         FinitePathModel(("P",), {"u": (0, 0, 0)}, {0: "u"}, composition, differential)
+
+
+@pytest.mark.parametrize(
+    "composition,differential,message",
+    [
+        # the unit u and y of degree 2 with y.y = y: y.y has degree 4
+        ({("u", "u"): {"u": 1}, ("u", "y"): {"y": 1}, ("y", "u"): {"y": 1},
+          ("y", "y"): {"y": 1}}, {}, "composition 'y'.'y' result 'y' has degree 2, expected 4"),
+        ({("u", "u"): {"u": 1}}, {"u": {"y": 1}},
+         "differential of 'u' result 'y' has degree 2, expected 1"),
+    ],
+)
+def test_finite_model_rows_keep_the_grading(composition, differential, message):
+    with pytest.raises(ValueError, match=message):
+        FinitePathModel(("P",), {"u": (0, 0, 0), "y": (0, 0, 2)}, {0: "u"},
+                        composition, differential)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from floerloops.ainfty import (
+    _verified_translation,
     ainfty_residual,
     category_from_tables,
     check_ainfty,
@@ -539,8 +540,84 @@ def test_grouped_kernel_work_on_acceptance_objects(three_fibers):
     assert [T.name for T in distinct] == [T.name for T in cxs if "single" not in T.name]
     calls, visited = counted_visits(tw_category(model, distinct, window=1), 2)
     assert visited == visited_tuples(rep.details) == 17986 and calls == 99176
+    # verified translation: the 3,591 mu_2 entries the d=3 relation reads,
+    # the 27 winding-0 pairs, and one tuple per object path (3**4 = 81 of
+    # 27,783); the full enumeration made 87,318 calls
     calls, visited = counted_visits(cylinder_category(three_fibers, 3), 4)
-    assert visited == 27783 and calls <= 3.2 * visited
+    assert visited == 81 and calls == 3942
+    calls, visited = counted_visits(without_translation(cylinder_category(three_fibers, 3)), 4)
+    assert visited == 27783 and calls == 87318
+
+
+@pytest.mark.parametrize("winding, entries", [(10, 1281), (20, 4961), (40, 19521)])
+def test_verified_translation_work_grows_as_winding_squared(winding, entries):
+    # the default config: the d=3 relation reads mu_2 on (2W+1)(6W+1)
+    # pairs, one output in [-2W, 2W] beside one window key, and visits one
+    # tuple (one object path); keyed mu calls are the entries, the one
+    # winding-0 pair and the representative's 4
+    assert entries == (2 * winding + 1) * (6 * winding + 1)
+    cat = cylinder_category(CylinderGeometry(Fraction(1), (Fraction(0),)), winding)
+    calls, visited = counted_visits(cat, 4)
+    assert visited == 1 and calls == entries + 5
+    rep = check_ainfty(cat, 4)
+    assert rep.details["verified_entries"] == entries
+    assert rep.details["per_arity"][3]["certified_by_translation"] == (2 * winding + 1) ** 3 - 1
+
+
+def without_translation(cat):
+    """`cat` with no declared winding translation: `check_ainfty` takes the
+    full enumeration."""
+    return dataclasses.replace(cat, keyed=dataclasses.replace(cat.keyed, translation=None))
+
+
+def character_gauge(n, winding, pair_signs, s):
+    """The tokens t_ab * s**w on every chord that the checks at `winding`
+    read, inputs and outputs (|w| <= 3 winding); a gauge of this form keeps
+    every mu_2 entry in its translation class."""
+    return {("x", a, b, w): pair_signs[a * n + b] * s ** abs(w)
+            for a in range(n) for b in range(n) for w in range(-3 * winding, 3 * winding + 1)}
+
+
+@st.composite
+def translated_inputs(draw):
+    """A cylinder category on a random rational geometry, wrapped by one of
+    four kinds of input, with the kind."""
+    c = draw(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=5))
+    fibers = draw(st.lists(RATIONALS, min_size=1, max_size=3, unique=True))
+    g, winding = CylinderGeometry(c, tuple(fibers)), draw(st.integers(1, 3))
+    n = g.nfibers()
+    cat = cylinder_category(g, winding, twist=draw(st.sampled_from(sorted(TWISTS))))
+    kind = draw(st.sampled_from(["gauge", "tokens", "parity", "flip"]))
+    if kind == "gauge":
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n * n, max_size=n * n))
+        cat = gauged(cat, character_gauge(n, winding, signs, draw(st.sampled_from((1, -1)))))
+    elif kind == "tokens":
+        flips = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                       st.integers(-3 * winding, 3 * winding))))
+        cat = gauged(cat, {("x", a, b, w): -1 for a, b, w in flips})
+    elif kind == "parity":
+        cat = winding_parity(cat)
+    else:
+        cat = MUTATIONS["mu2-sign"][1](cat)
+    return kind, cat
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=translated_inputs())
+@example(case=("flip", MUTATIONS["mu2-sign"][1](
+    cylinder_category(CylinderGeometry(Fraction(1), (Fraction(0),)), 1))))
+def test_certified_path_agrees_with_full_path(case):
+    kind, cat = case
+    certified, full = check_ainfty(cat, 4), check_ainfty(without_translation(cat), 4)
+    assert (certified.ok, certified.witness) == (full.ok, full.witness)
+    if full.ok:
+        assert certified.details["tuples_checked"] == full.details["tuples_checked"]
+    assert full.ok == (kind in ("gauge", "tokens"))
+    if kind == "gauge":
+        assert certified.details["per_arity"][3]["certified_by_translation"] > 0
+    if kind in ("parity", "flip"):
+        # an entry the relation reads is out of its class
+        assert _verified_translation(cat, cat.keyed, 4) is None
 
 
 def assert_paths_agree(model, cxs, window):
@@ -634,3 +711,14 @@ def test_path_model_witness_matches_exhaustive_reference(case):
     else:
         assert (rep.witness["tuple"], rep.witness["d"]) == (witness["tuple"], witness["d"])
         assert rep.witness["residual"] == witness["residual"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=flipped_path_models())
+def test_certified_path_agrees_with_full_path_on_path_models(case):
+    model, window = case
+    cat = path_model_category(model, window)
+    certified, full = check_ainfty(cat, 3), check_ainfty(without_translation(cat), 3)
+    assert (certified.ok, certified.witness) == (full.ok, full.witness)
+    if full.ok:
+        assert certified.details["tuples_checked"] == full.details["tuples_checked"]
