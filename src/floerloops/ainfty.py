@@ -23,8 +23,10 @@ from the hom-basis sizes and reports them per arity as "certified zero by
 support" (the cylinder, with support {2}, enumerates only d = 3).  The
 composable tuples an enumeration leaves out because their relation is known
 to be zero, e.g. by summand, are reported as "certified zero by linkage",
-and those it leaves out because a visited translate decides them (see
-`KeyedOps.orbit`) as "certified by translation".
+those it leaves out because a visited translate decides them (see
+`KeyedOps.orbit`) as "certified by translation", and those it leaves out
+because a visited tuple decides them up to a relabelling of their inputs
+(see `KeyedOps.linked`) as "certified by relabelling".
 
 Verified translation.  Keyed ops may declare a winding on their keys
 (`KeyedOps.translation`: the cylinder's chords, the circle's path classes).
@@ -99,6 +101,13 @@ class KeyedOps:
     length-d tuple then decides orbit**d tuples.  It is 1 when every
     yielded tuple stands for itself.
 
+    `linked`, when given, maps an arity d to the number of composable
+    length-d tuples not certified zero by linkage: the tuples the groups
+    stand for when some visited tuple also decides tuples that are not its
+    translates (the twisted complexes' summand classes).  At an arity it
+    leaves out, the groups stand for their visited tuples' orbits,
+    visited * orbit**d.
+
     `translation`, when given, declares a winding on the keys:
     `translation(key)` is (k, key0) with key = t^k key0 and key0 the
     winding-0 translate.  The declaration is a premise for `check_ainfty`
@@ -112,6 +121,7 @@ class KeyedOps:
     encode: Callable[[Generator], Hashable]
     orbit: int = 1
     translation: Callable[[Hashable], tuple[int, Hashable]] | None = None
+    linked: Mapping[int, int] | None = None
 
 
 @dataclass
@@ -459,8 +469,10 @@ def check_ainfty(
     `certified_zero_by_support`.  Of the enumerated tuples, each visited
     one decides its whole translation orbit, `orbit**d` tuples
     (`KeyedOps.orbit`): the translates not visited are given as
-    `certified_by_translation`, and the tuples in no visited orbit as
-    `certified_zero_by_linkage`.
+    `certified_by_translation`, the linked tuples (`KeyedOps.linked`) in no
+    visited orbit as `certified_by_relabelling`, and the rest as
+    `certified_zero_by_linkage`.  So `enumerated` is the sum of the three
+    and the visited tuples.
 
     A category whose keyed ops declare a `translation` is first offered
     the verified-translation certificate (see the module docstring);
@@ -489,7 +501,8 @@ def _check_keyed(cat: AInftyCategory, ops: KeyedOps, verified: int, max_d: int,
         splits = admissible_splits(d, cat.arities, cat.arities)
         if not splits:
             per_arity[d] = {"enumerated": 0, "certified_zero_by_support": composable,
-                            "certified_zero_by_linkage": 0, "certified_by_translation": 0}
+                            "certified_zero_by_linkage": 0, "certified_by_translation": 0,
+                            "certified_by_relabelling": 0}
             continue
         visited = 0
         for prefix, lasts in ops.linked_groups(d):
@@ -508,9 +521,11 @@ def _check_keyed(cat: AInftyCategory, ops: KeyedOps, verified: int, max_d: int,
                 },
             )
         covered = visited * ops.orbit ** d
+        linked = ops.linked.get(d, covered) if ops.linked else covered
         per_arity[d] = {"enumerated": composable, "certified_zero_by_support": 0,
-                        "certified_zero_by_linkage": composable - covered,
-                        "certified_by_translation": covered - visited}
+                        "certified_zero_by_linkage": composable - linked,
+                        "certified_by_translation": covered - visited,
+                        "certified_by_relabelling": linked - covered}
     return passed(name, tuples_checked=checked, max_d=max_d, per_arity=per_arity,
                   verified_entries=verified)
 

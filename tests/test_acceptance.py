@@ -89,7 +89,7 @@ def test_criterion_3_twisted_dg_axioms():
     ok &= total_synthetic >= 20
     elapsed = time.perf_counter() - t0
     report(f"criterion 3: twisted-complex DG axioms (F(L) + {total_synthetic} "
-           "synthetic complexes)", ok, elapsed, 0.75)
+           "synthetic complexes)", ok, elapsed, 0.4)
 
 
 def test_criterion_4_sign_lemma_consistency():

@@ -20,6 +20,7 @@ from floerloops.ainfty import (
     category_from_tables,
     check_ainfty,
     check_functor,
+    composable_paths,
 )
 from floerloops.cli import MUTATIONS
 from floerloops.cylinder import (
@@ -39,6 +40,7 @@ from floerloops.pontryagin import (
     validate_path_model,
 )
 from floerloops.twisted import (
+    ShiftedObject,
     TwistedComplex,
     check_tw_dg,
     matrix_entry_degree,
@@ -243,16 +245,45 @@ def test_functor_counts_arities_without_terms(one_fiber):
 
 def full_path(model):
     """The circle model behind a wrapper that flips nothing: the same
-    operations, but `tw_category` takes the full linked enumeration instead
-    of one winding representative per translation orbit."""
+    operations, but `tw_category` visits every winding instead of one
+    representative per translation orbit (it still visits one
+    representative per summand class)."""
     return MutatedPathModel(model, (None, None))
 
 
+def summand_linked(by_name, gens):
+    """Whether a decoded pair of `tw_category` generators is linked by
+    summand: i2 == j1 or (i2, j1) in the middle complex's connection."""
+    _, _, _, middle, i2, _ = gens[0].gid
+    j1 = gens[1].gid[2]
+    return i2 == j1 or (i2, j1) in by_name[middle].D
+
+
+def unreduced(cat, cxs):
+    """`cat`, a `tw_category` on `cxs`, visiting every linked tuple: the
+    enumeration with neither summand classes nor winding translation, built
+    here from the decoded gids."""
+    ops = cat.keyed
+    by_name = {T.name: T for T in cxs}
+    hom = {pair: tuple(map(ops.encode, basis)) for pair, basis in cat.hom_basis_map.items()}
+
+    def linked_groups(d):
+        for prefix, lasts in composable_paths(cat.objects, hom, d):
+            if d == 2:
+                first = ops.decode(prefix[0])
+                lasts = [k for k in lasts if summand_linked(by_name, (first, ops.decode(k)))]
+            yield prefix, lasts
+
+    return dataclasses.replace(
+        cat, keyed=dataclasses.replace(ops, linked_groups=linked_groups, orbit=1))
+
+
 def test_linkage_skips_only_zero_relations():
-    # on the full path; winding translation skips a superset, whose
-    # linkage count `assert_paths_agree` compares with this one
+    # on the unreduced enumeration; translation and summand classes skip
+    # a superset, with the same linkage count (`assert_linked_enumeration`)
     cm = circle_model(2)
-    cat = tw_category(full_path(cm), synthetic_twisted_complexes(cm, "link"), window=1)
+    cxs = synthetic_twisted_complexes(cm, "link")
+    cat = unreduced(tw_category(cm, cxs, window=1), cxs)
     visited = set(flattened_groups(cat, 2))
     skipped = 0
     for gens in cat.composable_tuples(2):
@@ -312,34 +343,62 @@ def test_kernel_matches_exhaustive_residual_on_random_tables(cat):
     assert_agrees(cat, 4)
 
 
-def assert_linked_enumeration(model, cxs, window):
-    """On the full path the keyed d=2 enumeration is the linked part of the
-    composable product, decoded, in the same order; linked means i2 == j1
-    or (i2, j1) in the middle complex's connection.  On the circle model
-    itself it is the same restricted to the pairs whose windings are both
-    -window, and each visited pair certifies its (2 window + 1)**2
-    translates."""
-    by_name = {T.name: T for T in cxs}
+def summand_representatives(cxs):
+    """The firsts of the summand classes, read off the complexes in summand
+    order: the (name, i) first met with their in-class and with their
+    out-class, and the linked (name, i2, j1) first met with their middle
+    class (see `tw_category`)."""
+    ins, middles, outs = {}, {}, {}
+    for T in cxs:
+        def at(i):
+            return T.point_of(i), T.shift_of(i)
 
-    def summand_linked(gens):
-        _, _, _, middle, i2, _ = gens[0].gid
-        j1 = gens[1].gid[2]
-        return i2 == j1 or (i2, j1) in by_name[middle].D
+        for i in range(T.nsummands()):
+            into = sorted((at(k), repr(c)) for (k, j), c in T.D.items() if j == i)
+            out_of = sorted((at(j), repr(c)) for (k, j), c in T.D.items() if k == i)
+            ins.setdefault((at(i), tuple(into)), (T.name, i))
+            outs.setdefault((at(i), tuple(out_of)), (T.name, i))
+            for j1 in range(T.nsummands()):
+                if j1 == i or (i, j1) in T.D:
+                    middles.setdefault((at(i), at(j1), repr(T.D.get((i, j1)))), (T.name, i, j1))
+    return set(ins.values()), set(middles.values()), set(outs.values())
+
+
+def assert_linked_enumeration(model, cxs, window):
+    """The unreduced d=2 enumeration is the linked part of the composable
+    product, decoded, in the same order.  Off the circle model (the full
+    path) the keyed one is that restricted to the pairs whose first
+    summand, middle pair and last summand each come first in their class;
+    on the circle model itself it is restricted further to the pairs whose
+    windings are both -window.  The counts split the linked pairs into the
+    visited ones, their (2 window + 1)**2 translates and the relabelled
+    rest."""
+    by_name = {T.name: T for T in cxs}
+    ins, middles, outs = summand_representatives(cxs)
+
+    def representative(gens):
+        _, a, i1, b, i2, _ = gens[0].gid
+        _, _, j1, c, j2, _ = gens[1].gid
+        return (a, i1) in ins and (b, i2, j1) in middles and (c, j2) in outs
 
     cat = tw_category(full_path(model), cxs, window=window)
+    linked = [t for t in cat.composable_tuples(2) if summand_linked(by_name, t)]
+    assert flattened_groups(unreduced(cat, cxs), 2) == linked
     keyed = flattened_groups(cat, 2)
-    linked = [t for t in cat.composable_tuples(2) if summand_linked(t)]
-    assert keyed == linked
+    assert keyed == [t for t in linked if representative(t)]
     per_arity = check_ainfty(cat, 2).details["per_arity"][2]
-    assert per_arity["enumerated"] - per_arity["certified_zero_by_linkage"] == len(keyed)
+    assert per_arity["enumerated"] - per_arity["certified_zero_by_linkage"] == len(linked)
+    assert per_arity["certified_by_relabelling"] == len(linked) - len(keyed)
+    assert per_arity["certified_by_translation"] == 0
 
     cat = tw_category(model, cxs, window=window)
-    keyed = flattened_groups(cat, 2)
-    assert keyed == [t for t in linked if all(g.gid[5][3] == -window for g in t)]
+    reduced = flattened_groups(cat, 2)
+    assert reduced == [t for t in keyed if all(g.gid[5][3] == -window for g in t)]
     orbit = (2 * window + 1) ** 2
     per_arity = check_ainfty(cat, 2).details["per_arity"][2]
-    assert per_arity["enumerated"] - per_arity["certified_zero_by_linkage"] == len(keyed) * orbit
-    assert per_arity["certified_by_translation"] == len(keyed) * (orbit - 1)
+    assert per_arity["enumerated"] - per_arity["certified_zero_by_linkage"] == len(linked)
+    assert per_arity["certified_by_translation"] == len(reduced) * (orbit - 1)
+    assert per_arity["certified_by_relabelling"] == len(linked) - len(reduced) * orbit
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -405,17 +464,63 @@ def matrix_category(model, cxs, window):
 FLIPS = st.tuples(*[st.integers(0, 2)] * 3, *[st.integers(-2, 2)] * 2)
 
 
+def near_copy(T, kind, at, name):
+    """T under a new name: as it is ("renamed"), with summand `at`'s shift
+    raised by one ("shift"; every summand's when `at` meets a connection
+    entry, so that the entries keep shifted degree 1), or with one
+    coefficient of connection entry `at` doubled ("coefficient"; just
+    renamed when T has no connection)."""
+    summands, D = list(T.summands), dict(T.D)
+    if kind == "shift":
+        i = at % len(summands)
+        for k in ([i] if all(i not in e for e in D) else range(len(summands))):
+            summands[k] = ShiftedObject(summands[k].base, summands[k].shift + 1)
+    elif kind == "coefficient" and D:
+        e = sorted(D)[at % len(D)]
+        (gen, c), *rest = D[e].items()
+        D[e] = Chain({gen: 2 * c, **dict(rest)})
+    return TwistedComplex(T.model, summands, D, name=name)
+
+
+@st.composite
+def repeated_batteries(draw):
+    """Up to 4 battery complexes over the circle model with renamed and
+    near-miss copies, in any order, under one flipped composition or none,
+    at most 6 summands in all: summand classes repeat within and across
+    complexes, and the first of a class may be a copy."""
+    n = draw(st.integers(1, 2))
+    flip = draw(st.none() | FLIPS)
+    if flip is None:
+        model, cxs = circle_model(n), synthetic_twisted_complexes(circle_model(n), "rep")
+    else:
+        model, cxs = flipped_battery(n, range(9), flip)  # the whole battery
+    cxs = [cxs[p] for p in draw(st.lists(st.integers(0, len(cxs) - 1), min_size=1, max_size=4,
+                                         unique=True))]
+    copies = st.tuples(st.integers(0, 3), st.sampled_from(("renamed", "shift", "coefficient")),
+                       st.integers(0, 3))
+    for k, (src, kind, at) in enumerate(draw(st.lists(copies, max_size=3))):
+        T = cxs[src % len(cxs)]
+        cxs.append(near_copy(T, kind, at, f"{T.name}-{kind}-{k}"))
+    kept = []
+    for T in draw(st.permutations(cxs)):
+        if sum(U.nsummands() for U in kept) + T.nsummands() <= 6 or not kept:
+            kept.append(T)
+    return model, kept
+
+
 @settings(max_examples=20, deadline=None)
-@given(n=st.integers(1, 2), picks=st.sets(st.integers(0, 8), min_size=1, max_size=2),
-       flip=FLIPS)
-@example(n=2, picks={8}, flip=(0, 1, 1, 2, 0))
-def test_tw_witness_matches_exhaustive_reference_under_flips(n, picks, flip):
-    model, cxs = flipped_battery(n, picks, flip)
-    rep = check_tw_dg(model, cxs, window=1)
+@given(case=repeated_batteries())
+@example(case=flipped_battery(2, {8}, (0, 1, 1, 2, 0)))
+def test_tw_witness_matches_exhaustive_reference_under_flips(case):
+    model, cxs = case
     witness, count = exhaustive_check(matrix_category(model, cxs, window=1), 2)
-    assert rep.witness == witness
+    # every complex, renamed copies too, so that whole complexes repeat
+    rep = check_ainfty(tw_category(model, cxs, window=1), 2)
+    assert (rep.ok, rep.witness) == (witness is None, witness)
     if rep.ok:
         assert rep.details["tuples_checked"] == count
+    # as check-all runs it, a renamed copy is skipped: the same witness
+    assert check_tw_dg(model, cxs, window=1).witness == witness
 
 
 def test_flipped_composition_fails_at_a_tw_relation():
@@ -500,6 +605,7 @@ def visited_tuples(details):
     """The tuples a passing check visited, from its `per_arity` counts."""
     return sum(
         c["enumerated"] - c["certified_zero_by_linkage"] - c["certified_by_translation"]
+        - c["certified_by_relabelling"]
         for c in details["per_arity"].values()
     )
 
@@ -525,12 +631,14 @@ def test_grouped_kernel_work_on_acceptance_objects(three_fibers):
     # recomputed the per-prefix work per tuple made 6.05 and 4.0 calls
     _F, model, objs = functor_F(three_fibers, 3)
     cxs = list(objs) + synthetic_twisted_complexes(model, tag="syn")
-    calls, visited = counted_visits(tw_category(full_path(model), cxs, window=1), 2)
+    calls, visited = counted_visits(unreduced(tw_category(model, cxs, window=1), cxs), 2)
     assert visited == 221052 and calls <= 5.2 * visited
-    # winding translation: one representative of each orbit of 3 keys (d=1)
-    # and 9 pairs (d=2), on all 13 complexes
+    # winding translation, one representative of each orbit of 3 keys (d=1)
+    # and 9 pairs (d=2), and summand classes, one first summand, middle
+    # pair and last summand per class (d=2), on all 13 complexes; with
+    # translation alone these were 25,012 tuples and 133,952 calls
     calls, visited = counted_visits(tw_category(model, cxs, window=1), 2)
-    assert visited == 25012 and calls == 133952
+    assert visited == 4756 and calls == 27122
     # as check-all runs the tw-dg row: each fibre object F_a equals the
     # battery's single-a, so 10 of the 13 complexes are checked
     rep = check_tw_dg(model, cxs, window=1)
@@ -538,8 +646,24 @@ def test_grouped_kernel_work_on_acceptance_objects(three_fibers):
     distinct = [T for k, T in enumerate(cxs)
                 if all((T.summands, T.D) != (U.summands, U.D) for U in cxs[:k])]
     assert [T.name for T in distinct] == [T.name for T in cxs if "single" not in T.name]
-    calls, visited = counted_visits(tw_category(model, distinct, window=1), 2)
-    assert visited == visited_tuples(rep.details) == 17986 and calls == 99176
+    # 15 in-, 17 middle and 16 out-classes: 529 d=1 tuples and 15 * 17 * 16
+    # d=2 pairs (17,986 tuples and 99,176 calls with translation alone)
+    ins, middles, outs = summand_representatives(distinct)
+    assert (len(ins), len(middles), len(outs)) == (15, 17, 16)
+    cat = tw_category(model, distinct, window=1)
+    walked = sum(len(lasts) for d in (1, 2) for _, lasts in cat.keyed.linked_groups(d))
+    calls, visited = counted_visits(cat, 2)
+    assert walked == visited == visited_tuples(rep.details) == 529 + 15 * 17 * 16 == 4609
+    assert calls == 26903
+    # the report's partition of the 311,052 tuples
+    assert rep.details["tuples_checked"] == 311052
+    assert rep.details["per_arity"] == {
+        1: {"enumerated": 1587, "certified_zero_by_support": 0, "certified_zero_by_linkage": 0,
+            "certified_by_translation": 1058, "certified_by_relabelling": 0},
+        2: {"enumerated": 309465, "certified_zero_by_support": 0,
+            "certified_zero_by_linkage": 152352, "certified_by_translation": 32640,
+            "certified_by_relabelling": 120393},
+    }
     # verified translation: the 3,591 mu_2 entries the d=3 relation reads,
     # the 27 winding-0 pairs, and one tuple per object path (3**4 = 81 of
     # 27,783); the full enumeration made 87,318 calls
@@ -661,24 +785,45 @@ def flipped_block_mu(ops, block, windings=None):
     return mu
 
 
-@pytest.mark.parametrize("windings, reduced_fails", [(None, True), ((1, 1), False)])
-def test_translation_under_keyed_corruptions(windings, reduced_fails):
-    # a flip on one block triple at every winding keeps translation symmetry
-    # and both paths report it; a flip at winding +1 only breaks it, and
-    # only the full path sees it: the stated limit of the certificate
+def flipped_reports(block, windings):
+    """The reports of the unreduced enumeration, of summand classes alone
+    (the full path) and of classes with translation (the circle model) on
+    the circle battery, with `flipped_block_mu` on `block`."""
     cm = circle_model(2)
     cxs = synthetic_twisted_complexes(cm, "c")
     reports = []
-    for model in (full_path(cm), cm):
-        cat = tw_category(model, cxs, window=1)
-        mu = flipped_block_mu(cat.keyed, ("c-pair-0", 0, "c-pair-0", 0), windings)
+    for cat in (unreduced(tw_category(cm, cxs, window=1), cxs),
+                tw_category(full_path(cm), cxs, window=1), tw_category(cm, cxs, window=1)):
+        mu = flipped_block_mu(cat.keyed, block, windings)
         cat = dataclasses.replace(cat, mu_fn=None, keyed=dataclasses.replace(cat.keyed, mu=mu))
         reports.append(check_ainfty(cat, 2))
-    full, reduced = reports
+    full = reports[0]
     assert not full.ok and full.witness["d"] == 2
+    return reports
+
+
+@pytest.mark.parametrize("windings, reduced_fails", [(None, True), ((1, 1), False)])
+def test_translation_under_keyed_corruptions(windings, reduced_fails):
+    # c-pair-0 summand 1 comes first in its in-, middle and out-class.  A
+    # flip on its block at every winding keeps translation symmetry and
+    # every path reports it; a flip at winding +1 only breaks it, and only
+    # the paths without translation see it: the stated limit of the lemma
+    full, classes, reduced = flipped_reports(("c-pair-0", 1, "c-pair-0", 1), windings)
+    assert (classes.ok, classes.witness) == (False, full.witness)
     assert reduced.ok != reduced_fails
     if reduced_fails:
         assert reduced.witness == full.witness
+
+
+def test_relabelling_under_keyed_corruptions():
+    # c-pair-0 summand 0 is no representative: its in-class and its middle
+    # class (the pair (0, 0)) are first met at c-single-0.  Every product
+    # the flip on its block negates is read only by pairs through that
+    # middle pair, so only the unreduced enumeration sees it: the stated
+    # limit of the summand-class lemma
+    full, classes, reduced = flipped_reports(("c-pair-0", 0, "c-pair-0", 0), None)
+    assert full.witness["tuple"][1][1:5] == ("c-pair-0", 0, "c-pair-0", 0)
+    assert classes.ok and reduced.ok
 
 
 WITNESS_GIDS = ("u", "a", "b", "c", "ab")
