@@ -33,20 +33,25 @@ with it the mu_2 table, unchanged.
 Tables.  Each geometry instance builds two tables once, on integer keys:
 the chord table (a chord's key packs (a, b, w); its `Fraction` momentum and
 action are derived once from delta) and the mu_2 table, from a pair of chord
-keys to the (output key, polygon sign) terms.  `_mu2_entry` fills each entry
-in one integer pass that makes every check of the triangle model, with no
-polygon object or `Fraction`; `mu_polygons` returns its terms.  The
-categories, the functor, the oracles and the export built on one geometry
-read that table; a twist multiplies it by one sign (see `TWISTS`).
+keys to the (output key, polygon sign) terms.  `_mu2_corners` decodes both
+keys with `divmod` and returns the output key, the two deltas and the three
+lattice corners; `_mu2_entry` makes every check of the triangle model on
+that, with no `Chord` or `Fraction`.  The categories, the functor, the
+structure constants, the oracles and the export built on one geometry read
+that table; a twist multiplies it by one sign (see `TWISTS`).  A `Chord` is
+built only to decode a key: a basis element, an F^1 or export row, a witness.
 The comparison functor keeps one more table, F^1 from a chord key to its one
 term on the target's keys, filled the first time the functor equation meets
 the chord.  F^2 has no table: it is zero on every pair (see `functor_F`).
 
 Oracles.  Two independent checks decide on integers too.  The polygon
-oracle (`mu2_raster_count`) counts the lattice points strictly inside each
-mu_2 triangle on an r-fold refinement of the lattice and requires Pick's
-theorem to hold exactly; the Maslov oracle follows the flowed tangent
-direction through integer dot and cross products.
+oracle (`raster_cross_check`) walks the chord keys pair by pair, computes
+each pair's corners, edge gcds and cross product once, counts the lattice
+points strictly inside the triangle on an r-fold refinement per resolution,
+and requires Pick's theorem to hold exactly and the count to match the
+table.  `rescaled` builds a new geometry, which fills its own table, so the
+rescaling check compares independently computed entries.  The Maslov oracle
+follows the flowed tangent direction through integer dot and cross products.
 
 Signs of individual polygons come from the closed sign formulas (the
 dagger sign and the background twist); there is no independent geometric
@@ -55,6 +60,7 @@ sign.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -143,9 +149,7 @@ class CylinderGeometry:
         """The chord of a key, built once per geometry."""
         x = self._chords.get(key)
         if x is None:
-            n = len(self.fibers)
-            rest, b = divmod(key, n)
-            winding, a = divmod(rest, n)
+            a, b, winding = _decode(self, key)
             delta = self.lattice[b] - self.lattice[a] + winding * self.denominator
             x = self._chords[key] = Chord(
                 a, b, winding,
@@ -191,6 +195,14 @@ def _key(g: CylinderGeometry, x: Chord) -> int:
     return g.key(x.source, x.target, x.winding)
 
 
+def _decode(g: CylinderGeometry, key: int) -> tuple[int, int, int]:
+    """The (source, target, winding) of a chord key."""
+    n = len(g.fibers)
+    rest, b = divmod(key, n)
+    winding, a = divmod(rest, n)
+    return a, b, winding
+
+
 def enumerate_chords(
     g: CylinderGeometry, a: int, b: int, winding_bound: int
 ) -> list[Chord]:
@@ -205,17 +217,23 @@ def enumerate_chords(
     return sorted(out, key=lambda x: (-g.delta(x) ** 2, x.winding))
 
 
-def chord_pairs(g: CylinderGeometry, bound: int) -> Iterator[tuple[Chord, Chord]]:
-    """Every composable chord pair (x1, x2) with both windings in
-    [-bound, bound], from the chord table: by fibre path (a, b, c), then by
-    w1, then by w2."""
+def _key_pairs(g: CylinderGeometry, bound: int) -> Iterator[tuple[int, int]]:
+    """The keys of every composable chord pair with both windings in
+    [-bound, bound]: by fibre path (a, b, c), then by w1, then by w2.  A
+    negative bound is refused at the call."""
+    if bound < 0:
+        raise CylinderConfigError("winding_bound must be >= 0")
     n = g.nfibers()
     windings = range(-bound, bound + 1)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        for w1 in windings:
-            x1 = chord(g, a, b, w1)
-            for w2 in windings:
-                yield x1, chord(g, b, c, w2)
+    return (((w1 * n + a) * n + b, (w2 * n + b) * n + c)
+            for a, b, c in itertools.product(range(n), repeat=3)
+            for w1 in windings for w2 in windings)
+
+
+def chord_pairs(g: CylinderGeometry, bound: int) -> Iterator[tuple[Chord, Chord]]:
+    """Every composable chord pair (x1, x2) in `_key_pairs` order."""
+    for k1, k2 in _key_pairs(g, bound):
+        yield g.chord_at(k1), g.chord_at(k2)
 
 
 # ---------------------------------------------------------------------------
@@ -256,31 +274,29 @@ def maslov_degree_oracle(g: CylinderGeometry, x: Chord, steps: int = 512) -> int
 # Polygons for the higher products.
 # ---------------------------------------------------------------------------
 
-def _check_composable(chords: tuple[Chord, ...]) -> None:
-    for x, y in zip(chords, chords[1:]):
-        if x.target != y.source:
-            raise CompositionError(
-                f"chords not composable: {x.gid} then {y.gid}"
-            )
-
-
-def _mu2_corners(g: CylinderGeometry, x1: Chord, x2: Chord):
-    """The output key and the corners (P0, P1, P2) of the mu_2 configuration
-    on (x1, x2), as lattice points: P0 on the boundary lines 0 and 2, P1 on
-    lines 0 and 1, P2 on lines 1 and 2.
+def _mu2_corners(g: CylinderGeometry, k1: int, k2: int):
+    """The output key, delta_1, delta_2 and the corners (P0, P1, P2) of the
+    mu_2 configuration on two chord keys, as lattice points: P0 on the
+    boundary lines 0 and 2, P1 on lines 0 and 1, P2 on lines 1 and 2.
 
     Line k is 2Q = 2A_k + (2 - k)P, with A_0 the lift of the first fibre and
     A_k that of the k-th chord's target after the windings so far.  Each
     pair of lines meets at an integer point: P0 = (A_2, A_2 - A_0),
     P1 = (2A_1 - A_0, 2(A_1 - A_0)) and P2 = (A_2, 2(A_2 - A_1)).
     """
-    _check_composable((x1, x2))
+    n = len(g.fibers)
+    rest, b = divmod(k1, n)
+    w1, a = divmod(rest, n)
+    rest, c = divmod(k2, n)
+    w2, b2 = divmod(rest, n)
+    if b != b2:
+        raise CompositionError(f"chords not composable: {('x', a, b, w1)} then {('x', b2, c, w2)}")
     N, D = g.lattice, g.denominator
-    A0 = N[x1.source]
-    A1 = N[x1.target] + x1.winding * D
-    A2 = N[x2.target] + (x1.winding + x2.winding) * D
-    out = g.key(x1.source, x2.target, x1.winding + x2.winding)
-    return out, ((A2, A2 - A0), (2 * A1 - A0, 2 * (A1 - A0)), (A2, 2 * (A2 - A1)))
+    A0 = N[a]
+    A1 = N[b] + w1 * D
+    A2 = N[c] + (w1 + w2) * D
+    out = ((w1 + w2) * n + a) * n + c
+    return out, A1 - A0, A2 - A1, ((A2, A2 - A0), (2 * A1 - A0, 2 * (A1 - A0)), (A2, 2 * (A2 - A1)))
 
 
 def _cross(P0: tuple[int, int], P1: tuple[int, int], P2: tuple[int, int]) -> int:
@@ -294,13 +310,15 @@ def _mu2_entry(g: CylinderGeometry, k1: int, k2: int) -> tuple[tuple[int, int], 
     The lifts are forced by the corners, so exactly one candidate exists; it
     is the honest triangle bounded by the three lines, or the constant
     configuration when all corners coincide.  Every decision is an integer
-    identity on the lattice: areas, energies and actions are in half cells,
-    where a chord's action is -2 delta^2.
+    identity on the lattice of `_mu2_corners`: areas, energies and actions
+    are in half cells, where a chord's action is -2 delta^2.  Once the
+    orientation check has passed, cross = -(delta_1 - delta_2)^2, and the
+    order, energy and action checks below follow from it: they stay as the
+    model's statement, but no corner data that passes orientation fails them.
     """
-    x1, x2 = g.chord_at(k1), g.chord_at(k2)
-    out, (P0, P1, P2) = _mu2_corners(g, x1, x2)
-    d1, d2 = g.delta(x1), g.delta(x2)
-    if g.delta(g.chord_at(out)) != d1 + d2:
+    out, d1, d2, (P0, P1, P2) = _mu2_corners(g, k1, k2)
+    a, c, w = _decode(g, out)
+    if g.lattice[c] - g.lattice[a] + w * g.denominator != d1 + d2:
         raise AssertionError("output corner does not close up")
 
     # the cross product, in cells, is -(delta_1 - delta_2)^2 only when the
@@ -338,7 +356,9 @@ def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[tuple[in
     d = len(chords)
     if d < 2:
         raise ValueError("polygon enumeration needs d >= 2")
-    _check_composable(chords)
+    for x, y in zip(chords, chords[1:]):
+        if x.target != y.source:
+            raise CompositionError(f"chords not composable: {x.gid} then {y.gid}")
     if d >= 3:
         # the configuration exists but its expected dimension d-2 is positive
         return []
@@ -364,12 +384,11 @@ def twist_sign(name: str) -> int:
 
 def _signed_mu2(g: CylinderGeometry, k1: int, k2: int, twist: int) -> tuple[tuple[int, int], ...]:
     """mu_2 on two chord keys as (output key, coeff) terms: the geometry's
-    table times the dagger sign and the twist's sign."""
-    x1, x2 = g.chord_at(k1), g.chord_at(k2)
-    sign = twist * sign_pow(x1.degree + 2 * x2.degree)
+    table times the twist's sign.  The dagger sign (-1)^(|x_1| + 2|x_2|) is
+    +1, since every chord has degree 0."""
     # a list, not a generator: tuple() of a generator allocates 10 slots and
     # shrinks, which costs the oracle sweep about 90 KB of traced peak
-    return tuple([(key, sign * s) for key, s in g.mu2_terms(k1, k2)])
+    return tuple([(key, twist * s) for key, s in g.mu2_terms(k1, k2)])
 
 
 def mu_d(g: CylinderGeometry, chords: tuple[Chord, ...], twist: int = 1) -> Chain:
@@ -470,9 +489,8 @@ def half_disc_d2_family(
     closes up, which `_mu2_entry` checks), so the family's evaluation is
     constant: its image is degenerate in normalised chains.
     """
-    _check_composable((x1, x2))
+    ((_, triangle_sign),) = g.mu2_terms(_key(g, x1), _key(g, x2))  # refuses x1, x2 unless composable
     y = chord(g, x1.source, x2.target, x1.winding + x2.winding)
-    ((_, triangle_sign),) = g.mu2_terms(_key(g, x1), _key(g, x2))
     dataset = synthetic_half_disc_d2_dataset(0, x1.degree, x2.degree, -x1.degree - x2.degree,
                                              triangle_sign, f"hdfam-{x1.gid}-{x2.gid}")
     ev = {
@@ -576,13 +594,14 @@ def structure_constants(
     """All mu_2 structure constants within the winding bound, keyed by input
     gids; used by the rescaling-invariance and twist comparisons."""
     sign = twist_sign(twist)
+    gid = functools.cache(lambda key: ("x", *_decode(g, key)))
     return {
-        (x1.gid, x2.gid): {
+        (gid(k1), gid(k2)): {
             # a table entry has one term, so this is mu_d's sorted chain
-            g.chord_at(key).gid: coeff
-            for key, coeff in _signed_mu2(g, _key(g, x1), _key(g, x2), sign)
+            gid(key): sign * s
+            for key, s in g.mu2_terms(k1, k2)
         }
-        for x1, x2 in chord_pairs(g, winding_bound)
+        for k1, k2 in _key_pairs(g, winding_bound)
     }
 
 
@@ -673,59 +692,61 @@ def ring_isomorphism_report(F: AInftyFunctor, fiber: int = 0) -> CheckReport:
 # Lattice-count oracle for the triangle counts.
 # ---------------------------------------------------------------------------
 
-def mu2_raster_count(
-    g: CylinderGeometry, x1: Chord, x2: Chord, resolution: int
-) -> int:
-    """Independent count of the region cut out by the three boundary lines,
-    decided exactly on the geometry's own lattice.
+def _positive_ints(values: tuple, what: str) -> None:
+    """Refuse an empty sweep or a non-positive value: an oracle would compare nothing."""
+    if not values or any(type(v) is not int or v < 1 for v in values):
+        raise CylinderConfigError(f"{what} must be positive ints, got {values!r}")
+
+
+def _raster_counts(g: CylinderGeometry, k1: int, k2: int, resolutions: tuple[int, ...]) -> list[int]:
+    """Independent counts of the region cut out by the three boundary lines
+    of a pair of chord keys, decided exactly on the geometry's own lattice,
+    one per resolution, from one evaluation of the corners.
 
     The corners are lattice points (Q, P), and (q, p) is a positive diagonal
     scaling of (Q, P), so interiors and area ratios carry over unchanged.
-    `resolution` r refines the lattice r-fold in each direction: the
+    A resolution r refines the lattice r-fold in each direction: the
     kernel counts the I refined points strictly inside the triangle, B is
     the number of refined points on its boundary (from the edge gcds), and
-    Pick's theorem |cross| r^2 = 2I + B - 2 must hold exactly.
-
-    Returns 1 for a confirmed triangle (I > 0 and Pick's identity) or a
-    confirmed constant configuration (coincident corners, I == 0), else 0.
+    Pick's theorem |cross| r^2 = 2I + B - 2 must hold exactly.  A count is 1
+    for a confirmed triangle (I > 0 and Pick's identity) or a confirmed
+    constant configuration (coincident corners, I == 0), else 0.
     """
-    if type(resolution) is not int or resolution < 1:
-        raise CylinderConfigError(f"raster resolution must be a positive int, got {resolution!r}")
-    _, (P0, P1, P2) = _mu2_corners(g, x1, x2)
-    interior = _kernels.triangle_grid_count(*P0, *P1, *P2, resolution, resolution)
-    if P0 == P1 == P2:
-        return 1 if interior == 0 else 0
-    if interior == 0:
-        return 0
-    boundary = resolution * sum(
-        math.gcd(u[0] - v[0], u[1] - v[1]) for u, v in ((P0, P1), (P1, P2), (P2, P0))
-    )
-    twice_area = abs(_cross(P0, P1, P2)) * resolution * resolution
-    return 1 if twice_area == 2 * interior + boundary - 2 else 0
+    _, _, _, (P0, P1, P2) = _mu2_corners(g, k1, k2)
+    coincident = P0 == P1 == P2
+    edges = (math.gcd(P1[0] - P0[0], P1[1] - P0[1]) + math.gcd(P2[0] - P1[0], P2[1] - P1[1])
+             + math.gcd(P0[0] - P2[0], P0[1] - P2[1]))
+    cells = abs(_cross(P0, P1, P2))
+    counts = []
+    for r in resolutions:
+        # through the module at each call, so a replaced kernel is the one counted
+        interior = _kernels.triangle_grid_count(*P0, *P1, *P2, r, r)
+        ok = interior == 0 if coincident else interior > 0 and cells * r * r == 2 * interior + r * edges - 2
+        counts.append(1 if ok else 0)
+    return counts
+
+
+def mu2_raster_count(g: CylinderGeometry, x1: Chord, x2: Chord, resolution: int) -> int:
+    """The raster count of one chord pair at one resolution (see `_raster_counts`)."""
+    _positive_ints((resolution,), "raster resolutions")
+    (count,) = _raster_counts(g, _key(g, x1), _key(g, x2), (resolution,))
+    return count
 
 
 def raster_cross_check(
-    g: CylinderGeometry, winding_bound: int, resolutions: tuple[int, int] = (192, 384)
+    g: CylinderGeometry, winding_bound: int, resolutions: tuple[int, ...] = (192, 384)
 ) -> CheckReport:
     """Compare |mu_2| with the exact lattice count for every composable
-    chord pair within the bound, at two refinements."""
+    chord pair within the bound, at each refinement."""
     name = "mu2-raster-oracle"
+    _positive_ints(resolutions, "raster resolutions")
     pairs = 0
-    for x1, x2 in chord_pairs(g, winding_bound):
-        exact = len(g.mu2_terms(_key(g, x1), _key(g, x2)))
-        for res in resolutions:
-            raster = mu2_raster_count(g, x1, x2, res)
+    for pairs, (k1, k2) in enumerate(_key_pairs(g, winding_bound), 1):
+        exact = len(g.mu2_terms(k1, k2))
+        for res, raster in zip(resolutions, _raster_counts(g, k1, k2, resolutions)):
             if raster != exact:
-                return failed(
-                    name,
-                    {
-                        "pair": (x1.gid, x2.gid),
-                        "resolution": res,
-                        "exact": exact,
-                        "raster": raster,
-                    },
-                )
-        pairs += 1
+                return failed(name, {"pair": (g.chord_at(k1).gid, g.chord_at(k2).gid),
+                                     "resolution": res, "exact": exact, "raster": raster})
     return passed(name, pairs=pairs, resolutions=list(resolutions))
 
 
@@ -740,17 +761,14 @@ def maslov_cross_check(
     oracle's degree depends only on c: it is computed once per step count.
     """
     name = "maslov-oracle"
+    _positive_ints(steps, "rotation step counts")
     n = g.nfibers()
     degrees = [_rotation_degree(g.c.numerator, g.c.denominator, s) for s in steps]
     checked = 0
-    for a in range(n):
-        for b in range(n):
-            for x in enumerate_chords(g, a, b, winding_bound):
-                for got in degrees:
-                    if got != x.degree:
-                        return failed(
-                            name,
-                            {"chord": x.gid, "assigned": x.degree, "oracle": got},
-                        )
-                checked += 1
+    for a, b in itertools.product(range(n), repeat=2):
+        for x in enumerate_chords(g, a, b, winding_bound):
+            for got in degrees:
+                if got != x.degree:
+                    return failed(name, {"chord": x.gid, "assigned": x.degree, "oracle": got})
+            checked += 1
     return passed(name, chords=checked, steps=list(steps))

@@ -146,7 +146,7 @@ def test_criterion_6_rescaling_invariance():
         ok &= structure_constants(g.rescaled(rho), WINDING_BOUND) == base
     elapsed = time.perf_counter() - t0
     report("criterion 6: Liouville rescaling invariance (rho in {2, 4})",
-           ok, elapsed, 2)
+           ok, elapsed, 0.5)
 
 
 def test_criterion_7_oracle_cross_checks():
@@ -164,4 +164,4 @@ def test_criterion_7_oracle_cross_checks():
     elapsed = time.perf_counter() - t0
     ok = maslov.ok and raster.ok and no_rigid
     report("criterion 7: Maslov and raster oracles agree exactly",
-           ok, elapsed, 2)
+           ok, elapsed, 0.5)

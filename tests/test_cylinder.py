@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floerloops import cylinder
 from floerloops.ainfty import CompositionError, check_ainfty, check_functor
 from floerloops.cli import MUTATIONS
 from floerloops.cylinder import (
@@ -149,7 +150,7 @@ def test_mu2_same_fiber_single_triangle(one_fiber):
         for j in range(-2, 3):
             x1, x2 = chord(one_fiber, 0, 0, i), chord(one_fiber, 0, 0, j)
             assert mu_polygons(one_fiber, (x1, x2)) == [(one_fiber.key(0, 0, i + j), 1)]
-            _, (P0, P1, P2) = _mu2_corners(one_fiber, x1, x2)
+            *_, (P0, P1, P2) = _mu2_corners(one_fiber, one_fiber.key(0, 0, i), one_fiber.key(0, 0, j))
             assert (P0 == P1 == P2) == (i == j)
             out = mu_d(one_fiber, (x1, x2))
             assert out == Chain.of(Generator(("x", 0, 0, i + j), 0))
@@ -172,7 +173,7 @@ def test_mu2_energy_identity_and_action_direction(three_fibers):
             for w2 in (-1, 0, 2):
                 x1, x2 = chord(g, a, b, w1), chord(g, b, c_idx, w2)
                 assert len(mu_polygons(g, (x1, x2))) == 1
-                _, corners = _mu2_corners(g, x1, x2)
+                *_, corners = _mu2_corners(g, g.key(a, b, w1), g.key(b, c_idx, w2))
                 area = g.half_cells(-_cross(*corners))
                 p_out = x1.momentum + x2.momentum
                 weighted_action = -g.c * p_out * p_out / 2
@@ -386,6 +387,50 @@ def test_raster_single_pair_degenerate(one_fiber):
     assert mu2_raster_count(one_fiber, x, x, 128) == 1
     y = chord(one_fiber, 0, 0, -1)
     assert mu2_raster_count(one_fiber, x, y, 128) == 1
+
+
+TWO_FIBRES = (Fraction(1), (Fraction(0), Fraction(1, 3)))
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda g: raster_cross_check(g, 1, ()),
+    lambda g: raster_cross_check(g, -1),
+    lambda g: structure_constants(g, -1),
+    lambda g: maslov_cross_check(g, 1, ()),
+    lambda g: maslov_cross_check(g, 1, (0,)),
+    lambda g: maslov_cross_check(g, 1, (-5,)),
+], ids=["raster-no-resolution", "raster-negative-bound", "constants-negative-bound",
+        "maslov-no-steps", "maslov-zero-steps", "maslov-negative-steps"])
+def test_vacuous_oracle_input_is_a_config_error(sweep):
+    # each would compare nothing: no resolution, no pair or no rotation step
+    with pytest.raises(CylinderConfigError):
+        sweep(CylinderGeometry(*TWO_FIBRES))
+
+
+@pytest.mark.parametrize("windings, perturb, message", [
+    # the output key one winding on: its delta is off by D
+    ((1, -1), lambda n, out, d1, d2, P: (out + n * n, d1, d2, P), "does not close up"),
+    # one corner moved: the cross product changes by delta_2 - delta_1
+    ((1, -1), lambda n, out, d1, d2, P: (out, d1, d2, (P[0], (P[1][0] + 1, P[1][1]), P[2])),
+     "corner orientation"),
+    # delta_1 == delta_2 with collinear, distinct corners: the cross product
+    # is 0, which the orientation check accepts
+    ((1, 1), lambda n, out, d1, d2, P: (out, d1, d2, ((0, 0), (1, 1), (2, 2))),
+     "degenerate configuration"),
+], ids=["close-up", "orientation", "degenerate"])
+def test_mu2_entry_checks_are_live(monkeypatch, windings, perturb, message):
+    """Each check of `_mu2_entry` that corner data can reach fails on
+    perturbed corners.  The order, energy and action checks cannot be
+    reached: past the orientation check cross = -(delta_1 - delta_2)^2, and
+    they follow from that identity."""
+    g = CylinderGeometry(*TWO_FIBRES)
+    k1, k2 = (g.key(0, 0, w) for w in windings)
+    assert cylinder._mu2_entry(g, k1, k2) == ((g.key(0, 0, sum(windings)), 1),)
+    corners = cylinder._mu2_corners
+    monkeypatch.setattr(cylinder, "_mu2_corners",
+                        lambda g, k1, k2: perturb(g.nfibers(), *corners(g, k1, k2)))
+    with pytest.raises(AssertionError, match=message):
+        cylinder._mu2_entry(g, k1, k2)
 
 
 def test_random_geometry_properties():

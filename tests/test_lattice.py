@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from floerloops import cylinder
+from floerloops import _kernels, cylinder
 from floerloops.ainfty import check_ainfty, check_functor
 from floerloops.cylinder import (
     CylinderGeometry,
@@ -18,6 +18,7 @@ from floerloops.cylinder import (
     half_disc_d1,
     mu_d,
     mu_polygons,
+    raster_cross_check,
     structure_constants,
     TWISTS,
 )
@@ -44,10 +45,10 @@ def check_against_fractions(g):
     for x1, x2 in chord_pairs(g, BOUND):
         p1 = momentum(g, x1.source, x1.target, x1.winding)
         p2 = momentum(g, x2.source, x2.target, x2.winding)
-        _, corners = cylinder._mu2_corners(g, x1, x2)
+        pair = (g.key(x1.source, x1.target, x1.winding), g.key(x2.source, x2.target, x2.winding))
+        *_, corners = cylinder._mu2_corners(g, *pair)
         area = g.half_cells(-cylinder._cross(*corners))
         assert area == -g.c * (p1 + p2) ** 2 / 2 - (-g.c * p1 * p1 - g.c * p2 * p2)
-        pair = (g.key(x1.source, x1.target, x1.winding), g.key(x2.source, x2.target, x2.winding))
         table[pair] = g.mu2_terms(*pair)
         assert mu_polygons(g, (x1, x2)) == list(table[pair])
     return table
@@ -113,13 +114,53 @@ def test_tables_build_each_chord_and_f1_once(monkeypatch):
     # F^2 = 0 is certified by the closure identity, not by building the
     # two-input half-disc family of each pair
     assert families == []
-    # d = 3 relations reach outputs of winding up to 9: 9 fibre pairs x 19
-    assert len(built) == 171 and set(built.values()) == {1}
+    # mu_2 entries run on keys and build no chord: only the basis (|w| <= 3)
+    # and the chords F^1 meets (|w| <= 6) are built, 9 fibre pairs x 13
+    assert len(built) == 117 and set(built.values()) == {1}
     # the basis (|w| <= 3) and the mu_2 outputs the functor equation meets
     # (|w| <= 6): 9 fibre pairs x 13
     assert len(f1_evaluations) == 117 and set(f1_evaluations.values()) == {1}
     # 27 fibre paths x 133 winding pairs with one winding in the basis
     assert len(entries) == 3591 and set(entries.values()) == {1}
+
+
+def test_oracle_sweep_fills_each_entry_once_and_evaluates_corners_once_per_pair(monkeypatch):
+    built = collections.Counter()
+    entries = collections.Counter()
+    corners = collections.Counter()
+    kernel_calls = []
+    chord_class, entry_of, corners_of = cylinder.Chord, cylinder._mu2_entry, cylinder._mu2_corners
+    kernel = _kernels.triangle_grid_count
+
+    def counted_chord(a, b, w, *rest):
+        built[(a, b, w)] += 1
+        return chord_class(a, b, w, *rest)
+
+    def counted_entry(g, k1, k2):
+        entries[(k1, k2)] += 1
+        return entry_of(g, k1, k2)
+
+    def counted_corners(g, k1, k2):
+        corners[(k1, k2)] += 1
+        return corners_of(g, k1, k2)
+
+    def counted_kernel(*args):
+        kernel_calls.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(cylinder, "Chord", counted_chord)
+    monkeypatch.setattr(cylinder, "_mu2_entry", counted_entry)
+    monkeypatch.setattr(cylinder, "_mu2_corners", counted_corners)
+    monkeypatch.setattr(_kernels, "triangle_grid_count", counted_kernel)
+    g = CylinderGeometry(*ACCEPTANCE_GEOMETRY)
+    assert raster_cross_check(g, BOUND, (192, 384)).ok
+    # 27 fibre paths x 49 winding pairs, each entry filled once
+    assert len(entries) == 1323 and set(entries.values()) == {1}
+    # one corner evaluation for the entry and one for both resolutions
+    assert len(corners) == 1323 and set(corners.values()) == {2}
+    assert len(kernel_calls) == 2646 and collections.Counter(kernel_calls) == {192: 1323, 384: 1323}
+    # a passing sweep builds no chord: they are built only for a witness
+    assert not built
 
 
 @settings(max_examples=15, deadline=None)
