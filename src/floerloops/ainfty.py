@@ -48,16 +48,20 @@ output winding, a gauge not of the form t_ab chi(w)) or a failing
 representative falls back to the full enumeration, so the verdict and the
 witness are always the full path's.
 
-Keys.  Every category is given on interned keys (`KeyedOps`): a keyed mu (a
-key tuple to its (key, coeff) terms), a degree lookup, the grouped
-enumeration of the tuples to visit, and `decode` and `encode` between keys
-and basis generators.  The checkers run one residual kernel,
-`_relation_terms`, on these keys and decode only the witness; a category's
-Generator-level `mu_fn` is derived from them unless it is given.
-Tuples come in groups: a prefix of d - 1 keys and the last keys completing
-it.  Per group the kernel computes the split sign parities and the signed
-inner mu outputs of the splits inside the prefix once; per last key it
-evaluates only the outer mu and the splits touching that key.
+Keys.  A category's basis is its keys: `AInftyCategory.hom_keys` lists per
+object pair the interned keys of its hom basis, and nothing else stores the
+basis.  Its structure is given on those keys (`KeyedOps`): a keyed mu (a
+key tuple to its (key, coeff) terms), a degree lookup, and `decode` and
+`encode` between keys and basis generators.  The checkers walk the
+composable key tuples of `hom_keys`, or the groups `KeyedOps.linked_groups`
+yields when a category declares a reduced enumeration, and run one
+residual kernel, `_relation_terms`, on them; they decode only the witness.
+A category's Generator-level `hom_basis`, `composable_tuples` and `mu_fn`
+decode keys when called.  Tuples come in groups: a prefix of d - 1 keys
+and the last keys completing it.  Per group the kernel computes the split
+sign parities and the signed inner mu outputs of the splits inside the
+prefix once; per last key it evaluates only the outer mu and the splits
+touching that key.
 
 Functors.  An `AInftyFunctor` maps source key tuples to target key terms
 and declares its arity support.  `check_functor` evaluates the functor
@@ -84,17 +88,21 @@ class CompositionError(ValueError):
 
 @dataclass(frozen=True)
 class KeyedOps:
-    """A category's structure maps on keys, as the residual kernel runs them.
+    """A category's structure maps on the keys of its `hom_keys`, as the
+    residual kernel runs them.
 
     `mu(keys)` gives the (key, coeff) terms of mu on a composable key tuple
     in composition order (empty when zero); `degree(key)` is a key's degree;
-    `linked_groups(d)` yields (prefix, lasts) pairs, a tuple of d - 1 keys
-    and a sequence of last keys, whose tuples prefix + (last,) are the
-    composable length-d key tuples not certified zero by linkage, flattened
-    in `composable_tuples` order; `decode(key)` is the basis generator a
-    key stands for, and `encode(gen)` the key of a basis generator.
+    `decode(key)` is the basis generator a key stands for, and
+    `encode(gen)` the key of a basis generator.
 
-    `orbit` is the number of keys per slot that each key `linked_groups`
+    `linked_groups`, when given, is a reduced enumeration: `linked_groups(d)`
+    yields (prefix, lasts) pairs, a tuple of d - 1 keys and a sequence of
+    last keys, whose tuples prefix + (last,) are the composable length-d key
+    tuples to visit, in `composable_tuples` order.  Without it the checkers
+    visit every composable tuple of the category's `hom_keys`.
+
+    `orbit` is the number of keys per slot that each key the enumeration
     yields stands for: a category whose relations commute with a
     translation of its keys (winding on the circle) yields one
     representative per translation orbit of those tuples, and a visited
@@ -116,11 +124,11 @@ class KeyedOps:
 
     mu: Callable[[tuple], Iterable[tuple[Hashable, int]]]
     degree: Callable[[Hashable], int]
-    linked_groups: Callable[[int], Iterable[tuple[tuple, Sequence]]]
     decode: Callable[[Hashable], Generator]
     encode: Callable[[Generator], Hashable]
     orbit: int = 1
     translation: Callable[[Hashable], tuple[int, Hashable]] | None = None
+    linked_groups: Callable[[int], Iterable[tuple[tuple, Sequence]]] | None = None
     linked: Mapping[int, int] | None = None
 
 
@@ -128,17 +136,18 @@ class KeyedOps:
 class AInftyCategory:
     """Objects, based hom complexes and structure maps on interned keys.
 
-    `keyed` is the structure the checkers run, and `hom_basis_map` lists
-    per object pair the basis generators its keys decode to.
-    `arities` is the support of mu (None: unrestricted); the checkers never
-    consult mu outside it.  `mu_fn` is mu on basis generators in
-    composition order, returning a Chain; when not given it is derived from
-    `keyed`.
+    `hom_keys` maps each object pair to the keys of its hom basis, in basis
+    order: the one stored basis.  `keyed` is the structure the checkers run
+    on those keys; `hom_basis` and `composable_tuples` decode them when
+    called.  `arities` is the support of mu (None: unrestricted); the
+    checkers never consult mu outside it.  `mu_fn` is mu on basis
+    generators in composition order, returning a Chain; when not given it
+    is derived from `keyed`.
     """
 
     name: str
     objects: tuple
-    hom_basis_map: Mapping[tuple, tuple[Generator, ...]]
+    hom_keys: Mapping[tuple, tuple]
     keyed: KeyedOps
     is_dg: bool = False
     arities: frozenset[int] | None = None
@@ -154,7 +163,7 @@ class AInftyCategory:
             )
 
     def hom_basis(self, a, b) -> tuple[Generator, ...]:
-        return self.hom_basis_map.get((a, b), ())
+        return tuple(map(self.keyed.decode, self.hom_keys.get((a, b), ())))
 
     def supports(self, d: int) -> bool:
         """Whether mu_d can be nonzero."""
@@ -163,9 +172,11 @@ class AInftyCategory:
     def composable_tuples(self, d: int) -> Iterator[tuple]:
         """All length-d composable basis tuples, lexicographic in the object
         path then in the per-slot basis order."""
-        for prefix, lasts in composable_paths(self.objects, self.hom_basis_map, d):
+        decode = self.keyed.decode
+        for prefix, lasts in composable_paths(self.objects, self.hom_keys, d):
+            gens = tuple(map(decode, prefix))
             for last in lasts:
-                yield prefix + (last,)
+                yield gens + (decode(last),)
 
     def kernel_ops(self) -> KeyedOps:
         """The keyed structure the checkers run."""
@@ -175,7 +186,7 @@ class AInftyCategory:
         """The number of tuples `composable_tuples(d)` yields, without
         enumerating them: the sum over object paths of the product of the
         hom-basis sizes along the path, summed one step at a time."""
-        sizes = [[len(self.hom_basis(a, b)) for b in self.objects] for a in self.objects]
+        sizes = [[len(self.hom_keys.get((a, b), ())) for b in self.objects] for a in self.objects]
         ways = [1] * len(self.objects)
         for _ in range(d):
             ways = [
@@ -200,7 +211,7 @@ def composable_paths(objects: tuple, hom: Mapping[tuple, tuple], d: int) -> Iter
 def category_from_tables(
     name: str,
     objects: tuple,
-    hom_basis_map: Mapping[tuple, tuple[Generator, ...]],
+    bases: Mapping[tuple, tuple[Generator, ...]],
     mu_tables: Mapping[int, Mapping[tuple, Chain]],
     is_dg: bool = False,
 ) -> AInftyCategory:
@@ -214,13 +225,13 @@ def category_from_tables(
     no basis, outputs that are not basis generators, and outputs that break
     the degree rule |mu_d(x_1, ..., x_d)| = 2 - d + |x_1| + ... + |x_d|.
     """
-    by_key = [gen for basis in hom_basis_map.values() for gen in basis]
+    by_key = [gen for basis in bases.values() for gen in basis]
     key_of = {gen.gid: key for key, gen in enumerate(by_key)}
     if len(key_of) != len(by_key):
         raise ValueError("a generator gid is listed twice in the hom bases")
-    pair_of = [pair for pair, basis in hom_basis_map.items() for _ in basis]
+    pair_of = [pair for pair, basis in bases.items() for _ in basis]
     hom_keys = {
-        pair: tuple(key_of[gen.gid] for gen in basis) for pair, basis in hom_basis_map.items()
+        pair: tuple(key_of[gen.gid] for gen in basis) for pair, basis in bases.items()
     }
 
     def key_for(gid) -> int:
@@ -261,11 +272,9 @@ def category_from_tables(
                 out.append((key, coeff))
             terms[keys] = tuple(out)
     return AInftyCategory(
-        name, objects, hom_basis_map,
-        KeyedOps(
-            lambda keys: terms.get(keys, ()), lambda key: by_key[key].degree,
-            lambda d: composable_paths(objects, hom_keys, d), by_key.__getitem__, encode,
-        ),
+        name, objects, hom_keys,
+        KeyedOps(lambda keys: terms.get(keys, ()), lambda key: by_key[key].degree,
+                 by_key.__getitem__, encode),
         is_dg, frozenset(len(keys) for keys, out in terms.items() if out),
     )
 
@@ -389,7 +398,7 @@ def _verified_translation(cat: AInftyCategory, ops: KeyedOps, max_d: int):
     translation, mu = ops.translation, ops.mu
     if translation is None or cat.arities is None or not cat.arities <= {1, 2}:
         return None
-    hom = {pair: tuple(map(ops.encode, basis)) for pair, basis in cat.hom_basis_map.items()}
+    hom = cat.hom_keys
     reps, sizes = {}, set()
     for pair, keys in hom.items():
         orbits: dict = {}
@@ -463,8 +472,9 @@ def check_ainfty(
     <= max_d; the witness is the first failing tuple in lexicographic order.
 
     Only arities with an admissible split are enumerated, and there only the
-    tuples of the groups `kernel_ops().linked_groups` yields are visited,
-    one kernel call per group.  `tuples_checked` counts every composable
+    tuples of the groups `composable_paths` makes of `hom_keys`, or that
+    `kernel_ops().linked_groups` yields when declared, are visited, one
+    kernel call per group.  `tuples_checked` counts every composable
     tuple covered; `per_arity` splits it into `enumerated` and
     `certified_zero_by_support`.  Of the enumerated tuples, each visited
     one decides its whole translation orbit, `orbit**d` tuples
@@ -505,7 +515,9 @@ def _check_keyed(cat: AInftyCategory, ops: KeyedOps, verified: int, max_d: int,
                             "certified_by_relabelling": 0}
             continue
         visited = 0
-        for prefix, lasts in ops.linked_groups(d):
+        groups = (ops.linked_groups(d) if ops.linked_groups
+                  else composable_paths(cat.objects, cat.hom_keys, d))
+        for prefix, lasts in groups:
             found = _relation_terms(mu, degree, prefix, lasts, splits)
             if found is None:
                 visited += len(lasts)
@@ -565,7 +577,6 @@ def check_functor(
         raise ValueError("functor target must be a DG category (mu_{>=3} = 0)")
     sops, tops = src.kernel_ops(), tgt.kernel_ops()
     smu, tmu, degree, comp = sops.mu, tops.mu, sops.degree, F.components
-    hom_keys = {pair: tuple(map(sops.encode, basis)) for pair, basis in src.hom_basis_map.items()}
     support = range(1, max_d + 1) if F.arities is None else F.arities
     checked = 0
     per_arity: dict[int, dict[str, int]] = {}
@@ -578,7 +589,7 @@ def check_functor(
         if not (splits or mu1 or cuts):
             per_arity[d] = {"enumerated": 0, "certified_zero_by_support": composable}
             continue
-        for prefix, lasts in composable_paths(src.objects, hom_keys, d):
+        for prefix, lasts in composable_paths(src.objects, src.hom_keys, d):
             parity = _prefix_parities(prefix, degree)
             for last in lasts:
                 keys = prefix + (last,)
@@ -646,15 +657,12 @@ def category_to_json(
 ) -> dict:
     objects = list(cat.objects)
     basis = []
-    for (a, b), gens in sorted(
-        cat.hom_basis_map.items(),
-        key=lambda kv: (objects.index(kv[0][0]), objects.index(kv[0][1])),
-    ):
+    for a, b in sorted(cat.hom_keys, key=lambda pair: tuple(map(objects.index, pair))):
         basis.append({
             "source": objects.index(a),
             "target": objects.index(b),
             "generators": [
-                {"id": gid_to_json(g.gid), "degree": g.degree} for g in gens
+                {"id": gid_to_json(g.gid), "degree": g.degree} for g in cat.hom_basis(a, b)
             ],
         })
     mu_rows = []
@@ -697,12 +705,12 @@ def category_from_json(
     or `category_from_tables` rejects raises `DocumentError` at `where`."""
     check(data, CATEGORY, where)
     objects = tuple(gid_from_json(o) for o in data["objects"])
-    hom_basis_map: dict[tuple, tuple[Generator, ...]] = {}
+    bases: dict[tuple, tuple[Generator, ...]] = {}
     for i, row in enumerate(data["basis"]):
         ends = (row["source"], row["target"])
         if not all(0 <= end < len(objects) for end in ends):
             raise DocumentError(f"{where}.basis[{i}]: names an unknown object")
-        hom_basis_map[tuple(objects[end] for end in ends)] = tuple(
+        bases[tuple(objects[end] for end in ends)] = tuple(
             Generator(gid_from_json(g["id"]), g["degree"]) for g in row["generators"]
         )
     mu_tables: dict[int, dict[tuple, Chain]] = {}
@@ -711,7 +719,7 @@ def category_from_json(
         mu_tables.setdefault(row["d"], {})[key] = chain_from_json(row["output"])
     try:
         cat = category_from_tables(
-            data["name"], objects, hom_basis_map, mu_tables, is_dg=data.get("is_dg", False)
+            data["name"], objects, bases, mu_tables, is_dg=data.get("is_dg", False)
         )
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc

@@ -25,7 +25,6 @@ from .ainfty import (
     category_to_json,
     check_ainfty,
     check_functor,
-    composable_paths,
 )
 from .cylinder import (
     CylinderConfigError,
@@ -215,7 +214,7 @@ EXPORT_BUNDLE = Document("export_bundle", {
 
 def _bundle_category(cfg: RunConfig) -> AInftyCategory | None:
     """The export bundle's category as the ainfty row re-checks it (None
-    without a bundle): its enumeration restricted to the config's chords
+    without a bundle): its `hom_keys` restricted to the config's chords
     within the winding bound.  Refused: a re-check above the recorded
     `enumeration_bound` or `max_d`, where the tables lack rows, and a basis
     whose generators differ from the config's chords in gid or degree."""
@@ -237,11 +236,7 @@ def _bundle_category(cfg: RunConfig) -> AInftyCategory | None:
         }
     except CompositionError as exc:
         raise DocumentError(f"export_bundle.category: {exc}") from exc
-    return replace(
-        cat, name="imported",
-        hom_basis_map={pair: tuple(map(ops.decode, keys)) for pair, keys in hom_keys.items()},
-        keyed=replace(ops, linked_groups=lambda d: composable_paths(cat.objects, hom_keys, d)),
-    )
+    return replace(cat, name="imported", hom_keys=hom_keys)
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -410,7 +405,7 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
     input and output of a row lies in the closure basis."""
     closure = (max_d - 1) * winding_bound
     n = g.nfibers()
-    hom_basis_map = {
+    bases = {
         (a, b): tuple(x.generator() for x in enumerate_chords(g, a, b, closure))
         for a in range(n) for b in range(n)
     }
@@ -424,7 +419,7 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
         val = mu_d(g, (x1, x2), sign)
         if not val.is_zero():
             table[(x1.gid, x2.gid)] = val
-    return hom_basis_map, {2: table}
+    return bases, {2: table}
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -434,14 +429,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     _bundle_category(cfg)  # a bundle's tables are refused as check-all refuses them
     g = cfg.geometry()
-    hom_basis_map, mu_tables = _export_tables(
-        g, cfg.winding_bound, cfg.max_d, cfg.twist
-    )
-    cat = category_from_tables(
-        "cylinder-export", tuple(range(g.nfibers())), hom_basis_map, mu_tables
-    )
+    bases, mu_tables = _export_tables(g, cfg.winding_bound, cfg.max_d, cfg.twist)
+    cat = category_from_tables("cylinder-export", tuple(range(g.nfibers())), bases, mu_tables)
     F, _model, f_objs = functor_F(g, cfg.winding_bound)
-    chords = sorted((x for basis in F.source.hom_basis_map.values() for x in basis),
+    chords = sorted((x for pair in F.source.hom_keys for x in F.source.hom_basis(*pair)),
                     key=lambda x: repr(x.gid))
     f1_rows = []
     for x in chords:

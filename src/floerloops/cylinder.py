@@ -68,7 +68,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from . import _kernels
-from .ainfty import AInftyCategory, AInftyFunctor, CompositionError, KeyedOps, composable_paths
+from .ainfty import AInftyCategory, AInftyFunctor, CompositionError, KeyedOps
 from .gradedalg import Chain, Generator, accumulate, sign_pow
 from .moduli import StratifiedModuli, synthetic_half_disc_d2_dataset
 from .pontryagin import CirclePathModel
@@ -267,6 +267,7 @@ def maslov_degree_oracle(g: CylinderGeometry, x: Chord, steps: int = 512) -> int
     """Degree of a fibre-to-fibre chord from the rotation count of the
     explicit Lagrangian tangent path; independent of the assigned grading.
     The path is the same for every chord (see `maslov_cross_check`)."""
+    _positive_ints((steps,), "rotation step counts")
     return _rotation_degree(g.c.numerator, g.c.denominator, steps)
 
 
@@ -561,9 +562,6 @@ def cylinder_category(
     def degree(key: int) -> int:
         return 0  # every chord has degree 0
 
-    def linked_groups(d: int):
-        return composable_paths(objects, hom_keys, d)
-
     decoded: dict[int, Generator] = {}
 
     def decode(key: int) -> Generator:
@@ -582,8 +580,8 @@ def cylinder_category(
     return AInftyCategory(
         f"CW(c={g.c},fibres={len(g.fibers)},w<={winding_bound})",
         objects,
-        {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()},
-        KeyedOps(mu, degree, linked_groups, decode, encode, translation=translation),
+        hom_keys,
+        KeyedOps(mu, degree, decode, encode, translation=translation),
         arities={2},
     )
 
@@ -668,15 +666,16 @@ def ring_isomorphism_report(F: AInftyFunctor, fiber: int = 0) -> CheckReport:
     loop (up to sign).  That it intertwines mu_2 with concatenation is the
     d = 2 functor equation, which `check_functor` decides."""
     name = "ring-isomorphism"
-    encode, decode = F.source.kernel_ops().encode, F.target.kernel_ops().decode
-    basis = F.source.hom_basis(fiber, fiber)
+    source, target = F.source.kernel_ops(), F.target.kernel_ops()
+    basis = F.source.hom_keys[(fiber, fiber)]
     unit_image = None
-    for x in basis:
-        terms = tuple(F.components((encode(x),)))
+    for key in basis:
+        x = source.decode(key)
+        terms = tuple(F.components((key,)))
         if len(terms) != 1:
             return failed(name, {"chord": x.gid, "reason": "image not a basis element"})
-        ((key, coeff),) = terms
-        gen = decode(key)
+        ((out, coeff),) = terms
+        gen = target.decode(out)
         if abs(coeff) != 1 or gen.degree != 0:
             return failed(name, {"chord": x.gid, "reason": f"image {coeff}*{gen.gid}"})
         # the chords have distinct windings, so preserving winding is injective

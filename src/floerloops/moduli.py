@@ -210,6 +210,15 @@ def _formal_boundary(chain: Chain, rhs: Mapping[Hashable, Chain]) -> Chain:
     return Chain(acc)
 
 
+def _stratum_sum(m: StratifiedModuli, cid: Hashable, chains: Mapping[Hashable, Chain]) -> Chain:
+    """The signed sum over a cell's boundary strata of the product of their
+    factors' chains."""
+    rhs = Chain.zero()
+    for st in m.strata(cid):
+        rhs = rhs + _cross(chains[st.left], chains[st.right]).scale(st.sign)
+    return rhs
+
+
 def _augmentation(chain: Chain) -> int:
     return sum(chain.terms.values())
 
@@ -240,9 +249,7 @@ def choose_fundamental_chains(m: StratifiedModuli) -> FundamentalChain:
 
     for dim in (1, 2):
         for cell in m.cells_by_dim(dim):
-            rhs = Chain.zero()
-            for st in m.strata(cell.cid):
-                rhs = rhs + _cross(chains[st.left], chains[st.right]).scale(st.sign)
+            rhs = _stratum_sum(m, cell.cid, chains)
             if dim == 1:
                 if _augmentation(rhs) != 0:
                     raise ModuliConsistencyError(
@@ -271,9 +278,7 @@ def verify_boundary_consistency(
     for cell in sorted(m.cells.values(), key=lambda c: (c.dim, repr(c.cid))):
         if cell.cid not in f.chains:
             return failed(name, {"cell": cell.cid, "reason": "no chain chosen"})
-        rhs = Chain.zero()
-        for st in m.strata(cell.cid):
-            rhs = rhs + _cross(f.chains[st.left], f.chains[st.right]).scale(st.sign)
+        rhs = _stratum_sum(m, cell.cid, f.chains)
         if f.boundaries.get(cell.cid, Chain.zero()) != rhs:
             return failed(name, {"cell": cell.cid, "reason": "recorded boundary mismatch"})
         if cell.dim == 1 and _augmentation(rhs) != 0:
@@ -366,74 +371,35 @@ def synthetic_strip_dataset(variant: str) -> StratifiedModuli:
     raise ValueError(f"unknown strip variant {variant!r}")
 
 
+def _d1_strata(deg_q0: int) -> dict[str, tuple]:
+    """The d=1 stratum kinds of a one-input half-disc family, with |x| = 0,
+    each as (left cell, right cell, rule, degree data)."""
+    deg_x = 0
+    return {
+        # H(q0, x0, q1) with |x0| = |x|+1, then the rigid strip
+        "top": ("Hx0", "Rstrip", "d1_top", {"deg_x0": deg_x + 1, "deg_q0": deg_q0}),
+        # H(q0, x, q1') with |q1'| = 1, then the strip H(q1', q1)
+        "right": ("Hq1", "Sq1", "d1_right", {"deg_q0": deg_q0, "deg_x": deg_x, "deg_q1p": 1}),
+        # the strip H(q0, q0'), then H(q0', x, q1)
+        "left": ("Sq0", "Hq0", "d1_left", {}),
+    }
+
+
 def synthetic_half_disc_d1_dataset(variant: str, deg_q0: int = 1) -> StratifiedModuli:
     """One-input half-disc families of dimension 1 pairing two of the three
     d=1 stratum kinds, with counts balancing the interval ends."""
-    deg_x, deg_q1 = 0, 0
-    if variant == "top-right":
-        cells = {
-            "Hx0": ModuliCell("Hx0", 0, 1),     # H(q0, x0, q1), |x0| = |x|+1
-            "Rstrip": ModuliCell("Rstrip", 0, 1),
-            "Hq1": ModuliCell("Hq1", 0, 1),     # H(q0, x, q1'), |q1'| = 1
-            "Sq1": ModuliCell("Sq1", 0, 1),     # H(q1', q1) strip
-            "top": ModuliCell("top", 1),
-        }
-        top_sign_balance = boundary_sign_half_disc_strata(
-            "d1_top", {"deg_x0": deg_x + 1, "deg_q0": deg_q0}
-        )
-        right_sign = boundary_sign_half_disc_strata(
-            "d1_right", {"deg_q0": deg_q0, "deg_x": deg_x, "deg_q1p": 1}
-        )
-        if top_sign_balance == right_sign:
-            cells["Sq1"] = ModuliCell("Sq1", 0, -1)
-        boundary = {
-            "top": (
-                make_stratum("Hx0", "Rstrip", "d1_top", deg_x0=deg_x + 1, deg_q0=deg_q0),
-                make_stratum("Hq1", "Sq1", "d1_right", deg_q0=deg_q0, deg_x=deg_x, deg_q1p=1),
-            ),
-        }
-        return StratifiedModuli("half_disc", f"hd1-top-right-q{deg_q0}", cells, boundary)
-    if variant == "top-left":
-        cells = {
-            "Hx0": ModuliCell("Hx0", 0, 1),
-            "Rstrip": ModuliCell("Rstrip", 0, 1),
-            "Sq0": ModuliCell("Sq0", 0, 1),     # H(q0, q0') strip
-            "Hq0": ModuliCell("Hq0", 0, 1),     # H(q0', x, q1)
-            "top": ModuliCell("top", 1),
-        }
-        top_sign = boundary_sign_half_disc_strata(
-            "d1_top", {"deg_x0": deg_x + 1, "deg_q0": deg_q0}
-        )
-        if top_sign == 1:
-            cells["Hq0"] = ModuliCell("Hq0", 0, -1)
-        boundary = {
-            "top": (
-                make_stratum("Hx0", "Rstrip", "d1_top", deg_x0=deg_x + 1, deg_q0=deg_q0),
-                make_stratum("Sq0", "Hq0", "d1_left"),
-            ),
-        }
-        return StratifiedModuli("half_disc", f"hd1-top-left-q{deg_q0}", cells, boundary)
-    if variant == "right-left":
-        cells = {
-            "Hq1": ModuliCell("Hq1", 0, 1),
-            "Sq1": ModuliCell("Sq1", 0, 1),
-            "Sq0": ModuliCell("Sq0", 0, 1),
-            "Hq0": ModuliCell("Hq0", 0, 1),
-            "top": ModuliCell("top", 1),
-        }
-        right_sign = boundary_sign_half_disc_strata(
-            "d1_right", {"deg_q0": deg_q0, "deg_x": deg_x, "deg_q1p": 1}
-        )
-        if right_sign == 1:
-            cells["Hq0"] = ModuliCell("Hq0", 0, -1)
-        boundary = {
-            "top": (
-                make_stratum("Hq1", "Sq1", "d1_right", deg_q0=deg_q0, deg_x=deg_x, deg_q1p=1),
-                make_stratum("Sq0", "Hq0", "d1_left"),
-            ),
-        }
-        return StratifiedModuli("half_disc", f"hd1-right-left-q{deg_q0}", cells, boundary)
-    raise ValueError(f"unknown d1 variant {variant!r}")
+    if variant not in ("top-right", "top-left", "right-left"):
+        raise ValueError(f"unknown d1 variant {variant!r}")
+    kinds = _d1_strata(deg_q0)
+    strata = tuple(make_stratum(left, right, rule, **data)
+                   for left, right, rule, data in map(kinds.get, variant.split("-")))
+    cells = {cid: ModuliCell(cid, 0, 1) for st in strata for cid in (st.left, st.right)}
+    # the two ends cancel: the second stratum's second cell counts -1 when
+    # the two stratum signs agree
+    if strata[0].sign == strata[1].sign:
+        cells[strata[1].right] = ModuliCell(strata[1].right, 0, -1)
+    cells["top"] = ModuliCell("top", 1)
+    return StratifiedModuli("half_disc", f"hd1-{variant}-q{deg_q0}", cells, {"top": strata})
 
 
 def synthetic_half_disc_d2_dataset(

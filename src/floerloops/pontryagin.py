@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
-from .ainfty import AInftyCategory, KeyedOps, check_ainfty, composable_paths
+from .ainfty import AInftyCategory, KeyedOps, check_ainfty
 from .documents import Document, DocumentError, check
 from .gradedalg import Chain, Generator, accumulate, sign_pow
 from .report import CheckReport, failed, passed
@@ -264,8 +264,8 @@ def validate_path_model(
         return rep
     for i in cat.objects:
         unit = model.unit_gen(i)
-        for (src, tgt), basis in cat.hom_basis_map.items():
-            for g in basis:
+        for src, tgt in cat.hom_keys:
+            for g in cat.hom_basis(src, tgt):
                 if tgt == i and model.concat_gens(g, unit) != Chain.of(g):
                     return failed(name, {"check": "right-unit", "generator": g.gid})
                 if src == i and model.concat_gens(unit, g) != Chain.of(g):
@@ -370,12 +370,10 @@ def path_model_category(model: PathModel, window: int = 2, name: str = "P") -> A
             out = moved[key] = (k, intern(gen0))
         return out
 
-    objects = tuple(range(n))
     return AInftyCategory(
-        name, objects, {pair: tuple(by_key[k] for k in keys) for pair, keys in hom_keys.items()},
+        name, tuple(range(n)), hom_keys,
         KeyedOps(
-            mu, lambda key: by_key[key].degree,
-            lambda d: composable_paths(objects, hom_keys, d), by_key.__getitem__, intern,
+            mu, lambda key: by_key[key].degree, by_key.__getitem__, intern,
             translation=translation if model.translation else None,
         ),
         is_dg=True, arities={1, 2}, mu_fn=mu_fn,

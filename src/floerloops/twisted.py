@@ -289,8 +289,8 @@ def tw_category(
     cells = {
         (Ta.name, Tb.name): [
             [
-                tuple((base.encode(b) << bbits) | block(Ta.name, i1, Tb.name, i2)
-                      for b in paths.hom_basis(Ta.point_of(i1), Tb.point_of(i2)))
+                tuple((b << bbits) | block(Ta.name, i1, Tb.name, i2)
+                      for b in paths.hom_keys[(Ta.point_of(i1), Tb.point_of(i2))])
                 for i2 in range(Tb.nsummands())
             ]
             for i1 in range(Ta.nsummands())
@@ -445,10 +445,10 @@ def tw_category(
             key = encoded[gen] = (b << bbits) | block(n1, i1, n2, i2)
         return key
 
-    hom_basis_map = {pair: tuple(map(decode, keys)) for pair, keys in hom_keys.items()}
     return AInftyCategory(
-        name, names, hom_basis_map,
-        KeyedOps(mu, degree, linked_groups, decode, encode, stride, linked={2: linked2}),
+        name, names, hom_keys,
+        KeyedOps(mu, degree, decode, encode, stride, linked_groups=linked_groups,
+                 linked={2: linked2}),
         is_dg=True, arities={1, 2},
     )
 

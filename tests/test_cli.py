@@ -398,7 +398,7 @@ def test_export_records_untwisted_f1_signs(tmp_path):
                 for row in json.loads(bundle.read_text())["functor_f1"]}
     g = CylinderGeometry(Fraction(1, 2), (Fraction(0), Fraction(2, 5)))
     untwisted, twisted = functor_F(g, 4)[0], functor_F(g, 4, twist="constant")[0]
-    chords = [x for basis in untwisted.source.hom_basis_map.values() for x in basis]
+    chords = [x for pair in untwisted.source.hom_keys for x in untwisted.source.hom_basis(*pair)]
     expected = {}
     for x in chords:
         path_gid, sign = _f1_image(untwisted, x)

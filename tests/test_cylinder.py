@@ -399,8 +399,12 @@ TWO_FIBRES = (Fraction(1), (Fraction(0), Fraction(1, 3)))
     lambda g: maslov_cross_check(g, 1, ()),
     lambda g: maslov_cross_check(g, 1, (0,)),
     lambda g: maslov_cross_check(g, 1, (-5,)),
+    lambda g: maslov_degree_oracle(g, chord(g, 0, 1, 0), 0),
+    lambda g: maslov_degree_oracle(g, chord(g, 0, 1, 0), -5),
+    lambda g: maslov_degree_oracle(g, chord(g, 0, 1, 0), 1.5),
 ], ids=["raster-no-resolution", "raster-negative-bound", "constants-negative-bound",
-        "maslov-no-steps", "maslov-zero-steps", "maslov-negative-steps"])
+        "maslov-no-steps", "maslov-zero-steps", "maslov-negative-steps",
+        "oracle-zero-steps", "oracle-negative-steps", "oracle-fractional-steps"])
 def test_vacuous_oracle_input_is_a_config_error(sweep):
     # each would compare nothing: no resolution, no pair or no rotation step
     with pytest.raises(CylinderConfigError):

@@ -36,9 +36,14 @@ def _load_config(doc):
         return cli.load_run_config(cli.build_parser().parse_args(["check-all", "--config", path]))
 
 
+def _bases(cat):
+    """A category's hom bases, decoded from its keys."""
+    return {pair: cat.hom_basis(*pair) for pair in cat.hom_keys}
+
+
 def _load_bundle(doc):
     cfg = _load_config(doc)
-    return cfg.as_json(), cli._bundle_category(cfg).hom_basis_map
+    return cfg.as_json(), _bases(cli._bundle_category(cfg))
 
 
 def _export_bundle():
@@ -61,7 +66,7 @@ GEOMETRY_OF_BUNDLE = CylinderGeometry(Fraction(1, 2), (Fraction(0), Fraction(2, 
 DOCUMENTS = {
     "geometry_config": (GEOMETRY, lambda doc: _load_config(doc).as_json(), GEOMETRY),
     "export_bundle": (BUNDLE, _load_bundle,
-                      (GEOMETRY, cylinder_category(GEOMETRY_OF_BUNDLE, 1).hom_basis_map)),
+                      (GEOMETRY, _bases(cylinder_category(GEOMETRY_OF_BUNDLE, 1)))),
     "ainfty_category": (CATEGORY, lambda doc: category_to_json(*category_from_json(doc)),
                         CATEGORY),
     "path_model": (path_model_to_json(leibniz_witness_model()),

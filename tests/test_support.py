@@ -265,10 +265,9 @@ def unreduced(cat, cxs):
     here from the decoded gids."""
     ops = cat.keyed
     by_name = {T.name: T for T in cxs}
-    hom = {pair: tuple(map(ops.encode, basis)) for pair, basis in cat.hom_basis_map.items()}
 
     def linked_groups(d):
-        for prefix, lasts in composable_paths(cat.objects, hom, d):
+        for prefix, lasts in composable_paths(cat.objects, cat.hom_keys, d):
             if d == 2:
                 first = ops.decode(prefix[0])
                 lasts = [k for k in lasts if summand_linked(by_name, (first, ops.decode(k)))]
@@ -523,6 +522,98 @@ def test_tw_witness_matches_exhaustive_reference_under_flips(case):
     assert check_tw_dg(model, cxs, window=1).witness == witness
 
 
+def shift_fault(cxs):
+    """A reference fault on summand data, as a test of the gid of a tw mu_2
+    output's first input: it runs between two summands of odd shift."""
+    by_name = {T.name: T for T in cxs}
+
+    def negated(gid):
+        _, n1, i1, n2, i2, _ = gid
+        return by_name[n1].shift_of(i1) % 2 == 1 == by_name[n2].shift_of(i2) % 2
+    return negated
+
+
+def coefficient_fault(cxs):
+    """A reference fault on summand data, as a test of the gid of a tw mu_2
+    output's first input: it starts at a summand with an incoming connection
+    entry whose coefficients have an even sum."""
+    by_name = {T.name: T for T in cxs}
+
+    def negated(gid):
+        _, n1, i1, _, _, _ = gid
+        return any(j == i1 and sum(c for _, c in chain.items()) % 2 == 0
+                   for (_, j), chain in by_name[n1].D.items())
+    return negated
+
+
+# Each fault reads only summand data that the summand classes keep, so the
+# reduced enumeration must still find the exhaustive witness; a class key
+# blind to that data (the shift of a summand without incoming entries, the
+# chain of an incoming entry) misses it.
+SUMMAND_FAULTS = {"shift": shift_fault, "coefficient": coefficient_fault}
+
+
+def summand_faulted(cat, cxs, fault):
+    """`cat`, a `tw_category` on `cxs`, with the fault negating its keyed mu_2."""
+    ops, negated = cat.keyed, SUMMAND_FAULTS[fault](cxs)
+
+    def mu(keys):
+        out = ops.mu(keys)
+        if len(keys) == 2 and negated(ops.decode(keys[0]).gid):
+            return tuple((key, -c) for key, c in out)
+        return out
+    return dataclasses.replace(cat, mu_fn=None, keyed=dataclasses.replace(ops, mu=mu))
+
+
+def summand_faulted_matrix(model, cxs, fault):
+    """`matrix_category` with the fault negating its mu_2."""
+    cat, negated = matrix_category(model, cxs, window=1), SUMMAND_FAULTS[fault](cxs)
+    mu_fn = cat.mu_fn
+
+    def faulted(gens):
+        out = mu_fn(gens)
+        return -out if len(gens) == 2 and negated(gens[0].gid) else out
+    return dataclasses.replace(cat, mu_fn=faulted)
+
+
+def fault_battery(fault):
+    """Two complexes on the one-point circle whose second holds the first
+    summand a fault breaks a relation at, in the class of a summand of the
+    first under a key blind to what the fault reads: pair-0 with both
+    shifts raised (summand 0, shift 1, beside single-0), or with its
+    connection coefficient doubled (summand 1, beside pair-0's)."""
+    cm = circle_model(1)
+    battery = {T.name: T for T in synthetic_twisted_complexes(cm, "f")}
+    pair = battery["f-pair-0"]
+    if fault == "shift":
+        return cm, [battery["f-single-0"], near_copy(pair, "shift", 0, "f-pair-raised")]
+    return cm, [pair, near_copy(pair, "coefficient", 0, "f-pair-doubled")]
+
+
+@pytest.mark.parametrize("fault", sorted(SUMMAND_FAULTS))
+@settings(max_examples=20, deadline=None)
+@given(case=repeated_batteries())
+@example(case=fault_battery("shift"))
+@example(case=fault_battery("coefficient"))
+def test_tw_witness_matches_exhaustive_reference_under_summand_faults(fault, case):
+    model, cxs = case
+    witness, count = exhaustive_check(summand_faulted_matrix(model, cxs, fault), 2)
+    rep = check_ainfty(summand_faulted(tw_category(model, cxs, window=1), cxs, fault), 2)
+    assert (rep.ok, rep.witness) == (witness is None, witness)
+    if rep.ok:
+        assert rep.details["tuples_checked"] == count
+
+
+@pytest.mark.parametrize("fault, first", [("shift", ("f-pair-raised", 0)),
+                                          ("coefficient", ("f-pair-doubled", 1))],
+                         ids=["shift", "coefficient"])
+def test_summand_fault_breaks_a_relation(fault, first):
+    # each fault is live, first at the summand its battery places
+    model, cxs = fault_battery(fault)
+    rep = check_ainfty(summand_faulted(tw_category(model, cxs, window=1), cxs, fault), 2)
+    assert not rep.ok and rep.witness["tuple"][0][1:3] == first
+
+
 def test_flipped_composition_fails_at_a_tw_relation():
     model, cxs = flipped_battery(2, {8}, (0, 1, 1, 2, 0))
     rep = check_tw_dg(model, cxs, window=1)
@@ -578,9 +669,12 @@ def test_complexes_differing_in_connection_or_model_are_checked():
 
 
 def flattened_groups(cat, d):
+    """The tuples `check_ainfty` visits at arity d, decoded: the declared
+    groups, else every composable tuple of the category's keys."""
     ops = cat.kernel_ops()
-    return [tuple(map(ops.decode, prefix + (last,)))
-            for prefix, lasts in ops.linked_groups(d) for last in lasts]
+    groups = (ops.linked_groups(d) if ops.linked_groups
+              else composable_paths(cat.objects, cat.hom_keys, d))
+    return [tuple(map(ops.decode, prefix + (last,))) for prefix, lasts in groups for last in lasts]
 
 
 def two_object_table_category():

@@ -219,7 +219,7 @@ def test_adapter_agrees_with_matrix_operations():
             base = type(gen)(base_gid, gen.degree - shift)
             return Ta, i1, Tb, i2, base
 
-        all_gens = [g for basis in cat.hom_basis_map.values() for g in basis]
+        all_gens = [g for pair in cat.hom_keys for g in cat.hom_basis(*pair)]
         for g1 in all_gens:
             Ta, i1, Tb, i2, base = parse(g1)
             expected = to_chain(Ta, Tb, tw_mu1(Ta, Tb, {(i1, i2): Chain.of(base)}))
