@@ -13,7 +13,7 @@ and `check_functor` evaluates the functor equation into a DG target, where
 the right-hand side is mu_1(F_d) plus the sum of mu_2(F_{d_2}, F_{d_1}) over
 splittings.
 
-Arity support.  A category may declare `arities`, the set of d for which
+Arity support.  A category declares `arities`, the set of d for which
 mu_d can be nonzero; the checkers never consult mu outside it, so the
 declaration is authoritative.  A split (d_2, k) of an arity-d relation is
 admissible when d_2 and d_1 = d - d_2 + 1 both lie in the support; the
@@ -139,23 +139,21 @@ class AInftyCategory:
     `hom_keys` maps each object pair to the keys of its hom basis, in basis
     order: the one stored basis.  `keyed` is the structure the checkers run
     on those keys; `hom_basis` and `composable_tuples` decode them when
-    called.  `arities` is the support of mu (None: unrestricted); the
-    checkers never consult mu outside it.  `mu_fn` is mu on basis
-    generators in composition order, returning a Chain; when not given it
-    is derived from `keyed`.
+    called.  `arities` is the support of mu; the checkers never consult mu
+    outside it.  `mu_fn` is mu on basis generators in composition order,
+    returning a Chain; when not given it is derived from `keyed`.
     """
 
     name: str
     objects: tuple
     hom_keys: Mapping[tuple, tuple]
     keyed: KeyedOps
+    arities: frozenset[int]
     is_dg: bool = False
-    arities: frozenset[int] | None = None
     mu_fn: Callable[[tuple[Generator, ...]], Chain] | None = None
 
     def __post_init__(self):
-        if self.arities is not None:
-            self.arities = frozenset(self.arities)
+        self.arities = frozenset(self.arities)
         if self.mu_fn is None:
             ops = self.keyed
             self.mu_fn = lambda gens: Chain(
@@ -167,7 +165,7 @@ class AInftyCategory:
 
     def supports(self, d: int) -> bool:
         """Whether mu_d can be nonzero."""
-        return self.arities is None or d in self.arities
+        return d in self.arities
 
     def composable_tuples(self, d: int) -> Iterator[tuple]:
         """All length-d composable basis tuples, lexicographic in the object
@@ -275,7 +273,7 @@ def category_from_tables(
         name, objects, hom_keys,
         KeyedOps(lambda keys: terms.get(keys, ()), lambda key: by_key[key].degree,
                  by_key.__getitem__, encode),
-        is_dg, frozenset(len(keys) for keys, out in terms.items() if out),
+        frozenset(len(keys) for keys, out in terms.items() if out), is_dg,
     )
 
 
@@ -308,15 +306,15 @@ def mu2_shifted(
 # ---------------------------------------------------------------------------
 
 def admissible_splits(
-    d: int, inner: Iterable[int] | None, outer: Iterable[int] | None
+    d: int, inner: Iterable[int], outer: Iterable[int]
 ) -> tuple[tuple[int, int], ...]:
     """The splits (d_2, k) of an arity-d relation, in the order the checkers
     sum them, whose inner arity d_2 lies in `inner` and whose outer arity
-    d - d_2 + 1 lies in `outer` (None: any arity)."""
+    d - d_2 + 1 lies in `outer`."""
     return tuple(
         (d2, k)
         for d2 in range(1, d + 1)
-        if (inner is None or d2 in inner) and (outer is None or d - d2 + 1 in outer)
+        if d2 in inner and d - d2 + 1 in outer
         for k in range(d - d2 + 1)
     )
 
@@ -396,7 +394,7 @@ def _verified_translation(cat: AInftyCategory, ops: KeyedOps, max_d: int):
     """(ops visiting one representative per translation orbit, the number of
     entries verified), or None when the premise fails; see `check_ainfty`."""
     translation, mu = ops.translation, ops.mu
-    if translation is None or cat.arities is None or not cat.arities <= {1, 2}:
+    if translation is None or not cat.arities <= {1, 2}:
         return None
     hom = cat.hom_keys
     reps, sizes = {}, set()
@@ -550,15 +548,14 @@ class AInftyFunctor:
     `components(keys)` receives a composable tuple of source keys in
     composition order and returns the (key, coeff) terms of F_d on it in
     hom(object_map[L_0], object_map[L_d]) of the target.  `arities` is the
-    support of F (None: unrestricted): `check_functor` never consults
-    `components` outside it.
+    support of F: `check_functor` never consults `components` outside it.
     """
 
     source: AInftyCategory
     target: AInftyCategory
     object_map: Mapping
     components: Callable[[tuple], Iterable[tuple[Hashable, int]]]
-    arities: frozenset[int] | None = None
+    arities: frozenset[int]
     name: str = "F"
 
 
@@ -576,8 +573,7 @@ def check_functor(
     if not tgt.is_dg:
         raise ValueError("functor target must be a DG category (mu_{>=3} = 0)")
     sops, tops = src.kernel_ops(), tgt.kernel_ops()
-    smu, tmu, degree, comp = sops.mu, tops.mu, sops.degree, F.components
-    support = range(1, max_d + 1) if F.arities is None else F.arities
+    smu, tmu, degree, comp, support = sops.mu, tops.mu, sops.degree, F.components, F.arities
     checked = 0
     per_arity: dict[int, dict[str, int]] = {}
     for d in range(1, max_d + 1):

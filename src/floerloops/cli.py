@@ -30,10 +30,10 @@ from .cylinder import (
     CylinderConfigError,
     CylinderGeometry,
     chord,
-    chord_pairs,
     enumerate_chords,
     functor_F,
     half_disc_d2_families,
+    key_pairs,
     mu_d,
     ring_isomorphism_report,
     twist_sign,
@@ -411,7 +411,8 @@ def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: s
     }
     sign = twist_sign(twist)
     table: dict[tuple, Chain] = {}
-    for x1, x2 in chord_pairs(g, min(2 * winding_bound, closure)):
+    for k1, k2 in key_pairs(g, min(2 * winding_bound, closure)):
+        x1, x2 = g.chord_at(k1), g.chord_at(k2)
         if abs(x1.winding + x2.winding) > closure:
             continue
         if min(abs(x1.winding), abs(x2.winding)) > winding_bound:

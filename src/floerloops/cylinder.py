@@ -7,7 +7,7 @@ globally quadratic, H = c p^2 with c > 0 rational, so the time-1 flow is
 (q, p) -> (q + 2 c p, p).  A chord from the fibre at a to the fibre at b is
 indexed by the integer winding w solving b - a + w = 2 c p; its action is
 -c p^2 and its degree is 0 in the standard grading of fibres (validated
-independently by `maslov_degree_oracle`).
+independently by `maslov_cross_check`).
 
 Enumeration happens in the universal cover R^2: the fibre over a lifts to
 the vertical lines q = a + n, and its time-s flow to lines q = a + n + 2cs p.
@@ -69,7 +69,7 @@ from typing import Iterator, Mapping
 
 from . import _kernels
 from .ainfty import AInftyCategory, AInftyFunctor, CompositionError, KeyedOps
-from .gradedalg import Chain, Generator, accumulate, sign_pow
+from .gradedalg import Chain, Generator, sign_pow
 from .moduli import StratifiedModuli, synthetic_half_disc_d2_dataset
 from .pontryagin import CirclePathModel
 from .report import CheckReport, failed, passed
@@ -217,7 +217,7 @@ def enumerate_chords(
     return sorted(out, key=lambda x: (-g.delta(x) ** 2, x.winding))
 
 
-def _key_pairs(g: CylinderGeometry, bound: int) -> Iterator[tuple[int, int]]:
+def key_pairs(g: CylinderGeometry, bound: int) -> Iterator[tuple[int, int]]:
     """The keys of every composable chord pair with both windings in
     [-bound, bound]: by fibre path (a, b, c), then by w1, then by w2.  A
     negative bound is refused at the call."""
@@ -228,12 +228,6 @@ def _key_pairs(g: CylinderGeometry, bound: int) -> Iterator[tuple[int, int]]:
     return (((w1 * n + a) * n + b, (w2 * n + b) * n + c)
             for a, b, c in itertools.product(range(n), repeat=3)
             for w1 in windings for w2 in windings)
-
-
-def chord_pairs(g: CylinderGeometry, bound: int) -> Iterator[tuple[Chord, Chord]]:
-    """Every composable chord pair (x1, x2) in `_key_pairs` order."""
-    for k1, k2 in _key_pairs(g, bound):
-        yield g.chord_at(k1), g.chord_at(k2)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +255,6 @@ def _rotation_degree(c_num: int, c_den: int, steps: int) -> int:
     vertical = (0, 1)
     cross = vertical[0] * prev[1] - vertical[1] * prev[0]
     return 1 if cross > 0 else 0
-
-
-def maslov_degree_oracle(g: CylinderGeometry, x: Chord, steps: int = 512) -> int:
-    """Degree of a fibre-to-fibre chord from the rotation count of the
-    explicit Lagrangian tangent path; independent of the assigned grading.
-    The path is the same for every chord (see `maslov_cross_check`)."""
-    _positive_ints((steps,), "rotation step counts")
-    return _rotation_degree(g.c.numerator, g.c.denominator, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -345,27 +331,6 @@ def _mu2_entry(g: CylinderGeometry, k1: int, k2: int) -> tuple[tuple[int, int], 
     return ((out, 1),)
 
 
-def mu_polygons(g: CylinderGeometry, chords: tuple[Chord, ...]) -> list[tuple[int, int]]:
-    """The rigid polygons with the prescribed corner chords, as (output key,
-    sign) terms.
-
-    For d = 2 these are the mu_2 table's terms, which `_mu2_entry` checked.
-    For d >= 3 the candidate sits in a (d-2)-parameter family of conformal
-    structures and is never rigid; with all chords in degree 0 the index
-    also forbids an output, so the rigid count is empty.
-    """
-    d = len(chords)
-    if d < 2:
-        raise ValueError("polygon enumeration needs d >= 2")
-    for x, y in zip(chords, chords[1:]):
-        if x.target != y.source:
-            raise CompositionError(f"chords not composable: {x.gid} then {y.gid}")
-    if d >= 3:
-        # the configuration exists but its expected dimension d-2 is positive
-        return []
-    return list(g.mu2_terms(_key(g, chords[0]), _key(g, chords[1])))
-
-
 # A background class b twists each polygon's sign by (-1)^(N_b).  On T*S^1,
 # H^2(M; Z/2) = 0, and a twist is one global sign on mu_2 and F^1.  A sign
 # read from the output winding alone could do no more: the d = 3 relation on
@@ -395,14 +360,23 @@ def _signed_mu2(g: CylinderGeometry, k1: int, k2: int, twist: int) -> tuple[tupl
 def mu_d(g: CylinderGeometry, chords: tuple[Chord, ...], twist: int = 1) -> Chain:
     """The d-input product on chords: signed rigid polygon count, with the
     dagger sign sum_k k |x_k| and the twist's sign, as a chain on the
-    unrescaled output chord."""
-    if len(chords) != 2:
-        mu_polygons(g, chords)  # raises below d = 2; no rigid polygon above
+    unrescaled output chord.
+
+    For d = 2 the count is the mu_2 table's term, which `_mu2_entry` checked.
+    For d >= 3 the candidate sits in a (d-2)-parameter family of conformal
+    structures and is never rigid; with all chords in degree 0 the index
+    also forbids an output, so the product is zero.
+    """
+    d = len(chords)
+    if d < 2:
+        raise ValueError("polygon enumeration needs d >= 2")
+    for x, y in zip(chords, chords[1:]):
+        if x.target != y.source:
+            raise CompositionError(f"chords not composable: {x.gid} then {y.gid}")
+    if d >= 3:
         return Chain.zero()
-    acc: dict[Generator, int] = {}
-    for key, coeff in _signed_mu2(g, _key(g, chords[0]), _key(g, chords[1]), twist):
-        accumulate(acc, ((g.chord_at(key).generator(), coeff),), 1)
-    return Chain.from_sums(acc)
+    return Chain({g.chord_at(key).generator(): coeff
+                  for key, coeff in _signed_mu2(g, _key(g, chords[0]), _key(g, chords[1]), twist)})
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +478,11 @@ def half_disc_d2_family(
 
 def half_disc_d2_families(g: CylinderGeometry, bound: int) -> list[StratifiedModuli]:
     """One two-input half-disc family per (x1 degree, x2 degree, triangle
-    sign), all a family depends on, first seen in `chord_pairs(g, bound)`."""
+    sign), all a family depends on, first seen in `key_pairs(g, bound)`."""
     firsts: dict[tuple, tuple[Chord, Chord]] = {}
-    for x1, x2 in chord_pairs(g, bound):
-        ((_, sign),) = g.mu2_terms(_key(g, x1), _key(g, x2))
+    for k1, k2 in key_pairs(g, bound):
+        x1, x2 = g.chord_at(k1), g.chord_at(k2)
+        ((_, sign),) = g.mu2_terms(k1, k2)
         firsts.setdefault((x1.degree, x2.degree, sign), (x1, x2))
     return [half_disc_d2_family(g, x1, x2)[0] for x1, x2 in firsts.values()]
 
@@ -531,7 +506,7 @@ def cylinder_category(
     forced corner configuration sits in a family of conformal structures of
     dimension d - 2 > 0, so it is never rigid, and the index forbids it too:
     mu_d needs an output of degree 2 - d < 0 and every chord has degree 0
-    (`mu_polygons` returns no polygon there).
+    (`mu_d` is zero there).
 
     The checker runs on chord keys (`keyed`): mu_2 of a key pair is the
     geometry's shared table with this category's twist applied,
@@ -599,7 +574,7 @@ def structure_constants(
             gid(key): sign * s
             for key, s in g.mu2_terms(k1, k2)
         }
-        for k1, k2 in _key_pairs(g, winding_bound)
+        for k1, k2 in key_pairs(g, winding_bound)
     }
 
 
@@ -725,13 +700,6 @@ def _raster_counts(g: CylinderGeometry, k1: int, k2: int, resolutions: tuple[int
     return counts
 
 
-def mu2_raster_count(g: CylinderGeometry, x1: Chord, x2: Chord, resolution: int) -> int:
-    """The raster count of one chord pair at one resolution (see `_raster_counts`)."""
-    _positive_ints((resolution,), "raster resolutions")
-    (count,) = _raster_counts(g, _key(g, x1), _key(g, x2), (resolution,))
-    return count
-
-
 def raster_cross_check(
     g: CylinderGeometry, winding_bound: int, resolutions: tuple[int, ...] = (192, 384)
 ) -> CheckReport:
@@ -740,7 +708,7 @@ def raster_cross_check(
     name = "mu2-raster-oracle"
     _positive_ints(resolutions, "raster resolutions")
     pairs = 0
-    for pairs, (k1, k2) in enumerate(_key_pairs(g, winding_bound), 1):
+    for pairs, (k1, k2) in enumerate(key_pairs(g, winding_bound), 1):
         exact = len(g.mu2_terms(k1, k2))
         for res, raster in zip(resolutions, _raster_counts(g, k1, k2, resolutions)):
             if raster != exact:
@@ -750,7 +718,7 @@ def raster_cross_check(
 
 
 def maslov_cross_check(
-    g: CylinderGeometry, winding_bound: int, steps: tuple[int, int] = (256, 1024)
+    g: CylinderGeometry, winding_bound: int, steps: tuple[int, ...] = (256, 1024)
 ) -> CheckReport:
     """Compare the assigned chord degrees against the rotation-number
     oracle at two step counts.

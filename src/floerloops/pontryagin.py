@@ -178,6 +178,9 @@ class FinitePathModel(PathModel):
                     raise ValueError(
                         f"{what} result {gid!r} has degree {degree}, expected {expected}")
         self._units = dict(units)
+        for key in self._units:
+            if key not in range(len(self.points)):
+                raise ValueError(f"unit key {key!r} is not a point index")
         for i in range(len(self.points)):
             ugid = self._units.get(i)
             if ugid not in self._gens or self._endpoints[ugid] != (i, i):
@@ -301,10 +304,12 @@ def path_model_from_json(data: dict) -> FinitePathModel:
         if pair in composition:
             raise DocumentError(f"path_model: composition {pair[0]!r}.{pair[1]!r} is listed twice")
         composition[pair] = r["result"]
+    # a key that spells no point index stays a string, which the model refuses
+    index = {str(i): i for i in range(len(data["points"]))}
     try:
         return FinitePathModel(
             tuple(data["points"]), gens,
-            {int(i): gid for i, gid in data["units"].items()},
+            {index.get(key, key): gid for key, gid in data["units"].items()},
             composition,
             data.get("differential", {}),
         )

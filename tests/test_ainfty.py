@@ -153,7 +153,7 @@ def test_identity_functor_of_dga_passes():
 def test_functor_requires_dg_target():
     cat = witness_category()
     not_dg = dataclasses.replace(cat, is_dg=False)
-    F = AInftyFunctor(cat, not_dg, {0: 0}, lambda keys: ())
+    F = AInftyFunctor(cat, not_dg, {0: 0}, lambda keys: (), arities={1})
     with pytest.raises(ValueError):
         check_functor(F, 2)
 

@@ -516,6 +516,14 @@ def _no_points_no_units(doc):
     doc["units"] = {}
 
 
+def _units_off_the_points(doc):
+    doc["units"].update({"7": "u", "-1": "zz"})
+
+
+def _unit_key_not_an_index(doc):
+    doc["units"]["x"] = "u"
+
+
 def _generator_listed_twice(doc):
     doc["generators"].append({"id": "a", "source": 0, "target": 0, "degree": 5})
 
@@ -539,6 +547,8 @@ def _differential_off_degree(doc):
         (_row_with_unknown_second, "path model row names unknown generator 'zz'"),
         (_no_points, "path model has no points"),
         (_no_points_no_units, "path model has no points"),
+        (_units_off_the_points, "unit key '7' is not a point index"),
+        (_unit_key_not_an_index, "unit key 'x' is not a point index"),
         (_generator_listed_twice, "generator 'a' is listed twice"),
         (_composition_listed_twice, "composition 'a'.'b' is listed twice"),
         (_product_off_degree, "composition 'a'.'a' result 'c' has degree 1, expected 2"),

@@ -9,8 +9,7 @@ from floerloops.cylinder import (
     CylinderConfigError,
     CylinderGeometry,
     chord,
-    chord_pairs,
-    mu2_raster_count,
+    key_pairs,
     raster_cross_check,
 )
 
@@ -125,7 +124,7 @@ def _geometry():
 def test_cross_check_fails_when_the_kernel_undercounts(monkeypatch):
     g = _geometry()
     exact = _kernels.triangle_grid_count
-    pairs = list(chord_pairs(g, 1))
+    pairs = [(g.chord_at(k1), g.chord_at(k2)) for k1, k2 in key_pairs(g, 1)]
     # every count one short: the first pair has coincident corners and fails
     monkeypatch.setattr(_kernels, "triangle_grid_count", lambda *args: exact(*args) - 1)
     rep = raster_cross_check(g, 1, (8, 16))
@@ -156,7 +155,5 @@ def test_cross_check_fails_when_a_product_is_dropped(monkeypatch):
 
 @pytest.mark.parametrize("resolution", [0, -1, 1.5])
 def test_raster_count_rejects_bad_resolution(resolution):
-    g = _geometry()
-    x = chord(g, 0, 0, 1)
     with pytest.raises(CylinderConfigError):
-        mu2_raster_count(g, x, x, resolution)
+        raster_cross_check(_geometry(), 1, (resolution,))

@@ -12,12 +12,11 @@ from floerloops.ainfty import check_ainfty, check_functor
 from floerloops.cylinder import (
     CylinderGeometry,
     chord,
-    chord_pairs,
     cylinder_category,
     functor_F,
     half_disc_d1,
+    key_pairs,
     mu_d,
-    mu_polygons,
     raster_cross_check,
     structure_constants,
     TWISTS,
@@ -42,15 +41,15 @@ def check_against_fractions(g):
             assert x.action == -g.c * p * p
             assert half_disc_d1(g, x).area == g.c * p * p
     table = {}
-    for x1, x2 in chord_pairs(g, BOUND):
+    for pair in key_pairs(g, BOUND):
+        x1, x2 = (g.chord_at(k) for k in pair)
         p1 = momentum(g, x1.source, x1.target, x1.winding)
         p2 = momentum(g, x2.source, x2.target, x2.winding)
-        pair = (g.key(x1.source, x1.target, x1.winding), g.key(x2.source, x2.target, x2.winding))
         *_, corners = cylinder._mu2_corners(g, *pair)
         area = g.half_cells(-cylinder._cross(*corners))
         assert area == -g.c * (p1 + p2) ** 2 / 2 - (-g.c * p1 * p1 - g.c * p2 * p2)
         table[pair] = g.mu2_terms(*pair)
-        assert mu_polygons(g, (x1, x2)) == list(table[pair])
+        assert [(g.key(*gen.gid[1:]), s) for gen, s in mu_d(g, (x1, x2)).items()] == list(table[pair])
     return table
 
 
@@ -181,7 +180,7 @@ def test_structure_constants_read_the_table_as_mu_d_would(c, fibers, bound):
             (x1.gid, x2.gid): {
                 gen.gid: coeff for gen, coeff in mu_d(g, (x1, x2), twist=sign).sorted_items()
             }
-            for x1, x2 in chord_pairs(g, bound)
+            for x1, x2 in ((g.chord_at(k1), g.chord_at(k2)) for k1, k2 in key_pairs(g, bound))
         }
         got = structure_constants(g, bound, twist)
         assert list(got) == list(reference)

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from floerloops import cli
-from floerloops.cylinder import chord_pairs, half_disc_d2_family
+from floerloops.cylinder import half_disc_d2_family, key_pairs
 from floerloops.gradedalg import sign_pow
 from floerloops.moduli import (
     ModuliCell,
@@ -112,7 +112,8 @@ def test_pipeline_chooses_each_distinct_dataset_once(three_fibers, monkeypatch):
     # check-all's fundamental-chains input on the acceptance geometry: every
     # half-disc family has the cells and boundary of a battery dataset
     datasets = synthetic_dataset_battery() + [
-        half_disc_d2_family(three_fibers, x1, x2)[0] for x1, x2 in chord_pairs(three_fibers, 2)
+        half_disc_d2_family(three_fibers, three_fibers.chord_at(k1), three_fibers.chord_at(k2))[0]
+        for k1, k2 in key_pairs(three_fibers, 2)
     ]
     chosen = []
 

@@ -546,33 +546,64 @@ def coefficient_fault(cxs):
     return negated
 
 
+def middle_fault(cxs):
+    """A reference fault on summand data, as a test of a tw mu_1 input's gid
+    and one output term's gid: the input sits at block (i1, i2) of
+    Hom(Ta, Tb) and the term at block (i1, k), where the connection entry
+    Tb.D(i2, k) has coefficients of even sum.  A d = 2 relation on a pair
+    at blocks (i1, i2), (j1, j2) reads such a term with k = j1, so this
+    fault reads the middle pair's entry D(i2, j1)."""
+    by_name = {T.name: T for T in cxs}
+
+    def negated(gid, out):
+        _, n1, i1, n2, i2, _ = gid
+        _, _, j1, _, k, _ = out
+        chain = by_name[n2].D.get((i2, k))
+        return j1 == i1 and chain is not None and sum(c for _, c in chain.items()) % 2 == 0
+    return negated
+
+
 # Each fault reads only summand data that the summand classes keep, so the
 # reduced enumeration must still find the exhaustive witness; a class key
 # blind to that data (the shift of a summand without incoming entries, the
-# chain of an incoming entry) misses it.
-SUMMAND_FAULTS = {"shift": shift_fault, "coefficient": coefficient_fault}
+# chain of an incoming entry, the entry between a middle pair) misses it.
+# A fault is the arity of the mu it negates and a factory of its test: on
+# mu_2's first input, or on mu_1's input and one output term.
+SUMMAND_FAULTS = {"shift": (2, shift_fault), "coefficient": (2, coefficient_fault),
+                  "middle": (1, middle_fault)}
 
 
 def summand_faulted(cat, cxs, fault):
-    """`cat`, a `tw_category` on `cxs`, with the fault negating its keyed mu_2."""
-    ops, negated = cat.keyed, SUMMAND_FAULTS[fault](cxs)
+    """`cat`, a `tw_category` on `cxs`, with the fault negating its keyed
+    mu_2 outputs or mu_1 output terms."""
+    arity, make = SUMMAND_FAULTS[fault]
+    ops, negated = cat.keyed, make(cxs)
 
     def mu(keys):
         out = ops.mu(keys)
-        if len(keys) == 2 and negated(ops.decode(keys[0]).gid):
-            return tuple((key, -c) for key, c in out)
-        return out
+        if len(keys) != arity:
+            return out
+        gid = ops.decode(keys[0]).gid
+        if arity == 1:
+            return tuple((key, -c if negated(gid, ops.decode(key).gid) else c) for key, c in out)
+        return tuple((key, -c) for key, c in out) if negated(gid) else out
     return dataclasses.replace(cat, mu_fn=None, keyed=dataclasses.replace(ops, mu=mu))
 
 
 def summand_faulted_matrix(model, cxs, fault):
-    """`matrix_category` with the fault negating its mu_2."""
-    cat, negated = matrix_category(model, cxs, window=1), SUMMAND_FAULTS[fault](cxs)
+    """`matrix_category` with the fault negating its mu_2 outputs or mu_1
+    output terms."""
+    arity, make = SUMMAND_FAULTS[fault]
+    cat, negated = matrix_category(model, cxs, window=1), make(cxs)
     mu_fn = cat.mu_fn
 
     def faulted(gens):
         out = mu_fn(gens)
-        return -out if len(gens) == 2 and negated(gens[0].gid) else out
+        if len(gens) != arity:
+            return out
+        if arity == 1:
+            return Chain({g: -c if negated(gens[0].gid, g.gid) else c for g, c in out.items()})
+        return -out if negated(gens[0].gid) else out
     return dataclasses.replace(cat, mu_fn=faulted)
 
 
@@ -581,7 +612,8 @@ def fault_battery(fault):
     summand a fault breaks a relation at, in the class of a summand of the
     first under a key blind to what the fault reads: pair-0 with both
     shifts raised (summand 0, shift 1, beside single-0), or with its
-    connection coefficient doubled (summand 1, beside pair-0's)."""
+    connection coefficient doubled (summand 1, beside pair-0's; the
+    "middle" fault reads that battery too)."""
     cm = circle_model(1)
     battery = {T.name: T for T in synthetic_twisted_complexes(cm, "f")}
     pair = battery["f-pair-0"]
@@ -605,8 +637,9 @@ def test_tw_witness_matches_exhaustive_reference_under_summand_faults(fault, cas
 
 
 @pytest.mark.parametrize("fault, first", [("shift", ("f-pair-raised", 0)),
-                                          ("coefficient", ("f-pair-doubled", 1))],
-                         ids=["shift", "coefficient"])
+                                          ("coefficient", ("f-pair-doubled", 1)),
+                                          ("middle", ("f-pair-0", 0))],
+                         ids=["shift", "coefficient", "middle"])
 def test_summand_fault_breaks_a_relation(fault, first):
     # each fault is live, first at the summand its battery places
     model, cxs = fault_battery(fault)
