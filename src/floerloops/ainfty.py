@@ -206,75 +206,76 @@ def composable_paths(objects: tuple, hom: Mapping[tuple, tuple], d: int) -> Iter
             yield prefix, slots[-1]
 
 
-def category_from_tables(
-    name: str,
-    objects: tuple,
-    bases: Mapping[tuple, tuple[Generator, ...]],
-    mu_tables: Mapping[int, Mapping[tuple, Chain]],
-    is_dg: bool = False,
-) -> AInftyCategory:
-    """Build a category whose mu is a sparse lookup table, on interned keys.
+def table_category(name: str, objects: tuple, bases: Mapping[tuple, Sequence[tuple[Any, int]]],
+                   rows: Iterable[tuple[int, Sequence, Iterable[tuple[Any, int, int]]]],
+                   is_dg: bool = False) -> tuple[AInftyCategory, dict[tuple, tuple]]:
+    """A category whose mu is a sparse lookup table on interned keys, and
+    that table, a key tuple in composition order to its (key, coeff) terms.
 
-    Table keys are tuples of generator gids in composition order; absent
-    tuples are zero, and the arity support is the set of arities with a
-    nonzero entry.  A basis generator's key is its position in the basis,
-    and a row is kept as the (key, coeff) terms of its output.  Rejected
-    here: a gid listed twice, rows that are non-composable or name a gid in
-    no basis, outputs that are not basis generators, and outputs that break
-    the degree rule |mu_d(x_1, ..., x_d)| = 2 - d + |x_1| + ... + |x_d|.
+    `bases` maps an object pair to the (gid, degree) of its basis
+    generators, and `rows` gives the table as (d, input gids, output (gid,
+    degree, coeff) terms), a gid as itself or in its JSON form.  A key is a
+    generator's position in the bases; absent tuples are zero, and the
+    arity support is the arities with a nonzero entry.  Rejected: a gid
+    listed twice, rows that are non-composable or name a gid in no basis,
+    outputs that are not basis generators, and outputs that break the
+    degree rule |mu_d(x_1, ..., x_d)| = 2 - d + |x_1| + ... + |x_d|.
     """
-    by_key = [gen for basis in bases.values() for gen in basis]
+    by_key = [Generator(gid_from_json(gid), degree)
+              for basis in bases.values() for gid, degree in basis]
     key_of = {gen.gid: key for key, gen in enumerate(by_key)}
     if len(key_of) != len(by_key):
         raise ValueError("a generator gid is listed twice in the hom bases")
-    pair_of = [pair for pair, basis in bases.items() for _ in basis]
-    hom_keys = {
-        pair: tuple(key_of[gen.gid] for gen in basis) for pair, basis in bases.items()
-    }
+    positions = iter(range(len(by_key)))
+    hom_keys = {pair: tuple(itertools.islice(positions, len(basis)))
+                for pair, basis in bases.items()}
+    pair_of = [pair for pair, keys in hom_keys.items() for _ in keys]
+    degree_of = [gen.degree for gen in by_key]
 
-    def key_for(gid) -> int:
-        key = key_of.get(gid)
-        if key is None:
-            raise CompositionError(f"gid {gid} not in any hom basis")
-        return key
+    def key_for(gid) -> int | None:
+        try:  # a JSON list holding no list is its gid's tuple, read without recursion
+            return key_of.get(tuple(gid) if type(gid) is list else gid)
+        except TypeError:
+            return key_of.get(gid_from_json(gid))
 
     def encode(gen: Generator) -> int:
-        key = key_for(gen.gid)
+        key = key_of.get(gen.gid)
+        if key is None:
+            raise CompositionError(f"gid {gen.gid} not in any hom basis")
         if by_key[key] != gen:
             raise CompositionError(
-                f"generator {gen.gid} of degree {gen.degree} is not a basis generator"
-            )
+                f"generator {gen.gid} of degree {gen.degree} is not a basis generator")
         return key
 
     terms: dict[tuple, tuple[tuple[int, int], ...]] = {}
-    for d, table in mu_tables.items():
-        for gids, chain in table.items():
-            if len(gids) != d:
-                raise ValueError(f"arity-{d} table entry with {len(gids)} inputs")
-            keys = tuple(map(key_for, gids))
-            if not keys or any(pair_of[k1][1] != pair_of[k2][0]
-                               for k1, k2 in zip(keys, keys[1:])):
-                raise CompositionError(f"non-composable tuple {list(gids)}")
-            expected = 2 - d + sum(by_key[key].degree for key in keys)
-            out = []
-            for gen, coeff in chain.items():
-                key = key_of.get(gen.gid)
-                if key is None or by_key[key] != gen:
-                    raise CompositionError(
-                        f"mu output {gen.gid} of degree {gen.degree} is not a basis generator"
-                    )
-                if gen.degree != expected:
-                    raise ValueError(
-                        f"mu_{d} output {gen.gid} has degree {gen.degree}, expected {expected}"
-                    )
-                out.append((key, coeff))
-            terms[keys] = tuple(out)
-    return AInftyCategory(
+    for d, gids, output in rows:
+        if len(gids) != d:
+            raise ValueError(f"arity-{d} table entry with {len(gids)} inputs")
+        keys = tuple(map(key_for, gids))
+        if None in keys:
+            gid = gid_from_json(gids[keys.index(None)])
+            raise CompositionError(f"gid {gid} not in any hom basis")
+        if not keys or any(pair_of[k1][1] != pair_of[k2][0] for k1, k2 in zip(keys, keys[1:])):
+            raise CompositionError(f"non-composable tuple {list(map(gid_from_json, gids))}")
+        expected = 2 - d + sum(map(degree_of.__getitem__, keys))
+        out: dict[int, int] = {}
+        for gid, degree, coeff in output:
+            key = key_for(gid)
+            if key is None or degree_of[key] != degree:
+                raise CompositionError(
+                    f"mu output {gid_from_json(gid)} of degree {degree} is not a basis generator")
+            if degree != expected:
+                raise ValueError(
+                    f"mu_{d} output {gid_from_json(gid)} has degree {degree}, expected {expected}")
+            out[key] = coeff
+        terms[keys] = tuple((key, coeff) for key, coeff in out.items() if coeff)
+    cat = AInftyCategory(
         name, objects, hom_keys,
-        KeyedOps(lambda keys: terms.get(keys, ()), lambda key: by_key[key].degree,
+        KeyedOps(lambda keys: terms.get(keys, ()), degree_of.__getitem__,
                  by_key.__getitem__, encode),
         frozenset(len(keys) for keys, out in terms.items() if out), is_dg,
     )
+    return cat, terms
 
 
 def mu2_shifted(
@@ -627,10 +628,6 @@ def gid_from_json(obj: Any) -> Any:
     return obj
 
 
-def _gid_sort_key(gid: Any) -> str:
-    return json.dumps(gid_to_json(gid))
-
-
 def chain_to_json(chain: Chain) -> list[dict]:
     rows = [
         {"gen": gid_to_json(g.gid), "degree": g.degree, "coeff": c}
@@ -648,29 +645,24 @@ def chain_from_json(rows: list[dict]) -> Chain:
 
 
 def category_to_json(
-    cat: AInftyCategory, mu_tables: Mapping[int, Mapping[tuple, Chain]],
+    cat: AInftyCategory, terms: Mapping[tuple, Iterable[tuple[Hashable, int]]],
     extra: dict | None = None,
 ) -> dict:
-    objects = list(cat.objects)
-    basis = []
-    for a, b in sorted(cat.hom_keys, key=lambda pair: tuple(map(objects.index, pair))):
-        basis.append({
-            "source": objects.index(a),
-            "target": objects.index(b),
-            "generators": [
-                {"id": gid_to_json(g.gid), "degree": g.degree} for g in cat.hom_basis(a, b)
-            ],
-        })
-    mu_rows = []
-    for d in sorted(mu_tables):
-        for gids, chain in sorted(mu_tables[d].items(), key=lambda kv: _gid_sort_key(kv[0])):
-            if chain.is_zero():
-                continue
-            mu_rows.append({
-                "d": d,
-                "inputs": [gid_to_json(g) for g in gids],
-                "output": chain_to_json(chain),
-            })
+    """The ainfty_category document of `cat` with the mu table `terms` on
+    keys of its `hom_keys`, a key tuple in composition order to its (key,
+    coeff) terms: the nonzero entries by arity, then by the JSON text of
+    their inputs.  Each key's JSON id and text are rendered once."""
+    ops, objects = cat.keyed, list(cat.objects)
+    ids = {key: gid_to_json(ops.decode(key).gid)
+           for keys in cat.hom_keys.values() for key in keys}
+    text = {key: json.dumps(gid) for key, gid in ids.items()}
+    basis = [{"source": objects.index(a), "target": objects.index(b),
+              "generators": [{"id": ids[key], "degree": ops.degree(key)}
+                             for key in cat.hom_keys[(a, b)]]}
+             for a, b in sorted(cat.hom_keys, key=lambda pair: tuple(map(objects.index, pair)))]
+    # a row's text is json.dumps of its inputs' JSON ids, joined from theirs
+    rows = sorted((len(keys), "[" + ", ".join(map(text.__getitem__, keys)) + "]", keys, out)
+                  for keys, out in terms.items() if out)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "ainfty_category",
@@ -678,7 +670,10 @@ def category_to_json(
         "is_dg": cat.is_dg,
         "objects": [gid_to_json(o) for o in objects],
         "basis": basis,
-        "mu": mu_rows,
+        "mu": [{"d": d, "inputs": [ids[key] for key in keys],
+                "output": [{"gen": ids[key], "degree": ops.degree(key), "coeff": coeff}
+                           for key, coeff in sorted(out, key=lambda term: text[term[0]])]}
+               for d, _text, keys, out in rows],
     }
     if extra:
         doc.update(extra)
@@ -696,27 +691,22 @@ CATEGORY = Document("ainfty_category", {
 
 def category_from_json(
     data: dict, where: str = "ainfty_category"
-) -> tuple[AInftyCategory, dict[int, dict[tuple, Chain]]]:
-    """An ainfty_category document's category and tables; what the document
-    or `category_from_tables` rejects raises `DocumentError` at `where`."""
+) -> tuple[AInftyCategory, dict[tuple, tuple[tuple[int, int], ...]]]:
+    """An ainfty_category document's category and mu table, read in one
+    pass into keys by `table_category`; what the document or the table
+    rejects raises `DocumentError` at `where`."""
     check(data, CATEGORY, where)
     objects = tuple(gid_from_json(o) for o in data["objects"])
-    bases: dict[tuple, tuple[Generator, ...]] = {}
+    bases: dict[tuple, list[tuple[Any, int]]] = {}
     for i, row in enumerate(data["basis"]):
         ends = (row["source"], row["target"])
         if not all(0 <= end < len(objects) for end in ends):
             raise DocumentError(f"{where}.basis[{i}]: names an unknown object")
-        bases[tuple(objects[end] for end in ends)] = tuple(
-            Generator(gid_from_json(g["id"]), g["degree"]) for g in row["generators"]
-        )
-    mu_tables: dict[int, dict[tuple, Chain]] = {}
-    for row in data["mu"]:
-        key = tuple(gid_from_json(g) for g in row["inputs"])
-        mu_tables.setdefault(row["d"], {})[key] = chain_from_json(row["output"])
+        bases[tuple(objects[end] for end in ends)] = [
+            (g["id"], g["degree"]) for g in row["generators"]]
+    rows = ((row["d"], row["inputs"], [(t["gen"], t["degree"], t["coeff"]) for t in row["output"]])
+            for row in data["mu"])
     try:
-        cat = category_from_tables(
-            data["name"], objects, bases, mu_tables, is_dg=data.get("is_dg", False)
-        )
+        return table_category(data["name"], objects, bases, rows, is_dg=data.get("is_dg", False))
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
-    return cat, mu_tables

@@ -21,7 +21,6 @@ from .ainfty import (
     AInftyFunctor,
     CompositionError,
     category_from_json,
-    category_from_tables,
     category_to_json,
     check_ainfty,
     check_functor,
@@ -30,6 +29,7 @@ from .cylinder import (
     CylinderConfigError,
     CylinderGeometry,
     chord,
+    cylinder_category,
     enumerate_chords,
     functor_F,
     half_disc_d2_families,
@@ -215,9 +215,10 @@ EXPORT_BUNDLE = Document("export_bundle", {
 def _bundle_category(cfg: RunConfig) -> AInftyCategory | None:
     """The export bundle's category as the ainfty row re-checks it (None
     without a bundle): its `hom_keys` restricted to the config's chords
-    within the winding bound.  Refused: a re-check above the recorded
-    `enumeration_bound` or `max_d`, where the tables lack rows, and a basis
-    whose generators differ from the config's chords in gid or degree."""
+    within the winding bound, with their winding translation declared.
+    Refused: a re-check above the recorded `enumeration_bound` or `max_d`,
+    where the tables lack rows, and a basis whose generators differ from
+    the config's chords in gid or degree."""
     if cfg.bundle is None:
         return None
     doc = cfg.bundle["category"]
@@ -236,7 +237,15 @@ def _bundle_category(cfg: RunConfig) -> AInftyCategory | None:
         }
     except CompositionError as exc:
         raise DocumentError(f"export_bundle.category: {exc}") from exc
-    return replace(cat, name="imported", hom_keys=hom_keys)
+    # the chord ("x", a, b, w) is t^w ("x", a, b, 0), a premise `check_ainfty`
+    # verifies; any other key is its own class, and a check that reads it as
+    # an output falls back to the full enumeration
+    key_of = {ops.decode(key).gid: key for keys in cat.hom_keys.values() for key in keys}
+    classes = {key: (gid[3], key_of[gid[:3] + (0,)]) for gid, key in key_of.items()
+               if type(gid) is tuple and len(gid) == 4 and gid[0] == "x"
+               and type(gid[3]) is int and gid[:3] + (0,) in key_of}
+    keyed = replace(ops, translation=lambda key: classes.get(key, (0, key)))
+    return replace(cat, name="imported", hom_keys=hom_keys, keyed=keyed)
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -399,39 +408,30 @@ def _f1_image(F: AInftyFunctor, gen: Generator) -> tuple[tuple, int]:
     return F.target.kernel_ops().decode(key).gid[5], coeff
 
 
-def _export_tables(g: CylinderGeometry, winding_bound: int, max_d: int, twist: str):
-    """mu_2 tables wide enough that the A-infinity check at the recorded
-    enumeration bound is closed under every lookup it performs; every
-    input and output of a row lies in the closure basis."""
-    closure = (max_d - 1) * winding_bound
-    n = g.nfibers()
-    bases = {
-        (a, b): tuple(x.generator() for x in enumerate_chords(g, a, b, closure))
-        for a in range(n) for b in range(n)
-    }
-    sign = twist_sign(twist)
-    table: dict[tuple, Chain] = {}
-    for k1, k2 in key_pairs(g, min(2 * winding_bound, closure)):
-        x1, x2 = g.chord_at(k1), g.chord_at(k2)
-        if abs(x1.winding + x2.winding) > closure:
-            continue
-        if min(abs(x1.winding), abs(x2.winding)) > winding_bound:
-            continue
-        val = mu_d(g, (x1, x2), sign)
-        if not val.is_zero():
-            table[(x1.gid, x2.gid)] = val
-    return bases, {2: table}
-
-
 def cmd_export(args: argparse.Namespace) -> int:
-    """Write the export bundle.  Its `functor_f1` rows record F^1 with its
-    half-disc signs, untwisted whatever the config's twist; the category's
-    tables carry the twist, and the fibre complexes do not depend on it."""
+    """Write the export bundle.  Its mu_2 rows, on chord keys with the twist
+    applied, close every lookup of the A-infinity check at the recorded
+    bounds.  Its `functor_f1` rows record F^1 untwisted whatever the twist,
+    and the fibre complexes do not depend on it."""
     cfg = load_run_config(args)
     _bundle_category(cfg)  # a bundle's tables are refused as check-all refuses them
     g = cfg.geometry()
-    bases, mu_tables = _export_tables(g, cfg.winding_bound, cfg.max_d, cfg.twist)
-    cat = category_from_tables("cylinder-export", tuple(range(g.nfibers())), bases, mu_tables)
+    closure = (cfg.max_d - 1) * cfg.winding_bound
+    cat = replace(cylinder_category(g, closure, cfg.twist), name="cylinder-export")
+    ops = cat.kernel_ops()
+    basis = {key for keys in cat.hom_keys.values() for key in keys}
+    terms = {}
+    for pair in key_pairs(g, min(2 * cfg.winding_bound, closure)):
+        (w1, _), (w2, _) = map(ops.translation, pair)
+        if abs(w1 + w2) > closure or min(abs(w1), abs(w2)) > cfg.winding_bound:
+            continue
+        terms[pair] = ops.mu(pair)
+        for key, _coeff in terms[pair]:
+            gen = ops.decode(key)
+            if key not in basis:
+                raise CompositionError(f"mu output {gen.gid} is not in the closure basis")
+            if gen.degree != ops.degree(pair[0]) + ops.degree(pair[1]):
+                raise ValueError(f"mu_2 output {gen.gid} breaks the degree rule")
     F, _model, f_objs = functor_F(g, cfg.winding_bound)
     chords = sorted((x for pair in F.source.hom_keys for x in F.source.hom_basis(*pair)),
                     key=lambda x: repr(x.gid))
@@ -444,8 +444,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         "kind": "export_bundle",
         "config": cfg.as_json(),
         "category": category_to_json(
-            cat, mu_tables,
-            extra={"enumeration_bound": cfg.winding_bound, "max_d": cfg.max_d},
+            cat, terms, extra={"enumeration_bound": cfg.winding_bound, "max_d": cfg.max_d},
         ),
         "twisted_complexes": [twisted_to_json(T) for T in f_objs],
         "functor_f1": f1_rows,

@@ -39,7 +39,7 @@ lattice corners; `_mu2_entry` makes every check of the triangle model on
 that, with no `Chord` or `Fraction`.  The categories, the functor, the
 structure constants, the oracles and the export built on one geometry read
 that table; a twist multiplies it by one sign (see `TWISTS`).  A `Chord` is
-built only to decode a key: a basis element, an F^1 or export row, a witness.
+built only to decode a key: a basis element, an F^1 row, a witness.
 The comparison functor keeps one more table, F^1 from a chord key to its one
 term on the target's keys, filled the first time the functor equation meets
 the chord.  F^2 has no table: it is zero on every pair (see `functor_F`).

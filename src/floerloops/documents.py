@@ -13,6 +13,7 @@ function of the value raising `DocumentError(reason)`.
 
 from __future__ import annotations
 
+import collections
 import json
 from typing import Any
 
@@ -26,12 +27,22 @@ class DocumentError(ValueError):
 
 
 def read(path: str) -> Any:
-    """The JSON value in the UTF-8 file at `path`."""
+    """The JSON value in the UTF-8 file at `path`; a key named twice is refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except DocumentError as exc:
+        raise DocumentError(f"{path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or too deep
         raise DocumentError(f"{path}: not a JSON document: {exc}") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        twice = collections.Counter(key for key, _value in pairs).most_common(1)[0][0]
+        raise DocumentError(f"duplicate key {json.dumps(twice)}")
+    return obj
 
 
 def check(doc: Any, document: Document, where: str | None = None) -> None:

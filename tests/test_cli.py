@@ -214,6 +214,11 @@ def _chord_degree_is_its_winding(doc):
     _relabel_degrees(doc, lambda gid: gid[3])
 
 
+def _key_listed_twice(doc):
+    # json.dumps writes the int key 0 as "0", so the object names "0" twice
+    doc["category"].update({0: "first", "0": "last"})
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -237,6 +242,7 @@ def _chord_degree_is_its_winding(doc):
          "export_bundle.category: mu_2 output ('x', 0, 0, -1) has degree 0, expected 2"),
         (_chord_degree_is_its_winding, "export_bundle.category: generator ('x', 0, 0, -1) "
                                        "of degree 0 is not a basis generator"),
+        (_key_listed_twice, 'bundle.json: duplicate key "0"'),
     ],
 )
 def test_malformed_bundle_category_exits_2(tmp_path, capsys, small_bundle, corrupt, message):
@@ -540,6 +546,11 @@ def _differential_off_degree(doc):
     doc["differential"]["ab"] = {"c": 1}
 
 
+def _unit_key_listed_twice(doc):
+    # json.dumps writes the int key 0 as "0": {"0": "a", "0": "u"}
+    doc["units"] = {0: "a", **doc["units"]}
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -553,6 +564,7 @@ def _differential_off_degree(doc):
         (_composition_listed_twice, "composition 'a'.'b' is listed twice"),
         (_product_off_degree, "composition 'a'.'a' result 'c' has degree 1, expected 2"),
         (_differential_off_degree, "differential of 'ab' result 'c' has degree 1, expected 3"),
+        (_unit_key_listed_twice, '{path}: duplicate key "0"'),
     ],
 )
 def test_import_model_open_tables_exit_2(tmp_path, capsys, corrupt, message):
@@ -562,8 +574,10 @@ def test_import_model_open_tables_exit_2(tmp_path, capsys, corrupt, message):
     corrupt(doc)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
+    # a refusal of the document names its kind, one of the file its path
+    where = "" if message.startswith("{path}") else "path_model: "
     assert run_main(capsys, "import-model", "--model", str(path)) == (
-        2, [f"error: path_model: {message}"])
+        2, [f"error: {where}{message.format(path=path)}"])
 
 
 def test_bundle_check_all_parses_the_bundle_once(tmp_path, small_bundle, monkeypatch, capsys):
@@ -581,6 +595,96 @@ def test_bundle_check_all_parses_the_bundle_once(tmp_path, small_bundle, monkeyp
     monkeypatch.setattr(json, "load", counted_load)
     assert cli.main(["check-all", "--config", str(path)]) == 0
     assert loads == [str(path)]
+
+
+SEED_0_CONFIG = {"kind": "geometry_config", "schema_version": 1, "c": "1/2",
+                 "fibers": ["0", "2/5"], "winding_bound": 4, "max_d": 4, "twist": "constant"}
+
+
+@pytest.fixture(scope="module")
+def seed_0_bundle(tmp_path_factory):
+    from floerloops import cli
+
+    tmp = tmp_path_factory.mktemp("seed-0")
+    config, bundle = tmp / "config.json", tmp / "bundle.json"
+    config.write_text(json.dumps(SEED_0_CONFIG))
+    assert cli.main(["export", "--config", str(config), "--out", str(bundle)]) == 0
+    return json.loads(bundle.read_text())
+
+
+def imported_category(tmp_path, doc):
+    """The category check-all re-checks from the bundle `doc`, and the
+    bundle's path."""
+    from floerloops import cli
+
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    cfg = cli.load_run_config(cli.build_parser().parse_args(["check-all", "--config", str(path)]))
+    return cli._bundle_category(cfg), path
+
+
+def test_imported_category_is_certified_by_verified_translation(tmp_path, seed_0_bundle):
+    from floerloops.ainfty import _check_keyed, check_ainfty
+
+    cat, _path = imported_category(tmp_path, seed_0_bundle)
+    rep, full = check_ainfty(cat, 4), _check_keyed(cat, cat.kernel_ops(), 0, 4, "ainfty(imported)")
+    assert rep.ok and full.ok
+    assert rep.details["tuples_checked"] == full.details["tuples_checked"]
+    assert rep.details["verified_entries"] > 0
+    assert rep.details["per_arity"][3]["certified_by_translation"] > 0
+
+
+def test_imported_row_out_of_class_gets_the_full_path_verdict(tmp_path, capsys, seed_0_bundle):
+    from floerloops.ainfty import _check_keyed, check_ainfty
+
+    # mu_2 of the winding-1 chord on fibre 0 with itself, negated: an entry
+    # out of its translation class, which the certificate must not trust
+    doc = json.loads(json.dumps(seed_0_bundle))
+    (row,) = (r for r in doc["category"]["mu"] if r["inputs"] == [["x", 0, 0, 1]] * 2)
+    row["output"][0]["coeff"] *= -1
+    cat, path = imported_category(tmp_path, doc)
+    rep, full = check_ainfty(cat, 4), _check_keyed(cat, cat.kernel_ops(), 0, 4, "ainfty(imported)")
+    assert not full.ok
+    assert (rep.ok, rep.witness, rep.details.get("tuples_checked")) == (
+        full.ok, full.witness, full.details.get("tuples_checked"))
+    assert run_main(capsys, "check-all", "--config", str(path))[0] == 1
+
+
+def test_export_reads_each_entry_once_and_builds_no_chain_per_row(tmp_path, monkeypatch):
+    import collections
+
+    from floerloops import cli, cylinder, gradedalg
+
+    entries = collections.Counter()
+    mu_d_calls, chains = [], []
+    entry_of, mu_d, init = cylinder._mu2_entry, cylinder.mu_d, gradedalg.Chain.__init__
+
+    def counted_entry(g, k1, k2):
+        entries[(k1, k2)] += 1
+        return entry_of(g, k1, k2)
+
+    def counted_mu_d(*args, **kwargs):
+        mu_d_calls.append(args)
+        return mu_d(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        chains.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cylinder, "_mu2_entry", counted_entry)
+    monkeypatch.setattr(cylinder, "mu_d", counted_mu_d)
+    monkeypatch.setattr(cli, "mu_d", counted_mu_d)
+    monkeypatch.setattr(gradedalg.Chain, "__init__", counted_init)
+    config, bundle = tmp_path / "config.json", tmp_path / "bundle.json"
+    config.write_text(json.dumps(SEED_0_CONFIG))
+    assert cli.main(["export", "--config", str(config), "--out", str(bundle)]) == 0
+    rows = json.loads(bundle.read_text())["category"]["mu"]
+    # 8 fibre paths x 17^2 winding pairs, 1,800 of them in the windows; each
+    # entry is filled once and read as it is, with no product on Chords
+    assert len(rows) == 1800 and len(entries) == 1800 and set(entries.values()) == {1}
+    assert not mu_d_calls
+    # nor a Chain: not per row, and not for any other section
+    assert not chains
 
 
 def test_timings_flag_breaks_byte_identity_only_in_timing(tmp_path):

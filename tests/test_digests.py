@@ -1,9 +1,11 @@
 """The CLI's output bytes, pinned as sha256 digests.
 
 Every run here calls `cli.main` in this process: `check-all` on the default,
-acceptance and seed-0 bundle configs and under each mutation, the seed-0
-`export` bundle, and `demo-s1`.  A refactor must leave every digest and exit
-code as it is.  Any digest change must be named in CHANGES.md with its
+acceptance and seed-0 bundle configs and under each mutation, `check-all` on
+the seed-0 bundle under the two mutations of its category and functor rows,
+the `export` bundles of the default config, of the acceptance config under
+twist constant and of the seed-0 config at max_d 4 and 3, and `demo-s1`.
+A refactor must leave every digest and exit code as it is.  Any digest change must be named in CHANGES.md with its
 reason; when a change means to alter the bytes, regenerate the table once
 with `PYTHONPATH=src python tests/test_digests.py`.
 """
@@ -31,10 +33,20 @@ DIGESTS = {
         (0, "e9956eb7399806a703f698ac4ff0df2622c6a3f0ab65ab194f2f9d4ad4d418aa"),
     "check-all acceptance twist constant":
         (0, "d4171d168ecc32af29306e6a35e26645ca685b3a094f6be62d645301cdb8e7a5"),
+    "export default":
+        (0, "538a0fa17f6587b8f769952d4b3b03171ffd43935c17d90f313bedf102144b52"),
+    "export acceptance twist constant":
+        (0, "fb78dc3445a17330ac92b8d47d75459eac5c09b93af6716748160faee7e266cb"),
     "export seed-0 bundle":
         (0, "d0626ec18ada711107239cea29e6db3b4d5c206f630925fa38fc6e999de8eff0"),
+    "export seed-0 bundle --max-d 3":
+        (0, "c261b999aff1328e2b09c8b11e2b6eafeb8728005dd9cd4d714d45f315fd3393"),
     "check-all seed-0 bundle":
         (0, "d9c873fda72de990260d4636023c4a202ceaa38d5e5cebf817033ca331c3bdc8"),
+    "check-all seed-0 bundle --mutate mu2-sign":
+        (1, "1fe90d7488fbca66d43e727bc0334f2d0f615f393365843608d9b715c16d838a"),
+    "check-all seed-0 bundle --mutate f1-zero":
+        (1, "3834e1d05720e6fd880e1bbec550ed3857d67a8fced2c79d79b983a875b67f99"),
     "check-all --mutate mu2-sign":
         (1, "825f80920ea28bfeadc71651f08fbe0ac131f363337f4d97da1c69132cfcfd7c"),
     "check-all --mutate f1-zero":
@@ -71,11 +83,19 @@ def outputs(tmp: pathlib.Path) -> dict[str, tuple[int, bytes]]:
     for twist in ("none", "constant"):
         cfg = _config(tmp, f"acceptance-{twist}", {**ACCEPTANCE, "twist": twist})
         runs[f"check-all acceptance twist {twist}"] = _run("check-all", "--config", cfg)
+    runs["export default"] = _run("export")
+    # the loop's last config is the acceptance geometry under twist constant
+    runs["export acceptance twist constant"] = _run("export", "--config", cfg)
     bundle = tmp / "bundle.json"
-    code, text = _run("export", "--config", _config(tmp, "seed-0", SEED_0_BUNDLE))
+    seed_0 = _config(tmp, "seed-0", SEED_0_BUNDLE)
+    code, text = _run("export", "--config", seed_0)
     bundle.write_bytes(text)
     runs["export seed-0 bundle"] = code, text
+    runs["export seed-0 bundle --max-d 3"] = _run("export", "--config", seed_0, "--max-d", "3")
     runs["check-all seed-0 bundle"] = _run("check-all", "--config", str(bundle))
+    for mutation in ("mu2-sign", "f1-zero"):
+        runs[f"check-all seed-0 bundle --mutate {mutation}"] = _run(
+            "check-all", "--config", str(bundle), "--mutate", mutation)
     for mutation in MUTATIONS:
         runs[f"check-all --mutate {mutation}"] = _run("check-all", "--mutate", mutation)
     runs["demo-s1 default"] = _run("demo-s1")

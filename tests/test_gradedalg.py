@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from floerloops.ainfty import category_from_tables, check_ainfty
+from floerloops.ainfty import check_ainfty
 from floerloops.gradedalg import Chain, Generator
+from tables import category_from_tables
 
 
 GENS = [Generator(f"g{i}", i % 3) for i in range(4)]

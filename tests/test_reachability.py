@@ -1,17 +1,18 @@
 """Which package functions the program's own runs reach.
 
 The workload runs in this process under `sys.setprofile`: `check-all` on
-the default config and on the acceptance config under both twists, the
-seed-0 bundle's `export` and `check-all` on it, the five `--mutate` runs,
-`demo-s1` (all as `test_digests` runs them), `import-model` on
-`leibniz_witness_model`'s document, and the raster and Maslov oracles and
-the structure constants at rho 1, 2 and 4, as the oracle sweep runs them.
-The package was imported before the profile starts, so each module's body
-is run again under it, into a fresh namespace: what a module calls at
-import counts as reached.  The package's functions are listed from its
-source and matched to the called code objects by module and qualified
-name, not by line, since a decorated function's code reports its
-decorator's line.
+the default config and on the acceptance config under both twists,
+`export` on the default and acceptance configs and on the seed-0 config at
+max_d 4 and 3, `check-all` on the seed-0 bundle, plain and under `mu2-sign`
+and `f1-zero`, the five `--mutate` runs, `demo-s1` (all as `test_digests`
+runs them), `import-model` on `leibniz_witness_model`'s document, and the
+raster and Maslov oracles and the structure constants at rho 1, 2 and 4,
+as the oracle sweep runs them.  The package was imported before the
+profile starts, so each module's body is run again under it, into a fresh
+namespace: what a module calls at import counts as reached.  The
+package's functions are listed from its source and matched to the called
+code objects by module and qualified name, not by line, since a decorated
+function's code reports its decorator's line.
 
 The functions the workload never calls must be exactly NEVER_CALLED.  A
 function that stops being reached fails the test until it is deleted,
@@ -50,6 +51,9 @@ NEVER_CALLED = {
     "pontryagin.path_model_category.<locals>.mu_fn":
         "reference: the Chain-level mu beside the keyed one",
     "twisted.twisted_from_json": "reader a bundle does not re-check yet",
+    "ainfty.chain_from_json": "used only by twisted_from_json",
+    "ainfty.chain_to_json":
+        "writer of a connection entry: the exported fibre complexes have none",
     "moduli.moduli_from_json": "reader a bundle does not re-check yet",
     "pontryagin.circle_model": "test helper: the circle model with n points",
     "pontryagin.PathModel.hom_basis": "abstract hook: every model overrides it",

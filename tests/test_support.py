@@ -17,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 from floerloops.ainfty import (
     _verified_translation,
     ainfty_residual,
-    category_from_tables,
     check_ainfty,
     check_functor,
     composable_paths,
@@ -51,6 +50,7 @@ from floerloops.twisted import (
     validate_twisted,
 )
 from gauges import gauged, gauged_functor, winding_parity, winding_parity_functor
+from tables import category_from_tables
 
 
 def exhaustive_residual(cat, gens):
